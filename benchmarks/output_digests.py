@@ -1,0 +1,194 @@
+"""Digest every deterministic output of combopt, one line per case.
+
+Run it on two checkouts and diff the results to show that a refactoring
+leaves the outputs byte-identical:
+
+    PYTHONPATH=src python3 benchmarks/output_digests.py > digests.txt
+
+Covered: the deterministic README command lines, qubo-sa ``solve`` JSON
+(including reads that do not decode), ``export-qubo``, ``exact`` and
+``--help`` output, qubo-sa plan records apart from ``wall_time``, TSP window
+subproblems and their decodes, annealer reads, and the ``max_steps`` +
+``qm_inline`` sample-set JSON of the perfbench fixed-work configurations.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from combopt.cli import main as cli
+from combopt.problems import (
+    BUILDERS,
+    TspInstance,
+    generate_random_maxcut,
+    parse_kplib,
+    parse_tsplib,
+)
+from combopt.qubo import kp_to_qubo, mcp_to_qubo, sa_sample, tsp_to_qubo
+from combopt.solver import SolverConfig, solve
+from combopt.solver.subproblem import qm_query
+from combopt.state import State
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def emit(name: str, payload) -> None:
+    if isinstance(payload, str):
+        payload = payload.encode()
+    print(f"{hashlib.sha256(payload).hexdigest()[:16]}  {name}")
+
+
+def run_cli(name: str, args: list[str], out: Path | None = None) -> None:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli(args)
+        except SystemExit as e:  # argparse --help
+            code = e.code
+    text = f"exit={code}\n{stdout.getvalue()}\n--stderr--\n{stderr.getvalue()}"
+    if out is not None:
+        text = text.replace(str(out.parent), "<tmp>")
+        if out.exists():
+            text += "\n--file--\n" + out.read_text()
+    emit(name, text)
+
+
+def cli_cases(tmp: Path) -> None:
+    d = str(DATA)
+    run_cli("readme solve qubo-sa mc10",
+            ["solve", "--problem", "maxcut", "--instance", f"{d}/mc10.mc",
+             "--solver", "qubo-sa", "--reads", "64"])
+    out = tmp / "mc90.mc"
+    run_cli("readme gen-maxcut", ["gen-maxcut", "--nodes", "90", "--density", "0.8",
+                                  "--seed", "3", "--out", str(out)], out)
+    run_cli("readme stats friedman",
+            ["stats", "--results", f"{d}/fixtures/scores_case2.csv", "--test", "friedman"])
+    for case in ("scores_case1", "scores_case3"):
+        for test in ("friedman", "holm"):
+            run_cli(f"stats {test} {case}",
+                    ["stats", "--results", f"{d}/fixtures/{case}.csv", "--test", test])
+    for problem, inst, extra in [
+        ("maxcut", "mc10.mc", []), ("kp", "kp50.kp", []), ("tsp", "tsp7.tsp", []),
+        ("tsp", "tsp8.tsp", ["--sweeps", "4", "--reads", "12"]),
+        ("kp", "kp50.kp", ["--sweeps", "4", "--seed", "5"]),
+    ]:
+        out = tmp / f"solve-{problem}-{inst}-{len(extra)}.json"
+        run_cli(f"solve qubo-sa {inst} {' '.join(extra)}",
+                ["solve", "--problem", problem, "--instance", f"{d}/{inst}",
+                 "--solver", "qubo-sa", "--optima", f"{d}/optima.txt",
+                 "--out", str(out), *extra], out)
+    for problem, inst in [("tsp", "tsp7.tsp"), ("kp", "kp50.kp"), ("maxcut", "mc10.mc")]:
+        run_cli(f"exact {inst}", ["exact", "--problem", problem, "--instance", f"{d}/{inst}"])
+        out = tmp / f"{inst}.qubo"
+        run_cli(f"export-qubo {inst}", ["export-qubo", "--problem", problem,
+                                        "--instance", f"{d}/{inst}", "--out", str(out)], out)
+        run_cli(f"export-qubo {inst} penalty 7.5",
+                ["export-qubo", "--problem", problem, "--instance", f"{d}/{inst}",
+                 "--penalty", "7.5"])
+    run_cli("exact disc51 oversize", ["exact", "--problem", "tsp",
+                                      "--instance", f"{d}/disc51.tsp"])
+    run_cli("solve missing file", ["solve", "--problem", "kp", "--instance", "nope.kp"])
+    run_cli("--help", ["--help"])
+    for sub in ("solve", "bench", "gen-maxcut", "exact", "stats", "export-qubo"):
+        run_cli(f"{sub} --help", [sub, "--help"])
+
+
+def plan_cases(tmp: Path) -> None:
+    for time_limit in (600.0, 1e-9):
+        plan = {
+            "optima": str(DATA / "optima.txt"), "runs": 2, "master_seed": 3,
+            "time_limit": time_limit,
+            "algorithms": [
+                {"name": "qubo-sa", "kind": "qubo-sa", "config": {"reads": 16, "sweeps": 128}},
+                {"name": "cold", "kind": "qubo-sa", "config": {"reads": 12, "sweeps": 3}},
+            ],
+            "instances": [
+                {"id": "tsp7", "problem": "tsp", "path": str(DATA / "tsp7.tsp")},
+                {"id": "kp50", "problem": "kp", "path": str(DATA / "kp50.kp")},
+                {"id": "mc10", "problem": "maxcut", "path": str(DATA / "mc10.mc")},
+            ],
+        }
+        plan_path = tmp / f"plan-{time_limit}.json"
+        plan_path.write_text(json.dumps(plan))
+        out = tmp / f"bench-{time_limit}"
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            cli(["bench", "--plan", str(plan_path), "--out-dir", str(out)])
+        rows = [json.loads(ln) for ln in (out / "records.jsonl").read_text().splitlines()]
+        for r in rows:
+            r.pop("wall_time")
+        emit(f"plan records time_limit={time_limit}", json.dumps(rows, sort_keys=True))
+
+
+def window_cases() -> None:
+    rng = np.random.default_rng(11)
+    c = rng.uniform(0.5, 30.0, (9, 9))
+    np.fill_diagonal(c, 0.0)
+    instances = [
+        parse_tsplib((DATA / "tsp9.tsp").read_text(), "tsp9"),
+        parse_tsplib((DATA / "disc52.tsp").read_text(), "disc52"),
+        TspInstance("float9", 9, c),
+    ]
+    for inst in instances:
+        model = BUILDERS["tsp"](inst)
+        tour = np.random.default_rng(inst.n).permutation(inst.n)
+        for window, seed in itertools.product((1, 2, 5, 16, inst.n), range(3)):
+            if window > inst.n:
+                continue
+            q = qm_query(model, State([tour]), window, np.random.default_rng(seed))
+            parts = [q.label, q.qubo.save_text()]
+            for bits, _ in sa_sample(q.qubo, reads=4, sweeps=16, seed=seed):
+                state = q.decode(bits)
+                parts.append("None" if state is None else repr(state.values[0].tolist()))
+            w = int(round(q.qubo.n ** 0.5))
+            for perm in itertools.islice(itertools.permutations(range(w)), 6):
+                grid = np.zeros((w, w), dtype=np.int8)
+                grid[list(perm), range(w)] = 1
+                parts.append(repr(q.decode(grid.reshape(-1)).values[0].tolist()))
+            emit(f"window {inst.name} w={window} seed={seed}", "\n".join(parts))
+        for penalty in (None, 3.25):
+            emit(f"tsp_to_qubo {inst.name} penalty={penalty}",
+                 tsp_to_qubo(inst, penalty)[0].save_text())
+
+
+def sampler_cases() -> None:
+    qubos = [
+        ("mc60", mcp_to_qubo(generate_random_maxcut(60, 0.3, seed=2))[0]),
+        ("tsp7", tsp_to_qubo(parse_tsplib((DATA / "tsp7.tsp").read_text(), "tsp7"))[0]),
+        ("kp50", kp_to_qubo(parse_kplib((DATA / "kp50.kp").read_text(), "kp50"))[0]),
+    ]
+    for name, q in qubos:
+        for sweeps in (1, 2, 64):
+            out = sa_sample(q, reads=3, sweeps=sweeps, seed=9, backend="numpy")
+            emit(f"sa_sample {name} sweeps={sweeps}",
+                 b"".join(bits.tobytes() + repr(e).encode() for bits, e in out))
+
+
+def solver_cases() -> None:
+    disc52 = BUILDERS["tsp"](parse_tsplib((DATA / "disc52.tsp").read_text(), "disc52"))
+    for seed in (0, 1):
+        cfg = SolverConfig(seed=seed, n_branches=1, qm_inline=True, max_steps=5_000,
+                           time_limit=600.0)
+        emit(f"tsp52-window seed={seed}", solve(disc52, cfg).to_json())
+    for seed in (0, 1):
+        mc = BUILDERS["mc"](generate_random_maxcut(200, 0.1, seed=seed, name="mc200"))
+        cfg = SolverConfig(seed=seed, n_branches=1, qm_inline=True, max_steps=2_000,
+                           time_limit=600.0, cm_kind="tabu", tabu_candidates=12)
+        emit(f"mc200-tabu seed={seed}", solve(mc, cfg).to_json())
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        cli_cases(Path(tmp))
+        plan_cases(Path(tmp))
+    window_cases()
+    sampler_cases()
+    solver_cases()

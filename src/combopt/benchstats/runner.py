@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import MetricError, ParseError
-from ..problems import BUILDERS, parse_kplib, parse_maxcut, parse_tsplib
-from ..qubo import kp_to_qubo, mcp_to_qubo, sa_sample, tsp_to_qubo
+from ..families import ENCODERS, PARSERS, family, native
+from ..problems import BUILDERS
+from ..qubo import sa_sample
 from ..solver import SolverConfig, solve
 from .metrics import sampleset_metrics
 
@@ -34,9 +35,6 @@ RECORD_FIELDS = [
     "n_samples",
     "wall_time",
 ]
-
-PARSERS = {"tsp": parse_tsplib, "kp": parse_kplib, "mc": parse_maxcut}
-ENCODERS = {"tsp": tsp_to_qubo, "kp": kp_to_qubo, "mc": mcp_to_qubo}
 
 
 @dataclass(frozen=True)
@@ -66,14 +64,10 @@ class Plan:
     @classmethod
     def from_json(cls, text: str, base_dir: Path = Path(".")) -> "Plan":
         doc = json.loads(text)
-        problems = {"maxcut": "mc"}  # accepted alias
         instances = [
-            PlanInstance(d["id"], problems.get(d["problem"], d["problem"]), d["path"])
+            PlanInstance(d["id"], family(d["problem"]), d["path"])
             for d in doc["instances"]
         ]
-        for inst in instances:
-            if inst.problem not in PARSERS:
-                raise ParseError(f"unknown problem {inst.problem!r} in plan")
         algorithms = [
             PlanAlgorithm(d["name"], d.get("kind", d["name"]), d.get("config", {}))
             for d in doc["algorithms"]
@@ -164,8 +158,30 @@ class ResultsTable:
         return table
 
 
-def _native(sense: str, objective: float) -> float:
-    return -objective if sense == "max" else objective
+def qubo_sa_reads(model, family: str, reads: int, sweeps: int, seed: int,
+                  time_limit: float | None = None) -> list:
+    """The qubo-sa baseline: anneal the full-instance encoding of ``model``.
+
+    Returns one entry per completed read, in read order: ``(state,
+    evaluation)``, or ``None`` when the read does not decode to a state.
+    Without a time limit the reads run as one batch.  Under ``time_limit``
+    they run in batches of ``reads // 8`` (seeded ``seed + done``) until the
+    reads or the time are used up, and at least one batch always runs.
+    """
+    t0 = time.monotonic()
+    qubo, decode = ENCODERS[family](model.tags["instance"])
+    batch = reads if time_limit is None else max(1, reads // 8)
+    out = []
+    done = 0
+    while done < reads:
+        take = min(batch, reads - done)
+        for bits, _ in sa_sample(qubo, reads=take, sweeps=sweeps, seed=seed + done):
+            state = decode(bits)
+            out.append(None if state is None else (state, model.evaluate(state)))
+        done += take
+        if time_limit is not None and time.monotonic() - t0 >= time_limit:
+            break
+    return out
 
 
 def run_cell(model, family: str, algorithm: PlanAlgorithm, seed: int,
@@ -180,29 +196,15 @@ def run_cell(model, family: str, algorithm: PlanAlgorithm, seed: int,
             kwargs.setdefault("threads", threads)
         cfg = SolverConfig(time_limit=time_limit, seed=seed, **kwargs)
         result = solve(model, cfg)
-        pairs = [(_native(sense, s.objective), s.feasible) for s in result]
+        pairs = [(native(sense, s.objective), s.feasible) for s in result]
     else:
-        instance = model.tags["instance"]
-        qubo, decode = ENCODERS[family](instance)
         reads = int(algorithm.config.get("reads", 32))
         sweeps = int(algorithm.config.get("sweeps", 512))
-        # honor the wall budget: sample in small read batches until either the
-        # requested reads or the time limit is exhausted (at least one batch)
-        batch = max(1, reads // 8)
-        pairs = []
-        done = 0
-        while done < reads:
-            take = min(batch, reads - done)
-            for bits, _ in sa_sample(qubo, reads=take, sweeps=sweeps, seed=seed + done):
-                state = decode(bits)
-                if state is None:
-                    pairs.append((0.0, False))
-                    continue
-                ev = model.evaluate(state)
-                pairs.append((_native(sense, ev.objective), ev.feasible))
-            done += take
-            if time.monotonic() - t0 >= time_limit:
-                break
+        entries = qubo_sa_reads(model, family, reads, sweeps, seed, time_limit)
+        pairs = [
+            (0.0, False) if e is None else (native(sense, e[1].objective), e[1].feasible)
+            for e in entries
+        ]
     wall = time.monotonic() - t0
 
     feasible_values = [v for v, ok in pairs if ok]

@@ -40,26 +40,14 @@ from .benchstats import (
     friedman_statistic,
     holm_posthoc,
     load_optima,
+    qubo_sa_reads,
     run_experiment,
     wilcoxon_rank_sum,
 )
 from .errors import ComboptError, MetricError, ParseError, SizeError
-from .problems import (
-    BUILDERS,
-    emit_maxcut,
-    exact_kp,
-    exact_maxcut,
-    exact_tsp,
-    generate_random_maxcut,
-    parse_kplib,
-    parse_maxcut,
-    parse_tsplib,
-)
-from .qubo import kp_to_qubo, mcp_to_qubo, sa_sample, tsp_to_qubo
-from .solver import SolverConfig, solve
-
-PARSERS = {"tsp": parse_tsplib, "kp": parse_kplib, "maxcut": parse_maxcut}
-ENCODERS = {"tsp": tsp_to_qubo, "kp": kp_to_qubo, "maxcut": mcp_to_qubo}
+from .families import ENCODERS, EXACT, PARSERS, family, native
+from .problems import BUILDERS, emit_maxcut, generate_random_maxcut
+from .solver import SampleSet, SolverConfig, make_sample, solve
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -69,21 +57,17 @@ EXIT_SIZE = 4
 WIN_SYMBOL = {"win": "▲", "loss": "▽", "tie": "="}
 
 
-def _load_instance(problem: str, path: str):
+def _load_instance(key: str, path: str):
     p = Path(path)
     if not p.exists():
         raise ParseError(f"instance file not found: {path}")
-    return PARSERS[problem](p.read_text(), p.stem)
-
-
-def _native(sense: str, objective: float) -> float:
-    return -objective if sense == "max" else objective
+    return PARSERS[key](p.read_text(), p.stem)
 
 
 def cmd_solve(args) -> int:
-    instance = _load_instance(args.problem, args.instance)
-    family = {"maxcut": "mc"}.get(args.problem, args.problem)
-    model = BUILDERS[family](instance)
+    key = family(args.problem)
+    instance = _load_instance(key, args.instance)
+    model = BUILDERS[key](instance)
     sense = model.tags["sense"]
 
     if args.solver == "nl":
@@ -94,29 +78,17 @@ def cmd_solve(args) -> int:
             threads=args.threads,
         )
         result = solve(model, config)
-        best = result.best()
-        best_native = _native(sense, best.objective)
-        feasible = best.feasible
-        out_doc = result.to_json(indent=2)
-        n_samples = len(result)
     else:
-        from .solver.sampleset import SampleSet, make_sample
-
-        qubo, decode = ENCODERS[args.problem](instance)
-        results = sa_sample(qubo, reads=args.reads, sweeps=args.sweeps, seed=args.seed)
-        samples = []
-        undecodable = 0
-        for read, (bits, _) in enumerate(results):
-            state = decode(bits)
-            if state is None:
-                undecodable += 1
-                continue
-            ev = model.evaluate(state)
-            samples.append(make_sample(state, ev, branch=read, step=0,
-                                       source="sa-read", elapsed=0.0))
+        entries = qubo_sa_reads(model, key, args.reads, args.sweeps, args.seed)
+        samples = [
+            make_sample(e[0], e[1], branch=read, step=0, source="sa-read", elapsed=0.0)
+            for read, e in enumerate(entries)
+            if e is not None
+        ]
         if not samples:
             print("no sample decoded to a problem state", file=sys.stderr)
             return EXIT_SOLVER
+        undecodable = len(entries) - len(samples)
         warnings = (
             [f"{undecodable} of {args.reads} reads did not decode to a state"]
             if undecodable
@@ -129,11 +101,11 @@ def cmd_solve(args) -> int:
             wall_time=0.0,
             warnings=warnings,
         )
-        best = result.best()
-        best_native = _native(sense, best.objective)
-        feasible = best.feasible
-        out_doc = result.to_json(indent=2)
-        n_samples = len(result)
+    best = result.best()
+    best_native = native(sense, best.objective)
+    feasible = best.feasible
+    out_doc = result.to_json(indent=2)
+    n_samples = len(result)
 
     if args.out:
         Path(args.out).write_text(out_doc)
@@ -181,13 +153,9 @@ def cmd_gen_maxcut(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    instance = _load_instance(args.problem, args.instance)
-    if args.problem == "tsp":
-        value, certificate = exact_tsp(instance)
-    elif args.problem == "kp":
-        value, certificate = exact_kp(instance)
-    else:
-        value, certificate = exact_maxcut(instance)
+    key = family(args.problem)
+    instance = _load_instance(key, args.instance)
+    value, certificate = EXACT[key](instance)
     print(f"instance={instance.name} optimum={value:g}")
     print(f"certificate={certificate}")
     return EXIT_OK
@@ -269,12 +237,13 @@ def cmd_stats(args) -> int:
 
 
 def cmd_export_qubo(args) -> int:
-    instance = _load_instance(args.problem, args.instance)
-    if args.problem == "maxcut":
-        qubo, _ = mcp_to_qubo(instance)
+    key = family(args.problem)
+    instance = _load_instance(key, args.instance)
+    if key == "mc":  # no constraint, so no penalty
+        qubo, _ = ENCODERS[key](instance)
     else:
         penalty = None if args.penalty == "auto" else float(args.penalty)
-        qubo, _ = ENCODERS[args.problem](instance, penalty)
+        qubo, _ = ENCODERS[key](instance, penalty)
     text = qubo.save_text()
     if args.out:
         Path(args.out).write_text(text)

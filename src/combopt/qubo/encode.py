@@ -44,40 +44,64 @@ def _add_one_hot_penalty(qubo: Qubo, indices: list[int], a: float) -> None:
             qubo.add(i, j, 2.0 * a)
 
 
+def tour_qubo(c, penalty: float | None = None, ends=None) -> Qubo:
+    """One-hot position encoding of a tour over the cost matrix ``c``.
+
+    Bit ``v * n + p`` means city v at position p; each city and each position
+    is one-hot by penalty.  Without ``ends`` the tour is closed.  With
+    ``ends = (first, last)`` it is an open path whose city v costs ``first[v]``
+    at the first position and ``last[v]`` at the last one.  The automatic
+    penalty sums the coefficients in the order they are added.
+    """
+    n = c.shape[0]
+    qubo = Qubo(n * n)
+    coeffs: list[float] = []
+
+    def term(i: int, j: int, cost) -> None:
+        if cost:
+            qubo.add(i, j, cost)
+            coeffs.append(cost)
+
+    if ends is not None:
+        first, last = ends
+        for v in range(n):
+            term(v * n, v * n, first[v])
+            term(v * n + n - 1, v * n + n - 1, last[v])
+    for p in range(n if ends is None else n - 1):
+        q = (p + 1) % n
+        for u in range(n):
+            for v in range(n):
+                if u != v:
+                    term(u * n + p, v * n + q, c[u, v])
+    a = _resolve_penalty(penalty, coeffs)
+    for v in range(n):
+        _add_one_hot_penalty(qubo, [v * n + p for p in range(n)], a)
+    for p in range(n):
+        _add_one_hot_penalty(qubo, [v * n + p for v in range(n)], a)
+    return qubo
+
+
+def tour_order(bits, n: int) -> np.ndarray | None:
+    """City at each position of a :func:`tour_qubo` bitstring; None unless one-hot."""
+    grid = np.asarray(bits).reshape(n, n)
+    if (grid.sum(axis=1) != 1).any() or (grid.sum(axis=0) != 1).any():
+        return None
+    return np.argmax(grid, axis=0)
+
+
 def tsp_to_qubo(instance: TspInstance, penalty: float | None = None):
-    """One-hot position encoding: bit (v, p) means city v at tour position p.
+    """Closed-tour :func:`tour_qubo` of the instance.
 
     Returns (qubo, decoder); the decoder yields a permutation state iff every
     row (city) and column (position) is exactly one-hot.
     """
     n = instance.n
-    c = instance.cost_matrix
-    objective_coeffs = [c[u, v] for u in range(n) for v in range(n) if u != v and c[u, v]]
-    a = _resolve_penalty(penalty, objective_coeffs * n if objective_coeffs else [])
-
-    def bit(v: int, p: int) -> int:
-        return v * n + p
-
-    qubo = Qubo(n * n)
-    for p in range(n):
-        q = (p + 1) % n
-        for u in range(n):
-            for v in range(n):
-                if u != v and c[u, v]:
-                    qubo.add(bit(u, p), bit(v, q), c[u, v])
-    for v in range(n):
-        _add_one_hot_penalty(qubo, [bit(v, p) for p in range(n)], a)
-    for p in range(n):
-        _add_one_hot_penalty(qubo, [bit(v, p) for v in range(n)], a)
 
     def decode(bits) -> State | None:
-        grid = np.asarray(bits).reshape(n, n)
-        if (grid.sum(axis=1) != 1).any() or (grid.sum(axis=0) != 1).any():
-            return None
-        perm = np.argmax(grid, axis=0)  # city at each position
-        return State([perm])
+        perm = tour_order(bits, n)
+        return None if perm is None else State([perm])
 
-    return qubo, decode
+    return tour_qubo(instance.cost_matrix, penalty), decode
 
 
 def slack_coefficients(capacity: int) -> list[int]:

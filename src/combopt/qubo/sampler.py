@@ -21,19 +21,21 @@ def default_backend() -> str:
     return "numba" if _kernels.NUMBA_AVAILABLE else "numpy"
 
 
-def beta_schedule(qubo: Qubo, sweeps: int) -> np.ndarray:
-    """Geometric schedule from coefficient magnitudes.
+def beta_schedule(h: np.ndarray, s: np.ndarray, sweeps: int) -> np.ndarray:
+    """Geometric schedule from the magnitudes of the fields ``Qubo.fields()``.
 
     beta ranges from ln(2)/dE_max (half the worst uphill move accepted) to
-    ln(100)/dE_min (the smallest uphill move accepted 1% of the time).
+    ln(100)/dE_min (the smallest uphill move accepted 1% of the time), where
+    dE_min is the smallest nonzero coefficient magnitude.
     """
     if sweeps < 1:
         raise DomainError(f"sweeps must be >= 1, got {sweeps}")
-    h, s = qubo.fields()
-    per_var = np.abs(h) + np.abs(s).sum(axis=1)
+    abs_h, abs_s = np.abs(h), np.abs(s)
+    per_var = abs_h + abs_s.sum(axis=1)
     de_max = float(per_var.max()) if per_var.size else 0.0
-    magnitudes = [abs(c) for c in qubo.terms.values() if c != 0.0]
-    de_min = min(magnitudes) if magnitudes else 1.0
+    # s is symmetric, so its nonzero entries are the off-diagonal terms
+    magnitudes = np.concatenate([abs_h[abs_h > 0], abs_s[abs_s > 0]])
+    de_min = float(magnitudes.min()) if magnitudes.size else 1.0
     if de_max <= 0.0:
         return np.full(sweeps, 1.0)
     beta_start = np.log(2.0) / de_max
@@ -76,7 +78,7 @@ def sa_sample(
         return [(np.zeros(0, dtype=np.int8), qubo.offset) for _ in range(reads)]
 
     h, s = qubo.fields()
-    betas = beta_schedule(qubo, sweeps)
+    betas = beta_schedule(h, s, sweeps)
     key_init = _kernels.stream_key(seed, 0x1234)
     key_flip = _kernels.stream_key(seed, 0x5678)
     kernel = _kernels.anneal_numba if backend == "numba" else _kernels.anneal_numpy

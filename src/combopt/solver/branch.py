@@ -11,6 +11,7 @@ boundaries, so a slow query never blocks the loop.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Future
 
 import numpy as np
 
@@ -49,7 +50,7 @@ class Branch:
         self.samples: list[Sample] = []
         self.warnings: list[str] = []
         self.tabu: dict = {}
-        self.pending = None  # (future-like, query) awaiting mailbox consumption
+        self.pending = None  # (future, query) awaiting mailbox consumption
         self.qm_failed = False
 
         self.current = initial_state(model, self.rng)
@@ -199,9 +200,14 @@ class Branch:
             return sa_sample(query.qubo, reads=reads, sweeps=sweeps, seed=seed)
 
         if executor is None:
-            self.pending = (_Immediate(run()), query)
+            future = Future()  # inline queries complete before the mailbox is read
+            try:
+                future.set_result(run())
+            except Exception as exc:
+                future.set_exception(exc)
         else:
-            self.pending = (executor.submit(run), query)
+            future = executor.submit(run)
+        self.pending = (future, query)
 
     def consume_mailbox(self, model: Model) -> None:
         if self.pending is None:
@@ -232,17 +238,3 @@ class Branch:
                         self.steps, "final", self.clock())
         )
 
-
-class _Immediate:
-    """Future-like wrapper for inline (deterministic) query execution."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value):
-        self._value = value
-
-    def done(self) -> bool:
-        return True
-
-    def result(self):
-        return self._value

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..modeling import Model
 from ..qubo.core import Qubo
-from ..qubo.encode import auto_penalty, kp_to_qubo, mcp_to_qubo, tsp_to_qubo
+from ..qubo.encode import kp_to_qubo, mcp_to_qubo, tour_order, tour_qubo, tsp_to_qubo
 from ..state import State
 
 
@@ -46,15 +46,11 @@ def qm_query(model: Model, incumbent: State, window: int,
     Windows larger than the decision are clamped by the caller's config
     contract (the clamp itself happens here).
     """
-    family = model.tags.get("family")
+    build = _WINDOWS.get(model.tags.get("family"))
     instance = model.tags.get("instance")
-    if family not in ("tsp", "kp", "mc") or instance is None:
+    if build is None or instance is None:
         return None
-    if family == "tsp":
-        return _tsp_window(instance, incumbent, window, rng)
-    if family == "kp":
-        return _kp_window(instance, incumbent, window, rng)
-    return _mc_window(instance, incumbent, window, rng)
+    return build(instance, incumbent, window, rng)
 
 
 def _tsp_window(instance, incumbent: State, window: int, rng) -> QmQuery:
@@ -67,58 +63,21 @@ def _tsp_window(instance, incumbent: State, window: int, rng) -> QmQuery:
 
     p0 = int(rng.integers(0, n - w + 1))
     cities = tour[p0 : p0 + w]
-    prev = int(tour[p0 - 1]) if p0 > 0 else int(tour[n - 1])
+    prev = int(tour[p0 - 1])  # wraps to the last city when p0 == 0
     nxt = int(tour[(p0 + w) % n])
     c = instance.cost_matrix
-
-    coeffs: list[float] = []
-    qubo = Qubo(w * w)
-
-    def bit(a: int, q: int) -> int:
-        return a * w + q
-
-    for a in range(w):
-        ca = int(cities[a])
-        if c[prev, ca]:
-            qubo.add(bit(a, 0), bit(a, 0), c[prev, ca])
-            coeffs.append(c[prev, ca])
-        if c[ca, nxt]:
-            qubo.add(bit(a, w - 1), bit(a, w - 1), c[ca, nxt])
-            coeffs.append(c[ca, nxt])
-    for q in range(w - 1):
-        for a in range(w):
-            for b in range(w):
-                if a != b:
-                    cost = c[int(cities[a]), int(cities[b])]
-                    if cost:
-                        qubo.add(bit(a, q), bit(b, q + 1), cost)
-                        coeffs.append(cost)
-    a_pen = auto_penalty(coeffs)
-    for a in range(w):
-        _one_hot(qubo, [bit(a, q) for q in range(w)], a_pen)
-    for q in range(w):
-        _one_hot(qubo, [bit(a, q) for a in range(w)], a_pen)
-
+    qubo = tour_qubo(c[np.ix_(cities, cities)], ends=(c[prev, cities], c[cities, nxt]))
     base = tour.copy()
 
     def decode(bits) -> State | None:
-        grid = np.asarray(bits).reshape(w, w)
-        if (grid.sum(axis=0) != 1).any() or (grid.sum(axis=1) != 1).any():
+        order = tour_order(bits, w)
+        if order is None:
             return None
-        order = np.argmax(grid, axis=0)
         new_tour = base.copy()
         new_tour[p0 : p0 + w] = cities[order]
         return State([new_tour])
 
     return QmQuery(qubo, decode, f"tsp-seg-{p0}-{w}")
-
-
-def _one_hot(qubo: Qubo, indices: list[int], a: float) -> None:
-    qubo.offset += a
-    for t, i in enumerate(indices):
-        qubo.add(i, i, -a)
-        for j in indices[t + 1 :]:
-            qubo.add(i, j, 2.0 * a)
 
 
 def _kp_window(instance, incumbent: State, window: int, rng) -> QmQuery:
@@ -196,3 +155,6 @@ def _mc_window(instance, incumbent: State, window: int, rng) -> QmQuery:
         return State([new_bits])
 
     return QmQuery(qubo, decode, f"mc-free-{w}")
+
+
+_WINDOWS = {"tsp": _tsp_window, "kp": _kp_window, "mc": _mc_window}

@@ -16,6 +16,7 @@ from combopt.qubo import (
     NUMBA_AVAILABLE,
     Qubo,
     auto_penalty,
+    beta_schedule,
     kp_to_qubo,
     mcp_to_qubo,
     sa_sample,
@@ -279,6 +280,32 @@ def test_sa_sample_energy_matches_recomputation():
     qubo, _ = mcp_to_qubo(inst)
     for bits, energy in sa_sample(qubo, reads=10, sweeps=40, seed=7):
         assert energy == pytest.approx(qubo.energy(bits), abs=1e-9)
+
+
+def test_beta_schedule_bounds_match_term_magnitudes():
+    mixed = Qubo(4)
+    mixed.add(0, 0, 0.375)
+    mixed.add(1, 3, -2.5)
+    mixed.add(2, 2, -7.0)
+    for qubo in (
+        mixed,
+        Qubo(3),
+        mcp_to_qubo(generate_random_maxcut(12, 0.5, (1, 9), seed=3))[0],
+        tsp_to_qubo(random_tsp(4, seed=1))[0],
+        kp_to_qubo(random_kp(6, seed=2))[0],
+    ):
+        per_var = np.zeros(qubo.n)
+        for (i, j), c in qubo.terms.items():
+            per_var[i] += abs(c)
+            if i != j:
+                per_var[j] += abs(c)
+        magnitudes = [abs(c) for c in qubo.terms.values()]
+        betas = beta_schedule(*qubo.fields(), 50)
+        if not magnitudes:
+            assert betas.tolist() == [1.0] * 50
+            continue
+        assert betas[-1] == np.log(100.0) / min(magnitudes)
+        assert betas[0] == pytest.approx(np.log(2.0) / per_var.max(), rel=1e-12)
 
 
 @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba disabled or unavailable")

@@ -10,9 +10,12 @@ from combopt.benchstats import (
     cell_seed,
     emit_report,
     load_optima,
+    qubo_sa_reads,
     run_experiment,
 )
-from combopt.errors import MetricError
+from combopt.errors import MetricError, ParseError
+from combopt.problems import build_tsp_model, parse_tsplib
+from combopt.qubo import sa_sample, tsp_to_qubo
 
 
 def small_plan(tmp_path, data_dir, runs=1, instances=("tsp7",), time_limit=1.5):
@@ -153,3 +156,40 @@ def test_score_matrix_shape(tmp_path, data_dir):
     m = table.score_matrix(["mc10", "tsp7"], ["nl", "qubo-sa"], "best_ratio")
     assert m.shape == (2, 2)
     assert (m >= 0).all() and (m <= 1).all()
+
+
+def test_plan_maps_maxcut_alias_and_rejects_unknown_problem(tmp_path, data_dir):
+    path = small_plan(tmp_path, data_dir, instances=("tsp7", "mc10"))
+    assert [i.problem for i in Plan.load(path).instances] == ["tsp", "mc"]
+    doc = json.loads(path.read_text())
+    doc["instances"][1]["problem"] = "foo"
+    with pytest.raises(ParseError):
+        Plan.from_json(json.dumps(doc))
+
+
+def assert_reads_match(model, entries, reads, sweeps, seed):
+    """``entries`` are the decoded reads of one ``sa_sample`` call."""
+    qubo, decode = tsp_to_qubo(model.tags["instance"])
+    states = [decode(bits) for bits, _ in sa_sample(qubo, reads=reads, sweeps=sweeps,
+                                                     seed=seed)]
+    assert len(entries) == len(states)
+    for entry, state in zip(entries, states):
+        if state is None:
+            assert entry is None
+        else:
+            assert np.array_equal(entry[0].values[0], state.values[0])
+            assert entry[1] == model.evaluate(state)
+
+
+def test_qubo_sa_reads_without_time_limit_is_one_batch(data_dir):
+    model = build_tsp_model(parse_tsplib((data_dir / "tsp7.tsp").read_text(), "tsp7"))
+    # 4 sweeps leave most reads undecodable (9 of 12 at seed 1)
+    entries = qubo_sa_reads(model, "tsp", reads=12, sweeps=4, seed=1)
+    assert any(e is None for e in entries) and any(e is not None for e in entries)
+    assert_reads_match(model, entries, reads=12, sweeps=4, seed=1)
+
+
+def test_qubo_sa_reads_spent_time_limit_runs_one_batch(data_dir):
+    model = build_tsp_model(parse_tsplib((data_dir / "tsp7.tsp").read_text(), "tsp7"))
+    entries = qubo_sa_reads(model, "tsp", reads=16, sweeps=4, seed=1, time_limit=1e-9)
+    assert_reads_match(model, entries, reads=2, sweeps=4, seed=1)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from combopt.problems import (
     exact_kp,
     exact_tsp,
     generate_random_maxcut,
+    parse_tsplib,
 )
 from combopt.qubo import mcp_to_qubo, tsp_to_qubo
 from combopt.solver import (
@@ -27,6 +30,7 @@ from combopt.solver import (
     reverse_move,
     solve,
 )
+from combopt.solver import branch
 from combopt.solver.branch import Branch
 from combopt.state import DecisionSpec
 
@@ -400,6 +404,22 @@ def test_qm_decodes_preserve_frozen_part():
     assert sorted(decoded.values[0].tolist()) == list(range(10))
 
 
+@pytest.mark.parametrize("name", ["tsp9", "disc51"])
+def test_qm_tsp_window_energy_is_tour_length_plus_constant(data_dir, name):
+    model = build_tsp_model(parse_tsplib((data_dir / f"{name}.tsp").read_text(), name))
+    rng = np.random.default_rng(4)
+    incumbent = initial_state(model, rng)
+    for _ in range(3):
+        query = qm_query(model, incumbent, window=5, rng=rng)
+        gaps = []
+        for order in itertools.permutations(range(5)):
+            grid = np.zeros((5, 5), dtype=np.int8)
+            grid[list(order), range(5)] = 1  # window city order[q] at position q
+            state = query.decode(grid.reshape(-1))
+            gaps.append(query.qubo.energy(grid) - model.evaluate(state).objective)
+        assert max(gaps) - min(gaps) == pytest.approx(0.0, abs=1e-9)
+
+
 def test_qm_untagged_model_returns_none():
     m = Model()
     x = m.binary(4)
@@ -414,6 +434,19 @@ def test_qm_improves_or_preserves_incumbent():
     result = solve(model, SolverConfig(time_limit=3.0, n_branches=1, seed=5,
                                         max_steps=1200, qm_inline=True,
                                         qm_period=200, qm_window=6))
+    assert result.best().feasible
+
+
+@pytest.mark.parametrize("inline", [True, False])
+def test_qm_sampler_failure_becomes_a_warning(monkeypatch, inline):
+    def broken(*args, **kwargs):
+        raise RuntimeError("sampler down")
+
+    monkeypatch.setattr(branch, "sa_sample", broken)
+    model = build_tsp_model(random_tsp(8, seed=25))
+    result = solve(model, SolverConfig(time_limit=60.0, n_branches=1, seed=1,
+                                        max_steps=2000, qm_inline=inline, qm_period=50))
+    assert "branch 0: subproblem sampling failed: sampler down" in result.warnings
     assert result.best().feasible
 
 
