@@ -5,15 +5,30 @@ produce identical samples; this script verifies that on every case while
 timing them.  The numpy path is what you get with COMBOPT_NO_NUMBA=1.
 
     python3 benchmarks/sampler_bench.py [--reads 16] [--sweeps 128]
+
+It prints ns per variable visit (wall time of ``sa_sample`` divided by
+reads x sweeps x variables, median of three runs) and merges the numbers into
+``BENCH_sampler.json`` at the repository root under the short hash of the
+checked-out commit, so runs at two commits leave both sets side by side.
 """
 
 import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
 import time
+from pathlib import Path
 
 import numpy as np
 
 from combopt.problems import generate_random_maxcut, KpInstance, TspInstance
 from combopt.qubo import NUMBA_AVAILABLE, kp_to_qubo, mcp_to_qubo, sa_sample, tsp_to_qubo
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_FILE = ROOT / "BENCH_sampler.json"
+REPEATS = 3
 
 
 def cases():
@@ -31,9 +46,37 @@ def cases():
 
 
 def run(qubo, backend, reads, sweeps):
-    t0 = time.perf_counter()
-    out = sa_sample(qubo, reads=reads, sweeps=sweeps, seed=42, backend=backend)
-    return time.perf_counter() - t0, out
+    """Median ns per variable visit over REPEATS runs, and the last samples."""
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        out = sa_sample(qubo, reads=reads, sweeps=sweeps, seed=42, backend=backend)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times) * 1e9 / (reads * sweeps * qubo.n), out
+
+
+def commit() -> str:
+    done = subprocess.run(
+        ["git", "rev-parse", "--short", "HEAD"], cwd=ROOT, capture_output=True, text=True
+    )
+    return done.stdout.strip() if done.returncode == 0 else "unknown"
+
+
+def save(results: dict) -> str:
+    """Merge this run into BENCH_sampler.json under the current commit."""
+    key = commit()
+    bench = json.loads(BENCH_FILE.read_text()) if BENCH_FILE.exists() else {}
+    bench[key] = {
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpus": os.cpu_count(),
+            "numba": NUMBA_AVAILABLE,
+        },
+        "ns_per_visit": results,
+    }
+    BENCH_FILE.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
+    return key
 
 
 def main():
@@ -45,26 +88,35 @@ def main():
     if not NUMBA_AVAILABLE:
         print("numba unavailable or disabled: timing the numpy path only\n")
 
-    header = f"{'case':<26} {'vars':>6} {'numpy':>10} {'numba':>10} {'speedup':>8}  identical"
+    header = (
+        f"{'case':<26} {'vars':>6} {'numpy ns/visit':>15} {'numba ns/visit':>15} "
+        f"{'speedup':>8}  identical"
+    )
     print(header)
     print("-" * len(header))
+    results = {}
     for name, qubo in cases():
-        t_np, out_np = run(qubo, "numpy", args.reads, args.sweeps)
+        ns_np, out_np = run(qubo, "numpy", args.reads, args.sweeps)
+        entry = {"n": qubo.n, "reads": args.reads, "sweeps": args.sweeps, "numpy": round(ns_np, 1)}
         if NUMBA_AVAILABLE:
-            run(qubo, "numba", args.reads, args.sweeps)  # exclude JIT compile
-            t_nb, out_nb = run(qubo, "numba", args.reads, args.sweeps)
+            run(qubo, "numba", 1, 1)  # exclude JIT compile
+            ns_nb, out_nb = run(qubo, "numba", args.reads, args.sweeps)
+            entry["numba"] = round(ns_nb, 1)
             same = all(
                 np.array_equal(a[0], b[0]) and a[1] == b[1]
                 for a, b in zip(out_np, out_nb)
             )
             print(
-                f"{name:<26} {qubo.n:>6} {t_np:>9.3f}s {t_nb:>9.3f}s "
-                f"{t_np / t_nb:>7.1f}x  {same}"
+                f"{name:<26} {qubo.n:>6} {ns_np:>15.0f} {ns_nb:>15.0f} "
+                f"{ns_np / ns_nb:>7.1f}x  {same}"
             )
             if not same:
                 raise SystemExit("backends diverged; the RNG contract is broken")
         else:
-            print(f"{name:<26} {qubo.n:>6} {t_np:>9.3f}s {'-':>10} {'-':>8}")
+            print(f"{name:<26} {qubo.n:>6} {ns_np:>15.0f} {'-':>15} {'-':>8}")
+        results[name] = entry
+    key = save(results)
+    print(f"\nwrote {BENCH_FILE.name} entry {key}")
 
 
 if __name__ == "__main__":

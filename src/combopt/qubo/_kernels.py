@@ -7,8 +7,9 @@ random stream, so for a given seed they produce bit-identical trajectories;
 ``tests`` and ``benchmarks/sampler_bench.py`` rely on that equivalence.
 
 All randomness is addressed, never stateful: uniform ``u(k)`` is a pure
-function of (key, counter k), which lets the numpy twin vectorize a whole
-sweep of uniforms while the numba kernel computes them one at a time.
+function of (key, counter k), so the numba kernel computes them one at a
+time while the numpy twin draws a block of whole sweeps with one vectorized
+``uniforms`` call (at most ``_UNIFORM_BLOCK`` counters, at least one sweep).
 """
 
 from __future__ import annotations
@@ -72,6 +73,11 @@ def random_bits(key: np.uint64, start: int, count: int) -> np.ndarray:
     return (z & np.uint64(1)).astype(np.int8)
 
 
+# Counters per uniforms() call in anneal_numpy: whole sweeps, at least one.
+# Bounds the block's memory (a few MB) on a 4096-variable, many-sweep run.
+_UNIFORM_BLOCK = 1 << 16
+
+
 def anneal_numpy(
     h: np.ndarray,
     s: np.ndarray,
@@ -80,41 +86,59 @@ def anneal_numpy(
     key_init: np.uint64,
     key_flip: np.uint64,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pure-numpy twin of :func:`anneal_numba`; same trajectories per key."""
+    """Pure-numpy twin of :func:`anneal_numba`; same trajectories per key.
+
+    The per-visit work is plain Python on Python scalars, because indexing a
+    numpy array returns a numpy scalar, which costs several times more to
+    make and to do arithmetic on.  The field is read through a ``memoryview``
+    of the numpy ``field`` array: each read is a Python float, and the
+    in-place ``field += col`` of a flip is visible through it.  The columns
+    come from a transposed contiguous copy of ``s``, so a flip adds a
+    contiguous row instead of the strided ``s[:, i]``.  The floating-point
+    operations and their order are those of the numba kernel.
+    """
     n = h.shape[0]
     sweeps = betas.shape[0]
     best_bits = np.zeros((reads, n), dtype=np.int8)
     best_energy = np.zeros(reads)
+    cols = list(np.ascontiguousarray(s.T))
+    neg_betas = [-float(b) for b in betas]
+    block = max(1, _UNIFORM_BLOCK // n)
     exp = math.exp
+    visit = range(n)
     for r in range(reads):
-        bits = np.zeros(n, dtype=np.int8)
+        bits = [0] * n
         field = h.copy()
+        fv = memoryview(field)
         energy = 0.0
-        init = random_bits(key_init, r * n, n)
-        for i in range(n):
+        init = random_bits(key_init, r * n, n).tolist()
+        for i in visit:
             if init[i]:
-                de = field[i]  # bit 0 -> 1
+                de = fv[i]  # bit 0 -> 1
                 bits[i] = 1
                 energy += de
-                field += s[:, i]
+                field += cols[i]
         best_e = energy
-        best_b = bits.copy()
-        for sw in range(sweeps):
-            beta = betas[sw]
-            us = uniforms(key_flip, (r * sweeps + sw) * n, n)
-            for i in range(n):
-                de = field[i] if bits[i] == 0 else -field[i]
-                if de <= 0.0 or us[i] < exp(-beta * de):
-                    if bits[i] == 0:
-                        bits[i] = 1
-                        field += s[:, i]
-                    else:
-                        bits[i] = 0
-                        field -= s[:, i]
-                    energy += de
-                    if energy < best_e:
-                        best_e = energy
-                        best_b[:] = bits
+        best_b = bits[:]
+        for sw0 in range(0, sweeps, block):
+            count = min(block, sweeps - sw0)
+            us = iter(uniforms(key_flip, (r * sweeps + sw0) * n, count * n).tolist())
+            for nb in neg_betas[sw0 : sw0 + count]:
+                # zip stops on the exhausted range before it pulls from us,
+                # so each sweep takes exactly the next n uniforms
+                for i, u in zip(visit, us):
+                    de = -fv[i] if bits[i] else fv[i]
+                    if de <= 0.0 or u < exp(nb * de):
+                        if bits[i]:
+                            bits[i] = 0
+                            field -= cols[i]
+                        else:
+                            bits[i] = 1
+                            field += cols[i]
+                        energy += de
+                        if energy < best_e:
+                            best_e = energy
+                            best_b = bits[:]
         best_bits[r] = best_b
         best_energy[r] = best_e
     return best_bits, best_energy

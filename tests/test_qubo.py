@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from combopt.problems import (
     exact_maxcut,
     exact_tsp,
     generate_random_maxcut,
+    parse_kplib,
+    parse_tsplib,
 )
 from combopt.qubo import (
     NUMBA_AVAILABLE,
@@ -24,6 +28,7 @@ from combopt.qubo import (
     tsp_to_qubo,
 )
 from combopt.qubo import _kernels
+from combopt.qubo.encode import tour_qubo
 
 
 def all_bitstrings(n):
@@ -322,6 +327,101 @@ def test_backends_are_bit_identical():
         for (ba, ea), (bb, eb) in zip(a, b):
             assert np.array_equal(ba, bb)
             assert ea == eb
+
+
+def reference_anneal(h, s, betas, reads, key_init, key_flip):
+    """The straightforward numpy annealer, one uniforms() call per sweep and
+    numpy scalars throughout; ``_kernels.anneal_numpy`` must reproduce it bit
+    for bit."""
+    random_bits, uniforms = _kernels.random_bits, _kernels.uniforms
+    n = h.shape[0]
+    sweeps = betas.shape[0]
+    best_bits = np.zeros((reads, n), dtype=np.int8)
+    best_energy = np.zeros(reads)
+    exp = math.exp
+    for r in range(reads):
+        bits = np.zeros(n, dtype=np.int8)
+        field = h.copy()
+        energy = 0.0
+        init = random_bits(key_init, r * n, n)
+        for i in range(n):
+            if init[i]:
+                de = field[i]  # bit 0 -> 1
+                bits[i] = 1
+                energy += de
+                field += s[:, i]
+        best_e = energy
+        best_b = bits.copy()
+        for sw in range(sweeps):
+            beta = betas[sw]
+            us = uniforms(key_flip, (r * sweeps + sw) * n, n)
+            for i in range(n):
+                de = field[i] if bits[i] == 0 else -field[i]
+                if de <= 0.0 or us[i] < exp(-beta * de):
+                    if bits[i] == 0:
+                        bits[i] = 1
+                        field += s[:, i]
+                    else:
+                        bits[i] = 0
+                        field -= s[:, i]
+                    energy += de
+                    if energy < best_e:
+                        best_e = energy
+                        best_b[:] = bits
+        best_bits[r] = best_b
+        best_energy[r] = best_e
+    return best_bits, best_energy
+
+
+def assert_kernel_matches_reference(h, s, reads, sweeps, seed):
+    betas = beta_schedule(h, s, sweeps)
+    keys = (_kernels.stream_key(seed, 0x1234), _kernels.stream_key(seed, 0x5678))
+    bits, energy = _kernels.anneal_numpy(h, s, betas, reads, *keys)
+    ref_bits, ref_energy = reference_anneal(h, s, betas, reads, *keys)
+    assert bits.dtype == ref_bits.dtype and energy.dtype == ref_energy.dtype
+    assert np.array_equal(bits, ref_bits)
+    assert energy.tobytes() == ref_energy.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_numpy_kernel_matches_reference_on_random_qubos(n):
+    # few distinct integer coefficients, so zeros, repeats and zero-cost
+    # flips (de == 0) all occur
+    rng = np.random.default_rng(n)
+    h = rng.choice([-3.0, -1.0, 0.0, 0.0, 1.0, 2.0], n)
+    s = np.triu(rng.choice([-2.0, 0.0, 0.0, 0.0, 1.0, 1.5], (n, n)), 1)
+    assert_kernel_matches_reference(h, s + s.T, reads=3, sweeps=20, seed=n)
+    assert_kernel_matches_reference(np.zeros(n), np.zeros((n, n)), reads=2, sweeps=3, seed=n)
+
+
+def test_numpy_kernel_matches_reference_on_workload_qubos(data_dir):
+    tsp = parse_tsplib((data_dir / "disc52.tsp").read_text(), "disc52")
+    c, cities = tsp.cost_matrix, np.arange(5, 21)
+    window = tour_qubo(c[np.ix_(cities, cities)], ends=(c[4, cities], c[cities, 21]))
+    kp50 = kp_to_qubo(parse_kplib((data_dir / "kp50.kp").read_text(), "kp50"))[0]
+    mc200 = mcp_to_qubo(generate_random_maxcut(200, 0.1, seed=0))[0]
+    assert (window.n, mc200.n) == (256, 200)
+    for seed, qubo in enumerate((window, kp50, mc200)):
+        assert_kernel_matches_reference(*qubo.fields(), reads=2, sweeps=12, seed=seed)
+
+
+def test_numpy_kernel_matches_reference_across_uniform_blocks(monkeypatch):
+    qubo = mcp_to_qubo(generate_random_maxcut(40, 0.3, (1, 9), seed=4))[0]
+    sweeps = _kernels._UNIFORM_BLOCK // qubo.n + 7  # one full block and part of a second
+    assert sweeps * qubo.n > _kernels._UNIFORM_BLOCK
+    assert_kernel_matches_reference(*qubo.fields(), reads=1, sweeps=sweeps, seed=5)
+    # a cap below n still draws one whole sweep per block
+    monkeypatch.setattr(_kernels, "_UNIFORM_BLOCK", 7)
+    assert_kernel_matches_reference(*qubo.fields(), reads=2, sweeps=9, seed=6)
+
+
+def test_uniforms_blocks_concatenate():
+    key = _kernels.stream_key(9, 0x5678)
+    for start, m1, m2 in ((0, 1, 1), (5, 37, 100), (2**40, 1000, 3)):
+        joined = np.concatenate(
+            [_kernels.uniforms(key, start, m1), _kernels.uniforms(key, start + m1, m2)]
+        )
+        assert np.array_equal(joined, _kernels.uniforms(key, start, m1 + m2))
 
 
 def test_sa_sample_finds_small_maxcut_optimum():
