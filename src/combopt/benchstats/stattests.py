@@ -4,6 +4,9 @@ The workflow mirrors the usual k-algorithms-over-N-instances protocol:
 average ranks per algorithm, the Friedman chi-square statistic on those
 ranks, Holm step-down adjusted p-values against a control, and the Wilcoxon
 rank-sum test for head-to-head comparisons.
+
+``scipy.stats`` is imported inside the functions that use it: importing it
+takes over a second, and every ``combopt`` command imports this module.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2 as _chi2
-from scipy.stats import rankdata
 
 from ..errors import MetricError
 
@@ -59,6 +60,8 @@ def average_ranks(scores, algorithms=None, direction: str = "max") -> RankSummar
         algorithms = [f"alg{i}" for i in range(k)]
     if len(algorithms) != k:
         raise MetricError("algorithm names must match the score columns")
+    from scipy.stats import rankdata
+
     oriented = -scores if direction == "max" else scores
     rows = np.vstack([rankdata(row, method="average") for row in oriented])
     return RankSummary(list(algorithms), rows.mean(axis=0), rows)
@@ -74,7 +77,9 @@ def friedman_statistic(summary: RankSummary) -> tuple[float, int]:
 
 def friedman_critical_value(df: int, confidence: float = 0.99) -> float:
     """Chi-square critical value (9.21 at df=2, 99%)."""
-    return float(_chi2.ppf(confidence, df))
+    from scipy.stats import chi2
+
+    return float(chi2.ppf(confidence, df))
 
 
 def friedman_significant(summary: RankSummary, confidence: float = 0.99) -> bool:
@@ -137,6 +142,8 @@ def wilcoxon_rank_sum(a, b, confidence: float = 0.99) -> WilcoxonResult:
     n1, n2 = a.size, b.size
     if n1 < 1 or n2 < 1:
         raise MetricError("both samples must be nonempty")
+    from scipy.stats import rankdata
+
     combined = np.concatenate([a, b])
     ranks = rankdata(combined, method="average")
     r1 = float(ranks[:n1].sum())

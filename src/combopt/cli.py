@@ -242,7 +242,12 @@ def cmd_export_qubo(args) -> int:
     if key == "mc":  # no constraint, so no penalty
         qubo, _ = ENCODERS[key](instance)
     else:
-        penalty = None if args.penalty == "auto" else float(args.penalty)
+        try:
+            penalty = None if args.penalty == "auto" else float(args.penalty)
+        except ValueError:
+            raise ParseError(
+                f"--penalty must be 'auto' or a positive number, got {args.penalty!r}"
+            ) from None
         qubo, _ = ENCODERS[key](instance, penalty)
     text = qubo.save_text()
     if args.out:

@@ -20,10 +20,11 @@ the dynamic-shape sentinel; reducing an empty one yields the identity (0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .delta import compile_plan
 from .errors import DomainError, ShapeError, StateError, TypeErrorDomain
 from .state import (
     BINARY,
@@ -67,6 +68,8 @@ class Evaluation:
     constraint_results: list[bool]
     violations: list[float]
     state_key: int = 0
+    # values of the frozen model's delta roots at this state, when it has a plan
+    sums: list | None = field(default=None, compare=False, repr=False)
 
     @property
     def feasible(self) -> bool:
@@ -181,6 +184,7 @@ class Model:
         self.tags: dict = {}
         self._frozen = False
         self._schedule: list[int] = []
+        self._plan = None
 
     # -- decision constructors -------------------------------------------------
 
@@ -405,6 +409,9 @@ class Model:
              self.nodes[nid].payload, self.nodes[nid].shape is DYNAMIC)
             for nid in sorted(needed)
         ]
+        if self.objective is not None:
+            self._plan = compile_plan(self.nodes, self.decisions, self._schedule,
+                                      [self.objective, *self.constraints])
         self._frozen = True
         return self
 
@@ -427,18 +434,53 @@ class Model:
             raise StateError("; ".join(problems))
         return self.evaluate_unchecked(state)
 
-    def evaluate_unchecked(self, state: State) -> Evaluation:
+    def evaluate_unchecked(self, state: State, base=None) -> Evaluation:
         """Evaluate without the structural pre-check.
 
         For hot loops whose moves provably map valid states to valid states;
         behaviour on invalid states is undefined.
+
+        ``base = (prev_state, prev_eval, move)`` says that ``state`` is
+        ``prev_state`` after ``move``, the ``(decision, tag)`` pair that
+        ``propose_state`` returns.  When the model has a delta plan
+        (:mod:`combopt.delta`), only the terms the move touches are evaluated
+        again; the result equals the full evaluation bit for bit.
         """
         if not self._frozen:
             self.freeze()
         if self.objective is None:
             raise StateError("model has no objective; nothing to evaluate")
         vals: list = [None] * len(self.nodes)
-        for nid, op, operands, payload, dynamic in self._schedule:
+        plan = self._plan
+        sums = None if base is None or plan is None else plan.update(state, *base)
+        if sums is None:
+            self._run(self._schedule, vals, state)
+            if plan is not None:
+                sums = [vals[nid] for nid in plan.roots]
+        else:
+            for nid, value in zip(plan.roots, sums):
+                vals[nid] = value
+            self._run(plan.tail, vals, state)
+
+        objective = float(vals[self.objective])
+        results: list[bool] = []
+        violations: list[float] = []
+        for cid in self.constraints:
+            a, b = vals[cid]
+            op = self.nodes[cid].op
+            if op == "le":
+                v = max(0.0, a - b)
+            elif op == "ge":
+                v = max(0.0, b - a)
+            else:
+                v = abs(a - b)
+            violations.append(v)
+            results.append(v == 0.0)
+        return Evaluation(objective, results, violations, state_key=state.digest(), sums=sums)
+
+    def _run(self, schedule, vals: list, state: State) -> None:
+        """Evaluate the nodes of ``schedule`` in order, into ``vals``."""
+        for nid, op, operands, payload, dynamic in schedule:
             if op == "const":
                 vals[nid] = payload
             elif op == "decision":
@@ -482,22 +524,6 @@ class Model:
                 vals[nid] = (float(vals[operands[0]]), float(vals[operands[1]]))
             else:  # pragma: no cover - construction forbids unknown ops
                 raise DomainError(f"unknown node op {op!r}")
-
-        objective = float(vals[self.objective])
-        results: list[bool] = []
-        violations: list[float] = []
-        for cid in self.constraints:
-            a, b = vals[cid]
-            op = self.nodes[cid].op
-            if op == "le":
-                v = max(0.0, a - b)
-            elif op == "ge":
-                v = max(0.0, b - a)
-            else:
-                v = abs(a - b)
-            violations.append(v)
-            results.append(v == 0.0)
-        return Evaluation(objective, results, violations, state_key=state.digest())
 
     @staticmethod
     def _check_dyn(a, b):

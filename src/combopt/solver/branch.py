@@ -80,8 +80,8 @@ class Branch:
         """
         deltas = []
         for _ in range(100):
-            cand, _ = propose_state(model, self.current, self.rng)
-            ev = model.evaluate_unchecked(cand)
+            cand, move = propose_state(model, self.current, self.rng)
+            ev = model.evaluate_unchecked(cand, (self.current, self.current_eval, move))
             d = abs(metropolis_delta(ev, self.current_eval))
             if d > 0:
                 deltas.append(d)
@@ -131,8 +131,8 @@ class Branch:
             self.stagnation = 0
 
     def _sa_step(self, model: Model) -> None:
-        cand, _ = propose_state(model, self.current, self.rng)
-        ev = model.evaluate_unchecked(cand)
+        cand, move = propose_state(model, self.current, self.rng)
+        ev = model.evaluate_unchecked(cand, (self.current, self.current_eval, move))
         accept = is_better(ev, self.current_eval)
         if not accept:
             delta = metropolis_delta(ev, self.current_eval)
@@ -152,7 +152,7 @@ class Branch:
         best_tag = None
         for _ in range(self.config.tabu_candidates):
             cand, tag = propose_state(model, self.current, self.rng)
-            ev = model.evaluate_unchecked(cand)
+            ev = model.evaluate_unchecked(cand, (self.current, self.current_eval, tag))
             blocked = self.tabu.get(tag, -1) > self.steps
             if blocked and not is_better(ev, self.incumbent_eval):
                 continue  # tabu unless it beats the incumbent (aspiration)

@@ -1,9 +1,13 @@
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import combopt
 from combopt.cli import main
 from combopt.problems import parse_maxcut
 from combopt.qubo import Qubo
@@ -207,3 +211,21 @@ def test_solve_threads_flag(data_dir, capsys):
     )
     assert code == 0
     assert "best=" in capsys.readouterr().out
+
+
+def test_export_qubo_non_numeric_penalty_exit_2(data_dir, capsys):
+    code = run_cli(
+        "export-qubo", "--problem", "tsp", "--instance", str(data_dir / "tsp7.tsp"),
+        "--penalty", "abc",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'abc'" in err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # every subcommand imports the CLI; only the rank statistics need scipy
+    code = "import sys, combopt.cli; sys.exit('scipy.stats' in sys.modules)"
+    src = str(Path(combopt.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=60)
+    assert done.returncode == 0

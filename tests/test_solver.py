@@ -1,4 +1,5 @@
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from combopt.problems import (
     exact_kp,
     exact_tsp,
     generate_random_maxcut,
+    parse_kplib,
+    parse_maxcut,
     parse_tsplib,
 )
 from combopt.qubo import mcp_to_qubo, tsp_to_qubo
@@ -457,3 +460,110 @@ def test_threads_caps_branches():
     assert SolverConfig(n_branches=2, threads=8).resolved_branches() == 2
     with pytest.raises(DomainError):
         SolverConfig(threads=0)
+
+
+# --- delta evaluation -------------------------------------------------------------
+
+
+def _bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+def delta_walk(model, steps: int, accept: float, seed: int) -> tuple[int, list[bool]]:
+    """Random ``propose_state`` walk comparing delta and full evaluation bit for bit.
+
+    Returns how many candidates the delta plan evaluated (the rest fell back to
+    the full evaluation) and the feasibility of every candidate.
+    """
+    rng = np.random.default_rng(seed)
+    current = initial_state(model, rng)
+    current_eval = model.evaluate_unchecked(current)
+    plan = model._plan
+    taken, feasible = 0, []
+    for _ in range(steps):
+        cand, move = propose_state(model, current, rng)
+        delta = model.evaluate_unchecked(cand, (current, current_eval, move))
+        full = model.evaluate_unchecked(cand)
+        assert _bits(delta.objective) == _bits(full.objective), move
+        assert delta.constraint_results == full.constraint_results, move
+        assert [_bits(v) for v in delta.violations] == [_bits(v) for v in full.violations]
+        assert delta.state_key == full.state_key
+        if plan is not None and plan.update(cand, current, current_eval, move) is not None:
+            taken += 1
+        feasible.append(full.feasible)
+        if rng.random() < accept:
+            current, current_eval = cand, delta
+    return taken, feasible
+
+
+def _mixed_model():
+    """A list and a bit array: scalar roots, a sum of a whole decision, both
+    constraint directions, and weights with zeros and negatives."""
+    rng = np.random.default_rng(5)
+    m = Model()
+    route = m.list(8)
+    x = m.binary(6)
+    c = m.constant(rng.integers(-5, 6, (8, 8)))
+    w = m.constant([3, 0, -2, 0, 1, -4])
+    tour = c[route[:-1], route[1:]].sum() + c[route[-1], route[0]]
+    m.minimize(tour - (abs(x[[0, 1, 2]] - x[[3, 4, 5]]) * w[[0, 1, 2]]).sum()
+               + 2 * x[2] - (x * w).sum())
+    m.add_constraint(x.sum() >= 3)
+    m.add_constraint(route[0] + 0 <= 3)
+    return m.freeze()
+
+
+def _delta_models(data_dir):
+    def load(parse, build, name, suffix):
+        return build(parse((data_dir / f"{name}{suffix}").read_text(), name)).freeze()
+
+    return {
+        "tsp9": load(parse_tsplib, build_tsp_model, "tsp9", ".tsp"),
+        "disc52": load(parse_tsplib, build_tsp_model, "disc52", ".tsp"),
+        "kp50": load(parse_kplib, build_kp_model, "kp50", ".kp"),
+        "mc10": load(parse_maxcut, build_mcp_model, "mc10", ".mc"),
+        "mc200": build_mcp_model(generate_random_maxcut(200, 0.1, seed=11)).freeze(),
+        "mc3": build_mcp_model(generate_random_maxcut(3, 1.0, seed=2)).freeze(),
+        "mixed": _mixed_model(),
+    }
+
+
+@pytest.mark.parametrize("accept", [1.0, 0.5])
+@pytest.mark.parametrize("name", ["tsp9", "disc52", "kp50", "mc10", "mc200", "mc3", "mixed"])
+def test_delta_evaluation_matches_full_evaluation(data_dir, name, accept):
+    model = _delta_models(data_dir)[name]
+    assert model._plan is not None
+    steps = 400 if name == "mc3" else 2000
+    taken, feasible = delta_walk(model, steps, accept, seed=len(name))
+    # only a sum that reaches zero is recomputed in full, to get its sign right;
+    # the sums of the two small models are zero often
+    assert taken >= (0.5 if name in ("mc3", "mixed") else 0.99) * steps
+    if name == "kp50":  # the walk crosses the capacity constraint both ways
+        assert any(feasible) and not all(feasible)
+
+
+def _float_tsp_model():
+    c = random_tsp(7, seed=3).cost_matrix + 0.5 * (1 - np.eye(7))
+    return build_tsp_model(TspInstance("f", 7, c))
+
+
+def _integer_model():
+    m = Model()
+    y = m.integer(5, lo=-2, hi=3)
+    m.minimize((y * m.constant([1, -2, 3, 0, 4])).sum())
+    return m
+
+
+def _disjoint_lists_model():
+    m = Model()
+    cost = m.constant(np.arange(36).reshape(6, 6))
+    m.minimize(sum((cost[p, p].sum() for p in m.disjoint_lists(6, 2)), m.constant(0)))
+    return m
+
+
+@pytest.mark.parametrize("build", [_float_tsp_model, _integer_model, _disjoint_lists_model])
+def test_models_outside_the_delta_rules_evaluate_in_full(build):
+    model = build().freeze()
+    assert model._plan is None
+    taken, _ = delta_walk(model, 500, 0.5, seed=1)
+    assert taken == 0
