@@ -513,27 +513,28 @@ def _mixed_model():
     return m.freeze()
 
 
-def _delta_models(data_dir):
-    def load(parse, build, name, suffix):
-        return build(parse((data_dir / f"{name}{suffix}").read_text(), name)).freeze()
-
-    return {
-        "tsp9": load(parse_tsplib, build_tsp_model, "tsp9", ".tsp"),
-        "disc52": load(parse_tsplib, build_tsp_model, "disc52", ".tsp"),
-        "kp50": load(parse_kplib, build_kp_model, "kp50", ".kp"),
-        "mc10": load(parse_maxcut, build_mcp_model, "mc10", ".mc"),
-        "mc200": build_mcp_model(generate_random_maxcut(200, 0.1, seed=11)).freeze(),
-        "mc3": build_mcp_model(generate_random_maxcut(3, 1.0, seed=2)).freeze(),
-        "mixed": _mixed_model(),
+def _walk_model(data_dir, name):
+    files = {
+        "tsp9": (parse_tsplib, build_tsp_model, "tsp9.tsp"),
+        "disc52": (parse_tsplib, build_tsp_model, "disc52.tsp"),
+        "kp50": (parse_kplib, build_kp_model, "kp50.kp"),
+        "mc10": (parse_maxcut, build_mcp_model, "mc10.mc"),
     }
+    if name in files:
+        parse, build, file = files[name]
+        return build(parse((data_dir / file).read_text(), name)).freeze()
+    if name == "mixed":
+        return _mixed_model()
+    n, density, seed = {"mc200": (200, 0.1, 11), "mc3": (3, 1.0, 2)}[name]
+    return build_mcp_model(generate_random_maxcut(n, density, seed=seed)).freeze()
 
 
 @pytest.mark.parametrize("accept", [1.0, 0.5])
 @pytest.mark.parametrize("name", ["tsp9", "disc52", "kp50", "mc10", "mc200", "mc3", "mixed"])
 def test_delta_evaluation_matches_full_evaluation(data_dir, name, accept):
-    model = _delta_models(data_dir)[name]
+    model = _walk_model(data_dir, name)
     assert model._plan is not None
-    steps = 400 if name == "mc3" else 2000
+    steps = 400 if name == "mc3" else 3000
     taken, feasible = delta_walk(model, steps, accept, seed=len(name))
     # only a sum that reaches zero is recomputed in full, to get its sign right;
     # the sums of the two small models are zero often
