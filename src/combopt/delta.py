@@ -18,10 +18,13 @@ The result must equal the full evaluation bit for bit.  That holds because a
 root is compiled only when it is ``integral`` and its partial sums stay below
 2**53, so every float64 sum is exact in any order.  A model with any other
 node above a decision (a non-integral sum, an ``integer`` or partition
-decision, a sum of sums) gets no plan and always evaluates in full.
+decision, a sum of sums, a sum over a tree deeper than ``_MAX_DEPTH``) gets
+no plan and always evaluates in full.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -30,6 +33,10 @@ from .state import BINARY, LIST, SET
 _TERM_OPS = ("add", "sub", "mul", "neg", "abs")
 _TAIL_OPS = ("const", "add", "sub", "mul", "neg", "abs", "le", "ge", "eq")
 _EXACT = 2.0**53
+# deepest term tree compiled: deeper trees (a long chain of Python-level
+# additions) stay in the tail, so neither compiling nor evaluating a rule
+# nests more than this many calls
+_MAX_DEPTH = 32
 
 
 class _NotDelta(Exception):
@@ -55,6 +62,7 @@ class _Terms:
         self.leaves: list[np.ndarray] = []
         self.reads: list[int] = []  # leaf slots holding decision positions
         self.memo: dict = {}
+        self.depth = 0
 
     def _leaf(self, values: np.ndarray) -> int:
         self.leaves.append(values)
@@ -90,7 +98,11 @@ class _Terms:
     def compile(self, nid: int):
         """(term function, magnitude bound, integer dtype) of node ``nid``."""
         if nid not in self.memo:
+            if self.depth == _MAX_DEPTH:
+                raise _NotDelta("term tree too deep")
+            self.depth += 1
             self.memo[nid] = self._compile(nid)
+            self.depth -= 1
         return self.memo[nid]
 
     def _compile(self, nid: int):
@@ -166,11 +178,13 @@ class _TermRule:
     A bit array moves by flips: ``single[p]`` holds the terms that read
     position ``p``, exactly.  A list moves by changing the positions between
     two indices ``lo`` and ``hi``.  Its layout orders the terms by the lowest
-    position they read, each term's old and new copy side by side, and the
-    slice from ``start[lo]`` to ``end[hi]`` holds every term that reads a
-    position in ``lo..hi``: the terms whose lowest position is in that range,
-    and the terms that reach into it from below.  Terms in the slice that the
-    move does not touch come out with a zero difference.
+    position they read (``low``), each term's old and new copy side by side,
+    so that one slice holds every term that reads a position in ``lo..hi``:
+    the terms whose lowest position is in that range, and the terms that
+    reach into it from below (``reach`` follows the terms sorted by their
+    highest position, ``high``).  Terms in the slice that the move does not
+    touch come out with a zero difference.  The tables grow with the terms,
+    not with the decision, so a model with many one-term roots stays cheap.
     """
 
     def __init__(self, slot: int, is_sum: bool, compiled: _Terms, spec):
@@ -187,28 +201,28 @@ class _TermRule:
         key = np.sort(pos * m + np.tile(np.arange(m), len(compiled.reads)))
         key = key[np.diff(key, prepend=-1) != 0]
         pos, terms = (key // m, key % m) if m else (key, key)
-        ptr = np.searchsorted(key, np.arange(n + 1) * m)
-        self.ptr = ptr.tolist()
+        firsts = np.flatnonzero(np.diff(pos, prepend=-1))  # each position's first pair
+        self.single = None
         if spec.kind == BINARY:
-            self._flip_layout(leaves, terms, ptr, m, n)
+            self._flip_layout(leaves, pos, terms, firsts, m)
         else:
-            self._range_layout(leaves, pos, terms, m, n)
+            self._range_layout(leaves, pos, terms, firsts, m, n)
 
-    def _flip_layout(self, leaves, terms, ptr, m: int, n: int) -> None:
+    def _flip_layout(self, leaves, pos, terms, firsts, m: int) -> None:
         # position p's old copies, then its new copies
-        counts = np.diff(ptr)
-        owner = np.repeat(np.arange(n), counts)
-        old = ptr[owner] + np.arange(terms.size)
-        doubled = np.empty(2 * terms.size, dtype=np.int64)
-        doubled[old], doubled[old + counts[owner]] = terms, terms + m
+        counts = np.diff(firsts, append=pos.size)
+        block, size = np.repeat(firsts, counts), np.repeat(counts, counts)
+        old = block + np.arange(pos.size)
+        doubled = np.empty(2 * pos.size, dtype=np.int64)
+        doubled[old], doubled[old + size] = terms, terms + m
         sign = np.where(doubled < m, -1.0, 1.0)
         gathered = [leaf[doubled] for leaf in leaves]
-        cuts = (2 * ptr).tolist()
-        self.single = [
-            (sign[a:b], [g[a:b] for g in gathered]) for a, b in zip(cuts[:-1], cuts[1:])
-        ]
+        self.single = {
+            p: (sign[2 * a:2 * (a + c)], [g[2 * a:2 * (a + c)] for g in gathered])
+            for p, a, c in zip(pos[firsts].tolist(), firsts.tolist(), counts.tolist())
+        }
 
-    def _range_layout(self, leaves, pos, terms, m: int, n: int) -> None:
+    def _range_layout(self, leaves, pos, terms, firsts, m: int, n: int) -> None:
         lowest = np.full(m, n)
         np.minimum.at(lowest, terms, pos)
         highest = np.full(m, -1)
@@ -217,13 +231,12 @@ class _TermRule:
         doubled = np.stack((order, order + m), axis=1).ravel()
         self.sign = np.tile([-1.0, 1.0], m)
         self.gathered = [leaf[doubled] for leaf in leaves]
-        below = np.searchsorted(lowest[order], np.arange(n + 1))  # terms lower than p
-        self.end = (2 * below[1:]).tolist()
-        # reach[p]: the lowest position of any term that reads p or a higher position
-        reach = np.full(n + 1, n)
-        np.minimum.at(reach, highest, lowest)
-        reach = np.minimum.accumulate(reach[::-1])[::-1]
-        self.start = (2 * below[np.minimum(np.arange(n), reach[:n])]).tolist()
+        self.low = lowest[order].tolist()
+        self.read = pos[firsts].tolist()  # the positions any term reads
+        by_high = np.argsort(highest, kind="stable")
+        self.high = highest[by_high].tolist()
+        # reach[k]: the lowest position of the terms from by_high[k] on
+        self.reach = np.minimum.accumulate(lowest[by_high][::-1])[::-1].tolist()
 
     def update(self, cached, both, lo: int, hi: int):
         """New value of the root after a move within positions ``lo..hi``.
@@ -231,12 +244,17 @@ class _TermRule:
         ``both`` is the decision's old value followed by its new value.
         Returns None when the root needs the full evaluation.
         """
-        if self.ptr[lo] == self.ptr[hi + 1]:  # no term reads these positions
-            return cached
-        if lo == hi:
-            sign, leaves = self.single[lo]
+        if self.single is not None:
+            touched = self.single.get(lo)
+            if touched is None:
+                return cached
+            sign, leaves = touched
         else:
-            a, b = self.start[lo], self.end[hi]
+            i = bisect_left(self.read, lo)
+            if i == len(self.read) or self.read[i] > hi:
+                return cached
+            first = min(lo, self.reach[bisect_left(self.high, lo)])
+            a, b = 2 * bisect_left(self.low, first), 2 * bisect_right(self.low, hi)
             sign, leaves = self.sign[a:b], [g[a:b] for g in self.gathered]
         values = self.terms_fn(both, leaves)
         if not self.is_sum:
@@ -291,7 +309,10 @@ def _root(nodes, decisions, nid: int, slot: int):
         return None
     spec = decisions[compiled.decision]
     if spec.kind == SET:
-        return compiled.decision, _SetRule(slot, compiled)
+        try:
+            return compiled.decision, _SetRule(slot, compiled)
+        except IndexError:  # a constant shorter than the set: let the sets that
+            return None     # reach past its end raise in the full evaluation
     return compiled.decision, _TermRule(slot, node.op == "sum", compiled, spec)
 
 

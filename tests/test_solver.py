@@ -513,6 +513,21 @@ def _mixed_model():
     return m.freeze()
 
 
+def _chain_model():
+    """An objective added up term by term in Python: a chain of 1100 scalar
+    additions, deeper than the default recursion limit."""
+    m = Model()
+    route = m.list(40)
+    x = m.binary(1060)
+    total = route[0] * 2
+    for i in range(1, 40):
+        total = total + route[i] * (i % 5 - 2)
+    for i in range(1060):
+        total = total + x[i] * (i % 7 - 3)
+    m.minimize(total)
+    return m.freeze()
+
+
 def _walk_model(data_dir, name):
     files = {
         "tsp9": (parse_tsplib, build_tsp_model, "tsp9.tsp"),
@@ -525,16 +540,19 @@ def _walk_model(data_dir, name):
         return build(parse((data_dir / file).read_text(), name)).freeze()
     if name == "mixed":
         return _mixed_model()
+    if name == "chain":
+        return _chain_model()
     n, density, seed = {"mc200": (200, 0.1, 11), "mc3": (3, 1.0, 2)}[name]
     return build_mcp_model(generate_random_maxcut(n, density, seed=seed)).freeze()
 
 
 @pytest.mark.parametrize("accept", [1.0, 0.5])
-@pytest.mark.parametrize("name", ["tsp9", "disc52", "kp50", "mc10", "mc200", "mc3", "mixed"])
+@pytest.mark.parametrize(
+    "name", ["tsp9", "disc52", "kp50", "mc10", "mc200", "mc3", "mixed", "chain"])
 def test_delta_evaluation_matches_full_evaluation(data_dir, name, accept):
     model = _walk_model(data_dir, name)
     assert model._plan is not None
-    steps = 400 if name == "mc3" else 3000
+    steps = {"mc3": 400, "chain": 300}.get(name, 3000)
     taken, feasible = delta_walk(model, steps, accept, seed=len(name))
     # only a sum that reaches zero is recomputed in full, to get its sign right;
     # the sums of the two small models are zero often
@@ -568,3 +586,12 @@ def test_models_outside_the_delta_rules_evaluate_in_full(build):
     assert model._plan is None
     taken, _ = delta_walk(model, 500, 0.5, seed=1)
     assert taken == 0
+
+
+def test_gather_that_fails_only_for_some_sets_still_freezes():
+    m = Model()
+    items = m.set(5)
+    m.minimize(m.constant([4, 5, 6])[items].sum())  # elements 3 and 4 have no weight
+    m.freeze()
+    assert m._plan is None
+    assert m.evaluate(State([[0, 2]])).objective == 10.0
