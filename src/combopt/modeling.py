@@ -409,11 +409,24 @@ class Model:
              self.nodes[nid].payload, self.nodes[nid].shape is DYNAMIC)
             for nid in sorted(needed)
         ]
-        if self.objective is not None:
-            self._plan = compile_plan(self.nodes, self.decisions, self._schedule,
-                                      [self.objective, *self.constraints])
         self._frozen = True
+        self._plan = self._compile_plan()
         return self
+
+    def _compile_plan(self):
+        if not self._frozen or self.objective is None:
+            return None
+        return compile_plan(self.nodes, self.decisions, self._schedule,
+                            [self.objective, *self.constraints])
+
+    def __getstate__(self):
+        # the delta plan is made of closures, which do not pickle; it is
+        # compiled again from the nodes when the model is unpickled
+        return {**self.__dict__, "_plan": None}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._plan = self._compile_plan()
 
     @property
     def frozen(self) -> bool:

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import struct
 
 import numpy as np
@@ -595,3 +596,10 @@ def test_gather_that_fails_only_for_some_sets_still_freezes():
     m.freeze()
     assert m._plan is None
     assert m.evaluate(State([[0, 2]])).objective == 10.0
+
+
+def test_frozen_model_pickles_with_its_delta_plan(data_dir):
+    model = pickle.loads(pickle.dumps(_walk_model(data_dir, "disc52")))
+    assert model._plan is not None
+    taken, _ = delta_walk(model, 200, 0.5, seed=3)
+    assert taken == 200
