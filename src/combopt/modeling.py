@@ -389,7 +389,7 @@ class Model:
     # -- freezing and evaluation --------------------------------------------------
 
     def freeze(self) -> "Model":
-        """Make the model immutable and precompute the evaluation schedule."""
+        """Make the model immutable; precompute the evaluation schedule and delta plan."""
         if self._frozen:
             return self
         needed = set(self.constraints)
