@@ -7,8 +7,8 @@ leaves the outputs byte-identical:
 
 Covered: the deterministic README command lines, qubo-sa ``solve`` JSON
 (including reads that do not decode), ``export-qubo``, ``exact`` and
-``--help`` output, qubo-sa plan records apart from ``wall_time``, TSP window
-subproblems and their decodes, annealer reads, and the ``max_steps`` +
+``--help`` output, qubo-sa plan records apart from ``wall_time``, TSP, kp and
+maxcut window subproblems and their decodes, annealer reads, and the ``max_steps`` +
 ``qm_inline`` sample-set JSON of the perfbench fixed-work configurations.
 """
 
@@ -27,6 +27,7 @@ import numpy as np
 from combopt.cli import main as cli
 from combopt.problems import (
     BUILDERS,
+    McInstance,
     TspInstance,
     generate_random_maxcut,
     parse_kplib,
@@ -159,6 +160,30 @@ def window_cases() -> None:
                  tsp_to_qubo(inst, penalty)[0].save_text())
 
 
+def kp_mc_window_cases() -> None:
+    kp = parse_kplib((DATA / "kp50.kp").read_text(), "kp50")
+    order = np.random.default_rng(kp.n).permutation(kp.n)
+    kp_in = np.sort(order[np.cumsum(kp.weights[order]) <= kp.capacity])
+    rng = np.random.default_rng(40)
+    float40 = McInstance("float40", 40, [
+        (u, v, float(rng.uniform(-3.0, 9.0)))
+        for u, v in itertools.combinations(range(40), 2) if rng.random() < 0.3
+    ])
+    cases = [(kp, State([kp_in]))] + [
+        (inst, State([np.random.default_rng(inst.n).integers(0, 2, inst.n)]))
+        for inst in (generate_random_maxcut(200, 0.1, seed=0, name="mc200"), float40)
+    ]
+    for inst, incumbent in cases:
+        model = BUILDERS["kp" if inst is kp else "mc"](inst)
+        for window, seed in itertools.product((1, 2, 16, inst.n), range(3)):
+            q = qm_query(model, incumbent, window, np.random.default_rng(seed))
+            parts = [q.label, q.qubo.save_text()]
+            for bits, _ in sa_sample(q.qubo, reads=4, sweeps=16, seed=seed):
+                state = q.decode(bits)
+                parts.append("None" if state is None else repr(state.values[0].tolist()))
+            emit(f"window {inst.name} w={window} seed={seed}", "\n".join(parts))
+
+
 def sampler_cases() -> None:
     qubos = [
         ("mc60", mcp_to_qubo(generate_random_maxcut(60, 0.3, seed=2))[0]),
@@ -190,5 +215,6 @@ if __name__ == "__main__":
         cli_cases(Path(tmp))
         plan_cases(Path(tmp))
     window_cases()
+    kp_mc_window_cases()
     sampler_cases()
     solver_cases()
