@@ -46,9 +46,7 @@ def build_mcp_model(instance: McInstance) -> Model:
     m = Model()
     x = m.binary(instance.n)
     if instance.m:
-        us = m.constant([u for u, _, _ in instance.edges])
-        vs = m.constant([v for _, v, _ in instance.edges])
-        ws = m.constant([w for _, _, w in instance.edges])
+        us, vs, ws = (m.constant(col) for col in instance.edge_arrays)
         cut = (abs(x[us] - x[vs]) * ws).sum()
     else:
         cut = m.constant(0.0)

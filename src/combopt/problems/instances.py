@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,11 +80,19 @@ class McInstance:
     def m(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (u, v, w) columns of ``edges``: int64, int64, float64."""
+        e = np.array(self.edges, dtype=np.float64).reshape(-1, 3).T.copy()
+        uv = e[:2].astype(np.int64)
+        uv.flags.writeable = e.flags.writeable = False
+        return uv[0], uv[1], e[2]
+
     def weight_matrix(self) -> np.ndarray:
         """Each edge contributes a single directed entry W[u, v]."""
+        u, v, wt = self.edge_arrays
         w = np.zeros((self.n, self.n))
-        for u, v, wt in self.edges:
-            w[u, v] = wt
+        w[u, v] = wt
         return w
 
     def cut_value(self, bits) -> float:

@@ -2,82 +2,93 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..errors import DomainError, ParseError
 
 
+def fold_sum(start: float, values) -> float:
+    """``start + values[0] + values[1] + ...`` added one at a time, in order, so the
+    bits equal those of a Python loop (``len(values) * x`` can round differently)."""
+    return float(np.cumsum(np.concatenate([[start], np.asarray(values, dtype=np.float64)]))[-1])
+
+
 class Qubo:
     """Upper-triangular quadratic binary objective plus a constant offset.
 
-    ``terms`` maps ``(i, j)`` with ``i <= j`` to a nonzero coefficient;
-    diagonal entries are the linear part.  Minimizing
-    ``sum terms[i, j] * x_i * x_j + offset`` over bitstrings is the contract.
+    ``rows``, ``cols``, ``vals`` hold each nonzero coefficient once, with
+    ``rows <= cols``, sorted by (row, col); diagonal entries are the linear
+    part.  Minimizing ``sum vals * x[rows] * x[cols] + offset`` over
+    bitstrings is the contract.
     """
 
-    __slots__ = ("n", "terms", "offset")
+    __slots__ = ("n", "rows", "cols", "vals", "offset")
 
-    def __init__(self, n: int, terms: dict | None = None, offset: float = 0.0):
+    def __init__(self, n: int, offset: float = 0.0):
         if n < 0:
             raise DomainError(f"variable count must be >= 0, got {n}")
         self.n = n
-        self.terms: dict[tuple[int, int], float] = {}
+        self.rows = self.cols = np.empty(0, dtype=np.int64)
+        self.vals = np.empty(0)
         self.offset = float(offset)
-        if terms:
-            for (i, j), c in terms.items():
-                self.add(i, j, c)
 
-    def add(self, i: int, j: int, coeff: float) -> None:
-        """Accumulate a coefficient; zero-sum entries are dropped."""
-        if not 0 <= i < self.n or not 0 <= j < self.n:
-            raise DomainError(f"index ({i}, {j}) out of range for n={self.n}")
-        coeff = float(coeff)  # numpy scalars would break the text format's repr
-        if not math.isfinite(coeff):
+    def add(self, i, j, coeff) -> None:
+        """Accumulate coefficients at (i, j): scalars or arrays that broadcast together.
+
+        Each entry sums its stored value, then its contributions in C order, so
+        the bits equal those of scalar adds one by one; zero sums are dropped.
+        A bad index or a non-finite coefficient raises ``DomainError`` and
+        changes nothing."""
+        i, j, coeff = (a.ravel() for a in np.broadcast_arrays(
+            np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64),
+            np.asarray(coeff, dtype=np.float64)))
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        bad = (lo < 0) | (hi >= self.n)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise DomainError(f"index ({i[k]}, {j[k]}) out of range for n={self.n}")
+        if not np.isfinite(coeff).all():
             raise DomainError("QUBO coefficients must be finite")
-        key = (i, j) if i <= j else (j, i)
-        new = self.terms.get(key, 0.0) + coeff
-        if new == 0.0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
+        keys, slot = np.unique(np.concatenate([self.rows * self.n + self.cols, lo * self.n + hi]),
+                               return_inverse=True)
+        sums = np.zeros(keys.size)
+        np.add.at(sums, slot, np.concatenate([self.vals, coeff]))
+        keep = sums != 0.0
+        self.rows, self.cols = np.divmod(keys[keep], self.n)
+        self.vals = sums[keep]
 
     @property
     def m(self) -> int:
-        return len(self.terms)
+        return self.vals.size
+
+    @property
+    def terms(self) -> dict[tuple[int, int], float]:
+        """The coefficients as a new ``{(i, j): coeff}`` dict, in key order."""
+        return dict(zip(zip(self.rows.tolist(), self.cols.tolist()), self.vals.tolist()))
 
     def to_dense(self) -> np.ndarray:
         """Upper-triangular coefficient matrix (diagonal holds linear terms)."""
         q = np.zeros((self.n, self.n))
-        for (i, j), c in self.terms.items():
-            q[i, j] = c
+        q[self.rows, self.cols] = self.vals
         return q
 
     def fields(self) -> tuple[np.ndarray, np.ndarray]:
         """(linear h, symmetric zero-diagonal coupling S) for samplers."""
-        h = np.zeros(self.n)
-        s = np.zeros((self.n, self.n))
-        for (i, j), c in self.terms.items():
-            if i == j:
-                h[i] = c
-            else:
-                s[i, j] = c
-                s[j, i] = c
-        return h, s
+        q = self.to_dense()
+        s = q + q.T  # one of q[i, j] and q[j, i] is 0.0, so each sum is exact
+        np.fill_diagonal(s, 0.0)
+        return q.diagonal().copy(), s
 
     def energy(self, bits) -> float:
         b = np.asarray(bits, dtype=np.float64).reshape(-1)
         if b.size != self.n:
             raise DomainError(f"bitstring length {b.size} != n={self.n}")
-        q = self.to_dense()
-        return float(b @ q @ b + self.offset)
+        return float(self.energies(b[None, :])[0])
 
     def energies(self, batch: np.ndarray) -> np.ndarray:
         """Energies of a (reads, n) bit matrix."""
         b = np.asarray(batch, dtype=np.float64)
-        q = self.to_dense()
-        return np.einsum("ri,ij,rj->r", b, q, b) + self.offset
+        return np.einsum("ri,ij,rj->r", b, self.to_dense(), b) + self.offset
 
     def __eq__(self, other):
         return (
@@ -94,8 +105,7 @@ class Qubo:
 
     def save_text(self) -> str:
         lines = [f"c offset {self.offset!r}", f"p qubo {self.n} {self.m}"]
-        for (i, j), c in sorted(self.terms.items()):
-            lines.append(f"{i} {j} {c!r}")
+        lines += (f"{i} {j} {c!r}" for (i, j), c in self.terms.items())
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -128,6 +138,5 @@ class Qubo:
         if len(entries) != expected:
             raise ParseError(f"expected {expected} entries, got {len(entries)}")
         q = cls(n, offset=offset)
-        for i, j, c in entries:
-            q.add(i, j, c)
+        q.add(*(zip(*entries) if entries else ((), (), ())))
         return q

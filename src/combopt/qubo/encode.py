@@ -15,16 +15,17 @@ import numpy as np
 from ..errors import DomainError
 from ..state import State
 from ..problems.instances import KpInstance, McInstance, TspInstance
-from .core import Qubo
+from .core import Qubo, fold_sum
 
 
 def auto_penalty(objective_coeffs) -> float:
     """1 + the total magnitude of all objective coefficients.
 
     Any unit constraint violation then costs more than the largest possible
-    objective swing, so penalized optima are always feasible.
+    objective swing, so penalized optima are always feasible.  The magnitudes
+    are summed in the order given.
     """
-    return 1.0 + float(sum(abs(c) for c in objective_coeffs))
+    return 1.0 + fold_sum(0.0, np.abs(np.asarray(objective_coeffs, dtype=np.float64)))
 
 
 def _resolve_penalty(penalty: float | None, objective_coeffs) -> float:
@@ -35,49 +36,36 @@ def _resolve_penalty(penalty: float | None, objective_coeffs) -> float:
     return float(penalty)
 
 
-def _add_one_hot_penalty(qubo: Qubo, indices: list[int], a: float) -> None:
-    """Add a * (sum of bits - 1)^2, expanded into linear/quadratic terms."""
-    qubo.offset += a
-    for t, i in enumerate(indices):
-        qubo.add(i, i, -a)
-        for j in indices[t + 1 :]:
-            qubo.add(i, j, 2.0 * a)
-
-
 def tour_qubo(c, penalty: float | None = None, ends=None) -> Qubo:
     """One-hot position encoding of a tour over the cost matrix ``c``.
 
-    Bit ``v * n + p`` means city v at position p; each city and each position
-    is one-hot by penalty.  Without ``ends`` the tour is closed.  With
-    ``ends = (first, last)`` it is an open path whose city v costs ``first[v]``
-    at the first position and ``last[v]`` at the last one.  The automatic
-    penalty sums the coefficients in the order they are added.
+    Bit ``v * n + p`` means city v at position p; the bits of each city and
+    of each position are one-hot by the penalty a * (sum of bits - 1)^2.
+    Without ``ends`` the tour is closed; with ``ends = (first, last)`` it is
+    an open path whose city v costs ``first[v]`` at the first position and
+    ``last[v]`` at the last one.  The costs are added, then the penalty terms;
+    costs and the automatic penalty's sum go in the order (first, last) per
+    city, then position, from-city, to-city, zeros (u == v too) changing no sum.
     """
     n = c.shape[0]
-    qubo = Qubo(n * n)
-    coeffs: list[float] = []
-
-    def term(i: int, j: int, cost) -> None:
-        if cost:
-            qubo.add(i, j, cost)
-            coeffs.append(cost)
-
+    bit = np.arange(n * n).reshape(n, n)  # bit[city, position]
+    p = np.arange(n if ends is None else n - 1)[:, None, None]
+    u, v = np.arange(n)[:, None], np.arange(n)[None, :]
+    shape = (p.size, n, n)
+    rows = np.broadcast_to(bit[u, p], shape).ravel()
+    cols = np.broadcast_to(bit[v, (p + 1) % n], shape).ravel()
+    costs = np.broadcast_to(np.where(u != v, c, 0.0), shape).ravel()
     if ends is not None:
-        first, last = ends
-        for v in range(n):
-            term(v * n, v * n, first[v])
-            term(v * n + n - 1, v * n + n - 1, last[v])
-    for p in range(n if ends is None else n - 1):
-        q = (p + 1) % n
-        for u in range(n):
-            for v in range(n):
-                if u != v:
-                    term(u * n + p, v * n + q, c[u, v])
-    a = _resolve_penalty(penalty, coeffs)
-    for v in range(n):
-        _add_one_hot_penalty(qubo, [v * n + p for p in range(n)], a)
-    for p in range(n):
-        _add_one_hot_penalty(qubo, [v * n + p for v in range(n)], a)
+        ends_bits = np.stack([bit[:, 0], bit[:, -1]], axis=1).ravel()
+        rows, cols = np.concatenate([ends_bits, rows]), np.concatenate([ends_bits, cols])
+        costs = np.concatenate([np.stack(ends, axis=1).ravel(), costs])
+    a = _resolve_penalty(penalty, costs)
+    groups = np.concatenate([bit, bit.T])
+    t, s = np.triu_indices(n, 1)
+    qubo = Qubo(n * n, offset=fold_sum(0.0, np.full(len(groups), a)))
+    qubo.add(np.concatenate([rows, groups.ravel(), groups[:, t].ravel()]),
+             np.concatenate([cols, groups.ravel(), groups[:, s].ravel()]),
+             np.concatenate([costs, np.full(groups.size, -a), np.full(t.size * len(groups), 2.0 * a)]))
     return qubo
 
 
@@ -130,16 +118,13 @@ def kp_to_qubo(instance: KpInstance, penalty: float | None = None):
     total = n + len(slack)
     coeff = np.concatenate([w, np.asarray(slack, dtype=float)])
 
-    qubo = Qubo(total)
-    for i in range(n):
-        if v[i]:
-            qubo.add(i, i, -float(v[i]))
     # (coeff . x - cap)^2 = sum_i ci^2 xi + 2 sum_{i<j} ci cj xi xj - 2 cap sum ci xi + cap^2
-    qubo.offset += a * cap * cap
-    for i in range(total):
-        qubo.add(i, i, a * (coeff[i] ** 2 - 2.0 * cap * coeff[i]))
-        for j in range(i + 1, total):
-            qubo.add(i, j, 2.0 * a * coeff[i] * coeff[j])
+    diag = np.arange(total)
+    iu, ju = np.triu_indices(total, 1)
+    qubo = Qubo(total, offset=a * cap * cap)
+    qubo.add(np.concatenate([diag[:n], diag, iu]), np.concatenate([diag[:n], diag, ju]),
+             np.concatenate([-v, a * (coeff ** 2 - 2.0 * cap * coeff),
+                             2.0 * a * coeff[iu] * coeff[ju]]))
 
     def decode(bits) -> State | None:
         arr = np.asarray(bits).reshape(-1)
@@ -154,10 +139,10 @@ def kp_to_qubo(instance: KpInstance, penalty: float | None = None):
 def mcp_to_qubo(instance: McInstance):
     """Cut maximization as minimization of -sum w * (x_u + x_v - 2 x_u x_v)."""
     qubo = Qubo(instance.n)
-    for u, v, w in instance.edges:
-        qubo.add(u, u, -w)
-        qubo.add(v, v, -w)
-        qubo.add(u, v, 2.0 * w)
+    u, v, w = instance.edge_arrays
+    # per edge: the two linear terms, then the coupling
+    qubo.add(np.stack([u, v, u], axis=1), np.stack([u, v, v], axis=1),
+             np.stack([-w, -w, 2.0 * w], axis=1))
 
     def decode(bits) -> State:
         return State([np.asarray(bits, dtype=np.int64)])

@@ -24,7 +24,8 @@ from typing import Callable
 import numpy as np
 
 from ..modeling import Model
-from ..qubo.core import Qubo
+from ..problems.instances import KpInstance
+from ..qubo.core import Qubo, fold_sum
 from ..qubo.encode import kp_to_qubo, mcp_to_qubo, tour_order, tour_qubo, tsp_to_qubo
 from ..state import State
 
@@ -81,8 +82,6 @@ def _tsp_window(instance, incumbent: State, window: int, rng) -> QmQuery:
 
 
 def _kp_window(instance, incumbent: State, window: int, rng) -> QmQuery:
-    from ..problems.instances import KpInstance
-
     n = instance.n
     w = min(window, n)
     inside = incumbent.values[0]
@@ -129,23 +128,22 @@ def _mc_window(instance, incumbent: State, window: int, rng) -> QmQuery:
         return QmQuery(qubo, decode, f"mc-full-{n}")
 
     free = np.sort(rng.choice(n, w, replace=False))
-    pos = {int(node): i for i, node in enumerate(free)}
-    qubo = Qubo(w)
-    for u, v, wt in instance.edges:
-        fu, fv = u in pos, v in pos
-        if fu and fv:
-            qubo.add(pos[u], pos[u], -wt)
-            qubo.add(pos[v], pos[v], -wt)
-            qubo.add(pos[u], pos[v], 2.0 * wt)
-        elif fu or fv:
-            node, fixed = (u, v) if fu else (v, u)
-            if bits_full[fixed] == 0:
-                qubo.add(pos[node], pos[node], -wt)
-            else:
-                qubo.offset -= wt
-                qubo.add(pos[node], pos[node], wt)
-        elif bits_full[u] != bits_full[v]:
-            qubo.offset -= wt
+    pos = np.full(n, -1)
+    pos[free] = np.arange(w)
+    u, v, wt = instance.edge_arrays
+    pu, pv = pos[u], pos[v]
+    fu, fv = pu >= 0, pv >= 0
+    both, end = fu & fv, np.where(fu, pu, pv)
+    # with one end free and the fixed end 1, the edge is cut unless the free
+    # end is 1: -wt + wt * x; every cut edge with both ends fixed adds -wt
+    fixed_one = (fu != fv) & (np.where(fu, bits_full[v], bits_full[u]) != 0)
+    cut_fixed = ~fu & ~fv & (bits_full[u] != bits_full[v])
+    qubo = Qubo(w, offset=fold_sum(0.0, -wt[fixed_one | cut_fixed]))
+    # per edge, in C order: the free end (u when both are), then v and the coupling
+    slots = np.stack([fu | fv, both, both], axis=1)
+    qubo.add(np.stack([end, pv, pu], axis=1)[slots],
+             np.stack([end, pv, pv], axis=1)[slots],
+             np.stack([np.where(fixed_one, wt, -wt), -wt, 2.0 * wt], axis=1)[slots])
 
     base = bits_full.copy()
 

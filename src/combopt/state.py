@@ -65,14 +65,14 @@ class DecisionSpec:
 
 
 def _as_index_array(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.int64).reshape(-1)
+    return np.ascontiguousarray(value, dtype=np.int64).reshape(-1)
 
 
 class State:
     """A concrete assignment: one value per decision, in declaration order.
 
-    Flat kinds are stored as 1-D int64 arrays; partition kinds as a list of
-    1-D int64 arrays (one per part).
+    Flat kinds are stored as 1-D C-contiguous int64 arrays; partition kinds as
+    a list of such arrays (one per part).
     """
 
     __slots__ = ("values",)
@@ -101,7 +101,7 @@ class State:
         for v in self.values:
             parts = v if isinstance(v, list) else [v]
             for p in parts:
-                crc = zlib.crc32(p.tobytes(), crc)
+                crc = zlib.crc32(p, crc)  # the array's own buffer: values are contiguous
             crc = zlib.crc32(b"|", crc)
         return crc
 

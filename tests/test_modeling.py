@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,37 @@ def test_validate_state_messages():
     assert m2.validate_state(State([[[0, 1], [2, 3, 4]]])) == []
     errs = m2.validate_state(State([[[0, 1], [2, 3]]]))
     assert any("not exhaustive" in v for v in errs)
+
+
+def reference_digest(state):
+    """``State.digest`` over ``tobytes()`` copies, the reference for the
+    digest that reads each array's buffer in place."""
+    crc = 0
+    for v in state.values:
+        for p in v if isinstance(v, list) else [v]:
+            crc = zlib.crc32(p.tobytes(), crc)
+        crc = zlib.crc32(b"|", crc)
+    return crc
+
+
+def test_digest_matches_tobytes_reference():
+    rng = np.random.default_rng(8)
+    perm = rng.permutation(12)
+    states = [
+        State([perm]),
+        State([rng.integers(0, 2, 200)]),
+        State([np.flatnonzero(rng.random(30) < 0.5)]),
+        State([[]]),
+        State([perm, rng.integers(0, 2, 5), [1, 4, 7]]),
+        State([[np.array([3, 0]), np.array([2, 1, 4])]]),
+        State([[perm[1::3], perm[::3]]]),  # strided parts
+        State([perm[::-2]]),
+    ]
+    for state in states:
+        for v in state.values:
+            assert all(p.flags.c_contiguous for p in (v if isinstance(v, list) else [v]))
+        assert state.digest() == reference_digest(state)
+    assert len({state.digest() for state in states}) == len(states)
 
 
 def test_model_frozen_after_freeze():

@@ -67,6 +67,100 @@ def test_qubo_accumulates_and_drops_zeros():
         q.add(0, 0, np.inf)
 
 
+def reference_terms(n, adds):
+    """The dict accumulate loop that ``Qubo.add`` replaced, applied to each
+    ``(i, j, coeff)`` in turn; array accumulation must match it bit for bit."""
+    terms = {}
+    for i, j, coeff in adds:
+        if not 0 <= i < n or not 0 <= j < n:
+            raise DomainError(f"index ({i}, {j}) out of range for n={n}")
+        coeff = float(coeff)  # numpy scalars would break the text format's repr
+        if not math.isfinite(coeff):
+            raise DomainError("QUBO coefficients must be finite")
+        key = (i, j) if i <= j else (j, i)
+        new = terms.get(key, 0.0) + coeff
+        if new == 0.0:
+            terms.pop(key, None)
+        else:
+            terms[key] = new
+    return terms
+
+
+def reference_dense_and_fields(n, terms):
+    """The per-term loops behind ``to_dense`` and ``fields`` before the arrays."""
+    q = np.zeros((n, n))
+    h = np.zeros(n)
+    s = np.zeros((n, n))
+    for (i, j), c in terms.items():
+        q[i, j] = c
+        if i == j:
+            h[i] = c
+        else:
+            s[i, j] = c
+            s[j, i] = c
+    return q, h, s
+
+
+def random_adds(rng):
+    """Adds with duplicates, i > j, zeros, magnitudes 1e-3..1e3, and sums
+    driven to exactly zero (then often added to again)."""
+    n = int(rng.integers(1, 9))
+    adds, running = [], {}
+    for _ in range(int(rng.integers(1, 80))):
+        i, j = (int(x) for x in rng.integers(0, n, 2))
+        r = rng.random()
+        if r < 0.15 and running:
+            (i, j), c = list(running.items())[int(rng.integers(len(running)))]
+            i, j, c = (j, i, -c) if rng.random() < 0.5 else (i, j, -c)
+        elif r < 0.25:
+            c = 0.0
+        else:
+            c = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3))
+        adds.append((i, j, c))
+        running = reference_terms(n, adds)
+    return n, adds
+
+
+def bits_of(terms):
+    return {k: float(v).hex() for k, v in terms.items()}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_array_add_matches_reference_loop_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    n, adds = random_adds(rng)
+    q = Qubo(n)
+    bounds = [0, *np.sort(rng.integers(0, len(adds) + 1, 3)), len(adds)]
+    for lo, hi in zip(bounds, bounds[1:]):  # batches, some empty or of one add
+        if hi - lo == 1 and rng.random() < 0.5:
+            q.add(*adds[lo])  # the scalar form
+        else:
+            q.add(*(np.array(col) for col in list(zip(*adds[lo:hi])) or [(), (), ()]))
+    ref = reference_terms(n, adds)
+    assert bits_of(q.terms) == bits_of(ref)
+    assert list(q.terms) == sorted(ref)
+    q_ref, h_ref, s_ref = reference_dense_and_fields(n, ref)
+    h, s = q.fields()
+    for got, want in ((q.to_dense(), q_ref), (h, h_ref), (s, s_ref)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("i, j, c", [
+    ([0, 1, 4], [1, 2, 0], [1.0, 2.0, 3.0]),
+    ([0, -1], [1, 2], [1.0, 2.0]),
+    ([0, 1, 2], [1, 2, 3], [1.0, np.nan, 3.0]),
+    ([0, 1], [1, 2], [np.inf, 1.0]),
+    ([0, 1, 2], [0, 1, 2], [1.0, 2.0, -np.inf]),
+])
+def test_array_add_rejects_bad_entries_and_leaves_qubo_unchanged(i, j, c):
+    q = Qubo(4, offset=1.5)
+    q.add([0, 3, 2], [1, 1, 2], [0.5, -2.0, 4.0])
+    before = q.save_text()
+    with pytest.raises(DomainError):
+        q.add(np.array(i), np.array(j), np.array(c))
+    assert q.save_text() == before
+
+
 def test_qubo_energy_matches_dense_recomputation():
     rng = np.random.default_rng(3)
     for _ in range(20):

@@ -424,6 +424,22 @@ def test_qm_tsp_window_energy_is_tour_length_plus_constant(data_dir, name):
         assert max(gaps) - min(gaps) == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("name", ["mc10", "gen40"])
+def test_qm_mc_window_energy_equals_objective(data_dir, name):
+    inst = (parse_maxcut((data_dir / "mc10.mc").read_text(), "mc10") if name == "mc10"
+            else generate_random_maxcut(40, 0.3, (1, 9), seed=6))
+    model = build_mcp_model(inst)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        incumbent = initial_state(model, rng)
+        query = qm_query(model, incumbent, window=6, rng=rng)
+        assert query.qubo.n == 6
+        for code in range(1 << 6):
+            bits = np.array([(code >> k) & 1 for k in range(6)])
+            objective = model.evaluate(query.decode(bits)).objective
+            assert query.qubo.energy(bits) == pytest.approx(objective)
+
+
 def test_qm_untagged_model_returns_none():
     m = Model()
     x = m.binary(4)
