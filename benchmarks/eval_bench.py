@@ -9,11 +9,12 @@ one before anything is timed.
     PYTHONPATH=src python3 benchmarks/eval_bench.py
 
 It prints µs per evaluation (the best of REPEATS passes over the candidates
-of one kind, full and delta passes alternating) and merges the numbers into
-``BENCH_eval.json`` at the repository root under the short hash of the
-checked-out commit.  With the
-``src`` of a commit that has no delta path on ``PYTHONPATH``, only the full
-evaluation is timed, so the same script measures the parent of the change.
+of one kind, full and delta passes alternating) and whether the frozen model
+has a delta plan at all; a model without one takes the full path on both
+sides.  It merges the numbers into ``BENCH_eval.json`` at the repository root
+under the short hash of the checked-out commit.  With the ``src`` of a commit
+that has no delta path on ``PYTHONPATH``, only the full evaluation is timed,
+so the same script measures the parent of the change.
 """
 
 import inspect
@@ -120,24 +121,26 @@ def save(results: dict) -> str:
 def main():
     if not HAS_DELTA:
         print("evaluate_unchecked has no base argument: timing the full evaluation only\n")
-    header = f"{'case':<14} {'candidates':>10} {'full us':>9} {'delta us':>9} {'speedup':>8}"
+    header = (f"{'case':<14} {'plan':>5} {'candidates':>10} {'full us':>9} {'delta us':>9} "
+              f"{'speedup':>8}")
     print(header)
     print("-" * len(header))
     results = {}
     for name, model in models():
         model.freeze()
+        plan = getattr(model, "_plan", None) is not None
         for kind, group in sorted(candidates(model).items()):
             if HAS_DELTA:
                 check(model, group)
             full, delta = us_per_eval(model, group)
-            entry = {"candidates": len(group), "full": round(full, 2)}
+            entry = {"candidates": len(group), "full": round(full, 2), "plan": plan}
+            row = f"{name + ' ' + kind:<14} {'yes' if plan else 'no':>5} {len(group):>10} "
             if HAS_DELTA:
                 entry["delta"] = round(delta, 2)
-                print(f"{name + ' ' + kind:<14} {len(group):>10} {entry['full']:>9.2f} "
-                      f"{entry['delta']:>9.2f} {entry['full'] / entry['delta']:>7.2f}x")
+                print(f"{row}{entry['full']:>9.2f} {entry['delta']:>9.2f} "
+                      f"{entry['full'] / entry['delta']:>7.2f}x")
             else:
-                print(f"{name + ' ' + kind:<14} {len(group):>10} {entry['full']:>9.2f} "
-                      f"{'-':>9} {'-':>8}")
+                print(f"{row}{entry['full']:>9.2f} {'-':>9} {'-':>8}")
             results[f"{name} {kind}"] = entry
     key = save(results)
     print(f"\nwrote {BENCH_FILE.name} entry {key}")

@@ -144,11 +144,6 @@ class ResultsTable:
                 out[i, j] = float(np.mean([r[metric] for r in rows]))
         return out
 
-    def save_jsonl(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            for r in self.records:
-                fh.write(json.dumps(r, sort_keys=True) + "\n")
-
     @classmethod
     def load_jsonl(cls, path: str | Path, optima: dict | None = None) -> "ResultsTable":
         table = cls(optima=optima or {})

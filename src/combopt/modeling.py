@@ -62,7 +62,11 @@ class ExprNode:
 
 @dataclass
 class Evaluation:
-    """Result of evaluating a model at a state."""
+    """Result of evaluating a model at a state.
+
+    ``feasible``, ``total_violation`` and ``key``, the order of
+    :mod:`combopt.solver.compare`, are derived once: the solver compares
+    every candidate it evaluates."""
 
     objective: float
     constraint_results: list[bool]
@@ -70,14 +74,15 @@ class Evaluation:
     state_key: int = 0
     # values of the frozen model's delta roots at this state, when it has a plan
     sums: list | None = field(default=None, compare=False, repr=False)
+    feasible: bool = field(init=False, compare=False, repr=False)
+    total_violation: float = field(init=False, compare=False, repr=False)
+    key: tuple = field(init=False, compare=False, repr=False)
 
-    @property
-    def feasible(self) -> bool:
-        return all(self.constraint_results)
-
-    @property
-    def total_violation(self) -> float:
-        return float(sum(self.violations))
+    def __post_init__(self):
+        self.feasible = all(self.constraint_results)
+        self.total_violation = float(sum(self.violations))
+        self.key = (0 if self.feasible else 1, self.total_violation, self.objective,
+                    self.state_key)
 
 
 def _is_scalar(shape) -> bool:

@@ -16,18 +16,12 @@ Instance names default to the file name stem when the caller passes one.
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
 
 from ..errors import DomainError, ParseError
 from .instances import KpInstance, McInstance, TspInstance
-
-
-def _nint(x: float) -> int:
-    """TSPLIB nint: round half away from zero (distances are nonnegative)."""
-    return int(math.floor(x + 0.5))
 
 
 def euc2d_matrix(coords: np.ndarray) -> np.ndarray:

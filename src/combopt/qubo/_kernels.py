@@ -58,19 +58,20 @@ def stream_key(seed: int, stream: int) -> np.uint64:
         return mix64(z ^ np.uint64(stream))
 
 
-def uniforms(key: np.uint64, start: int, count: int) -> np.ndarray:
-    """Vector of uniforms in [0, 1) for counters start..start+count-1."""
+def _counter_hash(key: np.uint64, start: int, count: int) -> np.ndarray:
+    """64-bit hashes of counters start..start+count-1 of stream ``key``."""
     counters = np.arange(start, start + count, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = mix64(key + (counters + np.uint64(1)) * _GOLDEN)
-    return (z >> np.uint64(11)).astype(np.float64) * _INV53
+        return mix64(key + (counters + np.uint64(1)) * _GOLDEN)
+
+
+def uniforms(key: np.uint64, start: int, count: int) -> np.ndarray:
+    """Vector of uniforms in [0, 1) for counters start..start+count-1."""
+    return (_counter_hash(key, start, count) >> np.uint64(11)).astype(np.float64) * _INV53
 
 
 def random_bits(key: np.uint64, start: int, count: int) -> np.ndarray:
-    counters = np.arange(start, start + count, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = mix64(key + (counters + np.uint64(1)) * _GOLDEN)
-    return (z & np.uint64(1)).astype(np.int8)
+    return (_counter_hash(key, start, count) & np.uint64(1)).astype(np.int8)
 
 
 # Counters per uniforms() call in anneal_numpy: whole sweeps, at least one.

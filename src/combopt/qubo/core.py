@@ -38,7 +38,10 @@ class Qubo:
         Each entry sums its stored value, then its contributions in C order, so
         the bits equal those of scalar adds one by one; zero sums are dropped.
         A bad index or a non-finite coefficient raises ``DomainError`` and
-        changes nothing."""
+        changes nothing.
+
+        Each call sorts every stored key again, so building a QUBO one scalar
+        at a time costs time quadratic in its terms: pass the terms as arrays."""
         i, j, coeff = (a.ravel() for a in np.broadcast_arrays(
             np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64),
             np.asarray(coeff, dtype=np.float64)))

@@ -11,14 +11,14 @@ from ..modeling import Evaluation
 
 
 def evaluation_key(e: Evaluation) -> tuple[int, float, float, int]:
-    return (0 if e.feasible else 1, e.total_violation, e.objective, e.state_key)
+    return e.key
 
 
 def compare(a: Evaluation, b: Evaluation) -> int:
     """-1 when ``a`` is strictly better, +1 when worse, 0 when identical."""
-    ka, kb = evaluation_key(a), evaluation_key(b)
+    ka, kb = a.key, b.key
     return -1 if ka < kb else (1 if ka > kb else 0)
 
 
 def is_better(a: Evaluation, b: Evaluation) -> bool:
-    return evaluation_key(a) < evaluation_key(b)
+    return a.key < b.key

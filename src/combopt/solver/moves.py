@@ -74,9 +74,16 @@ def _list_move(value: np.ndarray, rng: np.random.Generator):
     return new, ("swap", i, i + 1)
 
 
+def set_complement(inside: np.ndarray, n: int) -> np.ndarray:
+    """The elements of ``range(n)`` missing from the set ``inside``, sorted, as int64."""
+    mask = np.ones(n, dtype=bool)
+    mask[inside] = False
+    return np.flatnonzero(mask)
+
+
 def _set_move(value: np.ndarray, n: int, rng: np.random.Generator):
     inside = value
-    outside = np.setdiff1d(np.arange(n), inside, assume_unique=True)
+    outside = set_complement(inside, n)
     r = rng.random()
     if inside.size == 0 or (r < 0.34 and outside.size):
         e = int(outside[rng.integers(outside.size)])

@@ -28,6 +28,7 @@ from ..problems.instances import KpInstance
 from ..qubo.core import Qubo, fold_sum
 from ..qubo.encode import kp_to_qubo, mcp_to_qubo, tour_order, tour_qubo, tsp_to_qubo
 from ..state import State
+from .moves import set_complement
 
 
 @dataclass
@@ -85,7 +86,7 @@ def _kp_window(instance, incumbent: State, window: int, rng) -> QmQuery:
     n = instance.n
     w = min(window, n)
     inside = incumbent.values[0]
-    outside = np.setdiff1d(np.arange(n), inside, assume_unique=True)
+    outside = set_complement(inside, n)
     # bias the pool toward a mix of current in/out items
     take_in = min(inside.size, w // 2)
     take_out = min(outside.size, w - take_in)
