@@ -5,13 +5,16 @@ in their RNG streams, interleaves them round-robin until the wall-clock limit
 (or the optional deterministic step budget) is exhausted, then merges every
 branch's deposited samples into one best-first :class:`SampleSet`.
 
-Subproblem sampling runs on a small thread pool by default, with mailbox
-delivery consumed at step boundaries; ``qm_inline=True`` executes queries
-synchronously for reproducible runs.  Only the numba annealing kernel releases
-the GIL: the numpy fallback holds it, so queries in flight take time from the
-branches and their step rate is not known in advance.  Each branch therefore
-cools by elapsed wall time under a wall-clock limit, and by steps only under
-``max_steps`` (see ``Branch.calibrate``).
+Subproblem sampling runs on a small thread pool when the annealer is the
+numba kernel, which releases the GIL, with mailbox delivery consumed at step
+boundaries.  The numpy fallback holds the GIL, so a pool gives it no
+parallelism: its threads get the GIL from the branches only at moments that
+vary from run to run, and so does the branches' step rate.  With the numpy
+annealer, as with ``qm_inline=True``, queries therefore run synchronously at
+the step that launches them.  Either way queries take time from the branches,
+so their step rate is not known in advance: each branch cools by elapsed
+wall time under a wall-clock limit, and by steps only under ``max_steps``
+(see ``Branch.calibrate``).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from ..errors import StateError
 from ..modeling import Model
+from ..qubo.sampler import default_backend
 from .branch import Branch
 from .config import SolverConfig
 from .sampleset import SampleSet
@@ -50,7 +54,7 @@ def solve(model: Model, config: SolverConfig | None = None) -> SampleSet:
         br.calibrate(model)
 
     executor = None
-    if config.qm_enabled and not config.qm_inline:
+    if config.qm_enabled and not config.qm_inline and default_backend() == "numba":
         workers = min(n_branches, 4, config.threads or 4)
         executor = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="qm")
 

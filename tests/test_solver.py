@@ -1,6 +1,8 @@
 import itertools
 import pickle
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from combopt.solver import (
     reverse_move,
     solve,
 )
-from combopt.solver import branch
+from combopt.solver import branch, portfolio
 from combopt.solver.branch import Branch
 from combopt.solver.moves import set_complement
 from combopt.state import DecisionSpec
@@ -475,11 +477,42 @@ def test_qm_sampler_failure_becomes_a_warning(monkeypatch, inline):
         raise RuntimeError("sampler down")
 
     monkeypatch.setattr(branch, "sa_sample", broken)
+    # the pool serves only the numba kernel; pretend it is there
+    monkeypatch.setattr(portfolio, "default_backend", lambda: "numba")
     model = build_tsp_model(random_tsp(8, seed=25))
     result = solve(model, SolverConfig(time_limit=60.0, n_branches=1, seed=1,
                                         max_steps=2000, qm_inline=inline, qm_period=50))
     assert "branch 0: subproblem sampling failed: sampler down" in result.warnings
     assert result.best().feasible
+
+
+@pytest.mark.parametrize("backend, pooled", [("numpy", False), ("numba", True)])
+def test_qm_pool_only_for_the_gil_releasing_annealer(monkeypatch, backend, pooled):
+    # the numpy annealer holds the GIL, so its queries run on the stepping thread
+    made, threads = [], []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs["thread_name_prefix"])
+            super().__init__(*args, **kwargs)
+
+    real = branch.sa_sample
+
+    def spy(*args, **kwargs):
+        threads.append(threading.current_thread().name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(portfolio, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(portfolio, "default_backend", lambda: backend)
+    monkeypatch.setattr(branch, "sa_sample", spy)
+    model = build_tsp_model(random_tsp(8, seed=25))
+    solve(model, SolverConfig(time_limit=60.0, n_branches=1, seed=1, max_steps=2000,
+                              qm_period=50))
+    assert made == (["qm"] if pooled else [])
+    if pooled:
+        assert all(name.startswith("qm") for name in threads)
+    else:
+        assert len(threads) == 39 and set(threads) == {threading.current_thread().name}
 
 
 def test_threads_caps_branches():
