@@ -5,16 +5,12 @@ in their RNG streams, interleaves them round-robin until the wall-clock limit
 (or the optional deterministic step budget) is exhausted, then merges every
 branch's deposited samples into one best-first :class:`SampleSet`.
 
-Subproblem sampling runs on a small thread pool when the annealer is the
-numba kernel, which releases the GIL, with mailbox delivery consumed at step
-boundaries.  The numpy fallback holds the GIL, so a pool gives it no
-parallelism: its threads get the GIL from the branches only at moments that
-vary from run to run, and so does the branches' step rate.  With the numpy
-annealer, as with ``qm_inline=True``, queries therefore run synchronously at
-the step that launches them.  Either way queries take time from the branches,
-so their step rate is not known in advance: each branch cools by elapsed
-wall time under a wall-clock limit, and by steps only under ``max_steps``
-(see ``Branch.calibrate``).
+Subproblem sampling runs on a small thread pool, with mailbox delivery at step
+boundaries, only for the numba kernel, which releases the GIL.  The numpy
+fallback holds it, so pool threads would take it from the branches at moments
+that vary from run to run: its queries run inline, as with ``qm_inline``.  So
+the step rate is not known in advance, and each branch cools by elapsed time
+under a wall-clock limit, by steps under ``max_steps`` (``Branch.calibrate``).
 """
 
 from __future__ import annotations

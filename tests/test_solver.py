@@ -477,8 +477,6 @@ def test_qm_sampler_failure_becomes_a_warning(monkeypatch, inline):
         raise RuntimeError("sampler down")
 
     monkeypatch.setattr(branch, "sa_sample", broken)
-    # the pool serves only the numba kernel; pretend it is there
-    monkeypatch.setattr(portfolio, "default_backend", lambda: "numba")
     model = build_tsp_model(random_tsp(8, seed=25))
     result = solve(model, SolverConfig(time_limit=60.0, n_branches=1, seed=1,
                                         max_steps=2000, qm_inline=inline, qm_period=50))
