@@ -18,16 +18,12 @@ so the same script measures the parent of the change.
 """
 
 import inspect
-import json
-import os
-import platform
 import struct
-import subprocess
 import time
-from pathlib import Path
 
 import numpy as np
 
+from benchfile import ROOT, save
 from combopt.modeling import Model
 from combopt.problems import (
     build_kp_model,
@@ -37,10 +33,8 @@ from combopt.problems import (
     parse_kplib,
     parse_tsplib,
 )
-from combopt.qubo import NUMBA_AVAILABLE
 from combopt.solver import initial_state, propose_state
 
-ROOT = Path(__file__).resolve().parent.parent
 BENCH_FILE = ROOT / "BENCH_eval.json"
 DATA = ROOT / "data"
 CANDIDATES = 3000
@@ -94,30 +88,6 @@ def us_per_eval(model, group) -> tuple[float, float | None]:
     return full * scale, delta * scale if HAS_DELTA else None
 
 
-def commit() -> str:
-    done = subprocess.run(
-        ["git", "rev-parse", "--short", "HEAD"], cwd=ROOT, capture_output=True, text=True
-    )
-    return done.stdout.strip() if done.returncode == 0 else "unknown"
-
-
-def save(results: dict) -> str:
-    """Merge this run into BENCH_eval.json under the current commit."""
-    key = commit()
-    bench = json.loads(BENCH_FILE.read_text()) if BENCH_FILE.exists() else {}
-    bench[key] = {
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpus": os.cpu_count(),
-            "numba": NUMBA_AVAILABLE,
-        },
-        "us_per_eval": results,
-    }
-    BENCH_FILE.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
-    return key
-
-
 def main():
     if not HAS_DELTA:
         print("evaluate_unchecked has no base argument: timing the full evaluation only\n")
@@ -142,7 +112,7 @@ def main():
             else:
                 print(f"{row}{entry['full']:>9.2f} {'-':>9} {'-':>8}")
             results[f"{name} {kind}"] = entry
-    key = save(results)
+    key = save(BENCH_FILE, "us_per_eval", results)
     print(f"\nwrote {BENCH_FILE.name} entry {key}")
 
 

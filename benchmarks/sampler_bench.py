@@ -13,20 +13,15 @@ checked-out commit, so runs at two commits leave both sets side by side.
 """
 
 import argparse
-import json
-import os
-import platform
 import statistics
-import subprocess
 import time
-from pathlib import Path
 
 import numpy as np
 
+from benchfile import ROOT, save
 from combopt.problems import generate_random_maxcut, KpInstance, TspInstance
 from combopt.qubo import NUMBA_AVAILABLE, kp_to_qubo, mcp_to_qubo, sa_sample, tsp_to_qubo
 
-ROOT = Path(__file__).resolve().parent.parent
 BENCH_FILE = ROOT / "BENCH_sampler.json"
 REPEATS = 3
 
@@ -53,30 +48,6 @@ def run(qubo, backend, reads, sweeps):
         out = sa_sample(qubo, reads=reads, sweeps=sweeps, seed=42, backend=backend)
         times.append(time.perf_counter() - t0)
     return statistics.median(times) * 1e9 / (reads * sweeps * qubo.n), out
-
-
-def commit() -> str:
-    done = subprocess.run(
-        ["git", "rev-parse", "--short", "HEAD"], cwd=ROOT, capture_output=True, text=True
-    )
-    return done.stdout.strip() if done.returncode == 0 else "unknown"
-
-
-def save(results: dict) -> str:
-    """Merge this run into BENCH_sampler.json under the current commit."""
-    key = commit()
-    bench = json.loads(BENCH_FILE.read_text()) if BENCH_FILE.exists() else {}
-    bench[key] = {
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpus": os.cpu_count(),
-            "numba": NUMBA_AVAILABLE,
-        },
-        "ns_per_visit": results,
-    }
-    BENCH_FILE.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
-    return key
 
 
 def main():
@@ -115,7 +86,7 @@ def main():
         else:
             print(f"{name:<26} {qubo.n:>6} {ns_np:>15.0f} {'-':>15} {'-':>8}")
         results[name] = entry
-    key = save(results)
+    key = save(BENCH_FILE, "ns_per_visit", results)
     print(f"\nwrote {BENCH_FILE.name} entry {key}")
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -238,16 +239,18 @@ def cmd_stats(args) -> int:
 
 def cmd_export_qubo(args) -> int:
     key = family(args.problem)
+    penalty = None
+    if args.penalty != "auto":
+        try:
+            penalty = float(args.penalty)
+        except ValueError:
+            penalty = math.nan
+        if not 0 < penalty < math.inf:
+            raise ParseError(f"--penalty must be 'auto' or a number > 0, got {args.penalty!r}")
     instance = _load_instance(key, args.instance)
     if key == "mc":  # no constraint, so no penalty
         qubo, _ = ENCODERS[key](instance)
     else:
-        try:
-            penalty = None if args.penalty == "auto" else float(args.penalty)
-        except ValueError:
-            raise ParseError(
-                f"--penalty must be 'auto' or a positive number, got {args.penalty!r}"
-            ) from None
         qubo, _ = ENCODERS[key](instance, penalty)
     text = qubo.save_text()
     if args.out:

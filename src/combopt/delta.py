@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .modeling import ARITH_OPS, COMPARE_OPS, UNARY_OPS
 from .state import BINARY, SET
 
-_TERM_OPS = ("add", "sub", "mul", "neg", "abs")
-_TAIL_OPS = ("const", "add", "sub", "mul", "neg", "abs", "le", "ge", "eq")
+_TERM_OPS = (*ARITH_OPS, *UNARY_OPS)
+_TAIL_OPS = ("const", *_TERM_OPS, *COMPARE_OPS)
 _EXACT = 2.0**53
 # deepest term tree compiled: deeper trees (a long chain of Python-level
 # additions) stay in the tail, so neither compiling nor evaluating a rule
@@ -108,21 +109,17 @@ class _Terms:
         if op == "const":
             arr = node.payload
             return self._per_term(arr, float(np.abs(arr).max()) if arr.size else 0.0, False)
-        if op in ("add", "sub", "mul"):
+        if op in ARITH_OPS:
+            f = ARITH_OPS[op]
             fa, ba, ia = self.compile(node.operands[0])
             fb, bb, ib = self.compile(node.operands[1])
-            if op == "add":
-                fn = lambda both, lv: fa(both, lv) + fb(both, lv)  # noqa: E731
-            elif op == "sub":
-                fn = lambda both, lv: fa(both, lv) - fb(both, lv)  # noqa: E731
-            else:
-                fn = lambda both, lv: fa(both, lv) * fb(both, lv)  # noqa: E731
-            return fn, ba * bb if op == "mul" else ba + bb, ia and ib
-        if op in ("neg", "abs"):
+            # over |a| <= ba and |b| <= bb, |a + b|, |a - b| and |a * b| peak at a corner
+            bound = max(abs(f(ba, bb)), abs(f(ba, -bb)))
+            return (lambda both, lv: f(fa(both, lv), fb(both, lv))), bound, ia and ib
+        if op in UNARY_OPS:
+            f = UNARY_OPS[op]
             fa, ba, ia = self.compile(node.operands[0])
-            if op == "neg":
-                return (lambda both, lv: -fa(both, lv)), ba, ia
-            return (lambda both, lv: np.abs(fa(both, lv))), ba, ia
+            return (lambda both, lv: f(fa(both, lv))), ba, ia
         if op == "decision":
             spec = self.decisions[node.payload]
             if spec.kind != SET:

@@ -20,11 +20,11 @@ the dynamic-shape sentinel; reducing an empty one yields the identity (0).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .delta import compile_plan
 from .errors import DomainError, ShapeError, StateError, TypeErrorDomain
 from .state import (
     BINARY,
@@ -48,7 +48,16 @@ class _Dynamic:
 
 DYNAMIC = _Dynamic()
 
-_COMPARISONS = ("le", "ge", "eq")
+# The operators of arithmetic and comparison nodes, by node op.  Model evaluation and the
+# delta rules of :mod:`combopt.delta` both apply these.
+ARITH_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+UNARY_OPS = {"neg": operator.neg, "abs": np.abs}
+# a comparison's violation magnitude at its operand values; 0.0 when it holds
+COMPARE_OPS = {
+    "le": lambda a, b: max(0.0, a - b),
+    "ge": lambda a, b: max(0.0, b - a),
+    "eq": lambda a, b: abs(a - b),
+}
 
 
 @dataclass
@@ -60,13 +69,20 @@ class ExprNode:
     payload: object = None      # constants, decision ids, slice bounds, part index
 
 
+def order_key(feasible: bool, violation: float, objective: float, digest: int) -> tuple:
+    """The solution order: feasible first, then lower total violation, then
+    lower objective, and the state digest last, which makes it total and
+    reproducible."""
+    return (0 if feasible else 1, violation, objective, digest)
+
+
 @dataclass
 class Evaluation:
     """Result of evaluating a model at a state.
 
-    ``feasible``, ``total_violation`` and ``key``, the order of
-    :mod:`combopt.solver.compare`, are derived once: the solver compares
-    every candidate it evaluates."""
+    ``feasible``, ``total_violation`` and ``key`` are derived once: the
+    solver compares every candidate it evaluates.  ``key`` is the solution
+    order (:func:`order_key`); a lower key is a better evaluation."""
 
     objective: float
     constraint_results: list[bool]
@@ -81,8 +97,8 @@ class Evaluation:
     def __post_init__(self):
         self.feasible = all(self.constraint_results)
         self.total_violation = float(sum(self.violations))
-        self.key = (0 if self.feasible else 1, self.total_violation, self.objective,
-                    self.state_key)
+        self.key = order_key(self.feasible, self.total_violation, self.objective,
+                             self.state_key)
 
 
 def _is_scalar(shape) -> bool:
@@ -263,7 +279,7 @@ class Model:
     def _build(self, op: str, operands: tuple) -> ExprRef:
         refs = [self._coerce(o) for o in operands]
         for r in refs:
-            if r.node.op in _COMPARISONS:
+            if r.node.op in COMPARE_OPS:
                 raise TypeErrorDomain(f"comparison nodes cannot be operands of {op!r}")
 
         if op == "sum":
@@ -271,19 +287,19 @@ class Model:
             return self._append(
                 ExprNode("sum", (a.node_id,), shape=(), integral=a.node.integral)
             )
-        if op in ("neg", "abs"):
+        if op in UNARY_OPS:
             (a,) = refs
             return self._append(
                 ExprNode(op, (a.node_id,), shape=a.node.shape, integral=a.node.integral)
             )
-        if op in ("add", "sub", "mul"):
+        if op in ARITH_OPS:
             a, b = refs
             shape = self._broadcast(a.node.shape, b.node.shape, op)
             return self._append(
                 ExprNode(op, (a.node_id, b.node_id), shape=shape,
                          integral=a.node.integral and b.node.integral)
             )
-        if op in _COMPARISONS:
+        if op in COMPARE_OPS:
             a, b = refs
             if not (_is_scalar(a.node.shape) and _is_scalar(b.node.shape)):
                 raise ShapeError(f"comparisons require scalar operands, got "
@@ -310,7 +326,7 @@ class Model:
         """Gather / slice.  Integer keys and slices resolve against static shapes;
         expression keys gather elementwise (two keys index a matrix pointwise)."""
         node = base.node
-        if node.op in _COMPARISONS:
+        if node.op in COMPARE_OPS:
             raise TypeErrorDomain("comparison nodes cannot be indexed")
         if node.shape is DYNAMIC:
             raise ShapeError("dynamic-length expressions cannot be indexed")
@@ -370,7 +386,7 @@ class Model:
         """Register a comparison node as a constraint; returns its index."""
         self._mutable()
         expr = self._coerce(expr)
-        if expr.node.op not in _COMPARISONS:
+        if expr.node.op not in COMPARE_OPS:
             raise TypeErrorDomain("constraints must be comparison expressions (<=, >=, ==)")
         self.constraints.append(expr.node_id)
         return len(self.constraints) - 1
@@ -381,7 +397,7 @@ class Model:
         expr = self._coerce(expr)
         if self.objective is not None:
             raise StateError("objective already set; a model has at most one")
-        if expr.node.op in _COMPARISONS:
+        if expr.node.op in COMPARE_OPS:
             raise TypeErrorDomain("the objective must be arithmetic, not a comparison")
         if not _is_scalar(expr.node.shape):
             raise ShapeError(f"the objective must be scalar, got shape {expr.node.shape}")
@@ -421,6 +437,8 @@ class Model:
     def _compile_plan(self):
         if not self._frozen or self.objective is None:
             return None
+        from .delta import compile_plan  # delta imports the operator tables from here
+
         return compile_plan(self.nodes, self.decisions, self._schedule,
                             [self.objective, *self.constraints])
 
@@ -484,14 +502,7 @@ class Model:
         results: list[bool] = []
         violations: list[float] = []
         for cid in self.constraints:
-            a, b = vals[cid]
-            op = self.nodes[cid].op
-            if op == "le":
-                v = max(0.0, a - b)
-            elif op == "ge":
-                v = max(0.0, b - a)
-            else:
-                v = abs(a - b)
+            v = COMPARE_OPS[self.nodes[cid].op](*vals[cid])
             violations.append(v)
             results.append(v == 0.0)
         return Evaluation(objective, results, violations, state_key=state.digest(), sums=sums)
@@ -517,28 +528,16 @@ class Model:
                     vals[nid] = base[a, b]
                 else:
                     vals[nid] = base[np.asarray(vals[operands[1]], dtype=np.int64)]
-            elif op == "add":
+            elif op in ARITH_OPS:
                 a, b = vals[operands[0]], vals[operands[1]]
                 if dynamic:
                     self._check_dyn(a, b)
-                vals[nid] = a + b
-            elif op == "sub":
-                a, b = vals[operands[0]], vals[operands[1]]
-                if dynamic:
-                    self._check_dyn(a, b)
-                vals[nid] = a - b
-            elif op == "mul":
-                a, b = vals[operands[0]], vals[operands[1]]
-                if dynamic:
-                    self._check_dyn(a, b)
-                vals[nid] = a * b
-            elif op == "neg":
-                vals[nid] = -vals[operands[0]]
-            elif op == "abs":
-                vals[nid] = np.abs(vals[operands[0]])
+                vals[nid] = ARITH_OPS[op](a, b)
+            elif op in UNARY_OPS:
+                vals[nid] = UNARY_OPS[op](vals[operands[0]])
             elif op == "sum":
                 vals[nid] = float(np.sum(vals[operands[0]]))
-            elif op in _COMPARISONS:
+            elif op in COMPARE_OPS:
                 vals[nid] = (float(vals[operands[0]]), float(vals[operands[1]]))
             else:  # pragma: no cover - construction forbids unknown ops
                 raise DomainError(f"unknown node op {op!r}")

@@ -1,5 +1,4 @@
 from .branch import Branch, metropolis_delta
-from .compare import compare, evaluation_key, is_better
 from .config import SolverConfig, default_branch_count
 from .moves import initial_state, propose, propose_state, reverse_move
 from .portfolio import solve
@@ -12,11 +11,8 @@ __all__ = [
     "Sample",
     "SampleSet",
     "SolverConfig",
-    "compare",
     "default_branch_count",
-    "evaluation_key",
     "initial_state",
-    "is_better",
     "make_sample",
     "metropolis_delta",
     "propose",

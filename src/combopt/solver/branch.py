@@ -18,7 +18,6 @@ import numpy as np
 from ..modeling import Evaluation, Model
 from ..qubo.sampler import sa_sample
 from ..state import State
-from .compare import is_better
 from .config import SolverConfig
 from .moves import initial_state, propose_state, reverse_move
 from .sampleset import Sample, make_sample
@@ -106,7 +105,7 @@ class Branch:
 
     def offer(self, state: State, ev: Evaluation, source: str) -> bool:
         """Replace the incumbent when strictly better; True when it improved."""
-        if is_better(ev, self.incumbent_eval):
+        if ev.key < self.incumbent_eval.key:
             self.incumbent = state.copy()
             self.incumbent_eval = ev
             self.stagnation = 0
@@ -133,7 +132,7 @@ class Branch:
     def _sa_step(self, model: Model) -> None:
         cand, move = propose_state(model, self.current, self.rng)
         ev = model.evaluate_unchecked(cand, (self.current, self.current_eval, move))
-        accept = is_better(ev, self.current_eval)
+        accept = ev.key < self.current_eval.key
         if not accept:
             delta = metropolis_delta(ev, self.current_eval)
             if delta <= 0.0:
@@ -154,9 +153,9 @@ class Branch:
             cand, tag = propose_state(model, self.current, self.rng)
             ev = model.evaluate_unchecked(cand, (self.current, self.current_eval, tag))
             blocked = self.tabu.get(tag, -1) > self.steps
-            if blocked and not is_better(ev, self.incumbent_eval):
+            if blocked and not ev.key < self.incumbent_eval.key:
                 continue  # tabu unless it beats the incumbent (aspiration)
-            if best_eval is None or is_better(ev, best_eval):
+            if best_eval is None or ev.key < best_eval.key:
                 best_state, best_eval, best_tag = cand, ev, tag
         if best_eval is None:
             return

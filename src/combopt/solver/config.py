@@ -50,8 +50,9 @@ class SolverConfig:
             raise DomainError("time_limit must be > 0")
         if self.n_branches is not None and self.n_branches < 1:
             raise DomainError("n_branches must be >= 1")
-        if self.qm_period < 1:
-            raise DomainError("qm_period must be >= 1")
+        for name in ("qm_period", "qm_window", "qm_reads", "qm_sweeps", "tabu_candidates"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be >= 1")
         if self.cm_kind not in ("sa", "tabu"):
             raise DomainError(f"unknown cm_kind {self.cm_kind!r}")
         if self.max_steps is not None and self.max_steps < 1:

@@ -15,6 +15,7 @@ under a wall-clock limit, by steps under ``max_steps`` (``Branch.calibrate``).
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -51,38 +52,10 @@ def solve(model: Model, config: SolverConfig | None = None) -> SampleSet:
 
     executor = None
     if config.qm_enabled and not config.qm_inline and default_backend() == "numba":
-        workers = min(n_branches, 4, config.threads or 4)
-        executor = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="qm")
+        executor = ThreadPoolExecutor(max_workers=min(n_branches, 4), thread_name_prefix="qm")
 
-    hit_target = False
     try:
-        while not hit_target:
-            alive = False
-            for br in branches:
-                if config.max_steps is not None and br.steps >= config.max_steps:
-                    continue
-                alive = True
-                for _ in range(_CHUNK):
-                    if config.max_steps is not None and br.steps >= config.max_steps:
-                        break
-                    if time.monotonic() >= deadline:
-                        alive = False
-                        break
-                    br.consume_mailbox(model)
-                    if br.want_query():
-                        br.launch_query(model, executor)
-                    br.cm_step(model)
-                    if (
-                        config.target is not None
-                        and br.incumbent_eval.feasible
-                        and br.incumbent_eval.objective <= config.target + 1e-9
-                    ):
-                        hit_target = True
-                        break
-                if hit_target or time.monotonic() >= deadline:
-                    break
-            if time.monotonic() >= deadline or not alive:
-                break
+        _interleave(branches, model, config, deadline, executor)
         for br in branches:
             br.consume_mailbox(model)
             br.finalize()
@@ -98,3 +71,24 @@ def solve(model: Model, config: SolverConfig | None = None) -> SampleSet:
         wall_time=clock(),
         warnings=warnings,
     )
+
+
+def _interleave(branches, model: Model, config: SolverConfig, deadline: float,
+                executor) -> None:
+    """Step the branches round-robin, ``_CHUNK`` steps at a time, until one
+    stop condition holds: every branch has taken ``max_steps`` steps, the
+    deadline has passed, or an incumbent has reached ``target``."""
+    max_steps = math.inf if config.max_steps is None else config.max_steps
+    goal = None if config.target is None else config.target + 1e-9
+    while any(br.steps < max_steps for br in branches):
+        for br in branches:
+            for _ in range(min(_CHUNK, max_steps - br.steps)):
+                if time.monotonic() >= deadline:
+                    return
+                br.consume_mailbox(model)
+                if br.want_query():
+                    br.launch_query(model, executor)
+                br.cm_step(model)
+                if (goal is not None and br.incumbent_eval.feasible
+                        and br.incumbent_eval.objective <= goal):
+                    return

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 
 from ..errors import DomainError
-from ..modeling import Evaluation
+from ..modeling import Evaluation, order_key
 from ..state import State
 
 
@@ -24,8 +24,7 @@ class Sample:
     elapsed: float
 
     def sort_key(self):
-        return (0 if self.feasible else 1, self.violation, self.objective,
-                self.state.digest())
+        return order_key(self.feasible, self.violation, self.objective, self.state.digest())
 
     def to_jsonable(self) -> dict:
         # wall-clock timings deliberately stay out of the serialized form so

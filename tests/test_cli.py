@@ -214,13 +214,17 @@ def test_solve_threads_flag(data_dir, capsys):
 
 
 def test_export_qubo_non_numeric_penalty_exit_2(data_dir, capsys):
-    code = run_cli(
-        "export-qubo", "--problem", "tsp", "--instance", str(data_dir / "tsp7.tsp"),
-        "--penalty", "abc",
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "'abc'" in err
+    # every family rejects a penalty that is not a finite number > 0 as an
+    # input error, maxcut too, although its encoding has no penalty
+    for problem, instance, penalty in [("tsp", "tsp7.tsp", "abc"), ("maxcut", "mc10.mc", "abc"),
+                                       ("kp", "kp50.kp", "-5"), ("tsp", "tsp7.tsp", "nan")]:
+        code = run_cli(
+            "export-qubo", "--problem", problem, "--instance", str(data_dir / instance),
+            "--penalty", penalty,
+        )
+        assert code == 2, (problem, penalty)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(penalty) in err
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

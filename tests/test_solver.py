@@ -26,10 +26,8 @@ from combopt.qubo import mcp_to_qubo, tsp_to_qubo
 from combopt.solver import (
     SampleSet,
     SolverConfig,
-    compare,
-    evaluation_key,
     initial_state,
-    is_better,
+    make_sample,
     propose,
     propose_state,
     qm_query,
@@ -56,7 +54,7 @@ def random_kp(n, seed):
     return KpInstance("k", n, v, w, int(max(1, w.sum() // 2)))
 
 
-# --- compare ---------------------------------------------------------------------
+# --- order -----------------------------------------------------------------------
 
 
 def ev(objective, violations=(), key=0):
@@ -65,27 +63,32 @@ def ev(objective, violations=(), key=0):
 
 
 def test_feasible_beats_infeasible():
-    assert is_better(ev(10.0), ev(1.0, violations=[2.0]))
-    assert compare(ev(10.0), ev(1.0, violations=[2.0])) == -1
+    assert ev(10.0).key < ev(1.0, violations=[2.0]).key
 
 
 def test_less_violation_wins_among_infeasible():
-    assert is_better(ev(50.0, violations=[1.0]), ev(1.0, violations=[3.0]))
+    assert ev(50.0, violations=[1.0]).key < ev(1.0, violations=[3.0]).key
 
 
 def test_objective_breaks_feasible_ties():
-    assert is_better(ev(1.0), ev(2.0))
+    assert ev(1.0).key < ev(2.0).key
 
 
 def test_hash_gives_total_order():
     a, b = ev(1.0, key=3), ev(1.0, key=7)
-    assert compare(a, b) == -1
-    assert compare(b, a) == 1
-    assert compare(a, a) == 0
-    assert sorted([evaluation_key(b), evaluation_key(a)]) == [
-        evaluation_key(a),
-        evaluation_key(b),
-    ]
+    assert a.key < b.key
+    assert b.key > a.key
+    assert a.key == ev(1.0, key=3).key
+    assert sorted([b, a], key=lambda e: e.key) == [a, b]
+
+
+def test_sample_order_is_the_evaluation_order():
+    for bits, objective, violations in [([1, 0, 1], 1.0, ()), ([0, 1, 1], 50.0, [1.0]),
+                                        ([1, 1, 0], 2.0, [0.0, 3.0])]:
+        state = State([bits])
+        e = Evaluation(objective, [v == 0 for v in violations], list(violations),
+                       state_key=state.digest())
+        assert make_sample(state, e, 0, 0, "cm", 0.0).sort_key() == e.key
 
 
 # --- initial states and moves ------------------------------------------------------
@@ -522,6 +525,15 @@ def test_threads_caps_branches():
         SolverConfig(threads=0)
 
 
+@pytest.mark.parametrize("value", [0, -3])
+@pytest.mark.parametrize("setting", ["qm_window", "qm_reads", "qm_sweeps", "tabu_candidates"])
+def test_config_rejects_settings_below_one(setting, value):
+    from combopt.errors import DomainError
+
+    with pytest.raises(DomainError, match=f"{setting} must be >= 1"):
+        SolverConfig(**{setting: value})
+
+
 # --- delta evaluation -------------------------------------------------------------
 
 
@@ -558,8 +570,8 @@ def delta_walk(model, steps: int, accept: float, seed: int) -> tuple[int, list[b
 
 def _mixed_model():
     """Two bit arrays: a sum of table gathers keyed by neighbouring bits,
-    scalar roots, a sum of a whole decision, both constraint directions, and
-    weights with zeros and negatives."""
+    scalar roots, a sum of a whole decision, a unary minus inside a summand,
+    both constraint directions, and weights with zeros and negatives."""
     rng = np.random.default_rng(5)
     m = Model()
     y = m.binary(8)
@@ -568,7 +580,7 @@ def _mixed_model():
     w = m.constant([3, 0, -2, 0, 1, -4])
     chain = c[y[:-1], y[1:]].sum() + c[y[-1], y[0]]
     m.minimize(chain - (abs(x[[0, 1, 2]] - x[[3, 4, 5]]) * w[[0, 1, 2]]).sum()
-               + 2 * x[2] - (x * w).sum())
+               + 2 * x[2] - (x * w).sum() + (-x[[3, 4, 5]] * w[[3, 4, 5]]).sum())
     m.add_constraint(x.sum() >= 3)
     m.add_constraint(y[0] + 2 * y[7] <= 1)
     return m.freeze()
