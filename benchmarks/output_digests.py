@@ -9,7 +9,10 @@ Covered: the deterministic README command lines, qubo-sa ``solve`` JSON
 (including reads that do not decode), ``export-qubo``, ``exact`` and
 ``--help`` output, qubo-sa plan records apart from ``wall_time``, TSP, kp and
 maxcut window subproblems and their decodes, annealer reads, and the ``max_steps`` +
-``qm_inline`` sample-set JSON of the perfbench fixed-work configurations.
+``qm_inline`` sample-set JSON of the perfbench fixed-work configurations plus a
+kp50 SA solve (set moves, the set delta rule and the kp window).  Each solve
+gives two lines, ``samples`` (the JSON without its ``config`` block) and
+``config``, so a change to the config echo alone shows up as such.
 """
 
 from __future__ import annotations
@@ -197,17 +200,30 @@ def sampler_cases() -> None:
                  b"".join(bits.tobytes() + repr(e).encode() for bits, e in out))
 
 
+def emit_solve(name: str, model, cfg: SolverConfig) -> None:
+    """Two lines per solve: the samples and warnings, then the config echo."""
+    doc = json.loads(solve(model, cfg).to_json())
+    config = doc.pop("config")
+    emit(f"{name} samples", json.dumps(doc, sort_keys=True))
+    emit(f"{name} config", json.dumps(config, sort_keys=True))
+
+
 def solver_cases() -> None:
     disc52 = BUILDERS["tsp"](parse_tsplib((DATA / "disc52.tsp").read_text(), "disc52"))
+    kp50 = BUILDERS["kp"](parse_kplib((DATA / "kp50.kp").read_text(), "kp50"))
     for seed in (0, 1):
         cfg = SolverConfig(seed=seed, n_branches=1, qm_inline=True, max_steps=5_000,
                            time_limit=600.0)
-        emit(f"tsp52-window seed={seed}", solve(disc52, cfg).to_json())
+        emit_solve(f"tsp52-window seed={seed}", disc52, cfg)
     for seed in (0, 1):
         mc = BUILDERS["mc"](generate_random_maxcut(200, 0.1, seed=seed, name="mc200"))
         cfg = SolverConfig(seed=seed, n_branches=1, qm_inline=True, max_steps=2_000,
                            time_limit=600.0, cm_kind="tabu", tabu_candidates=12)
-        emit(f"mc200-tabu seed={seed}", solve(mc, cfg).to_json())
+        emit_solve(f"mc200-tabu seed={seed}", mc, cfg)
+    for seed in (0, 1):
+        cfg = SolverConfig(seed=seed, n_branches=1, qm_inline=True, max_steps=3_000,
+                           time_limit=600.0)
+        emit_solve(f"kp50-sa seed={seed}", kp50, cfg)
 
 
 if __name__ == "__main__":
