@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,13 @@ class PlanAlgorithm:
     config: dict = field(default_factory=dict)
 
 
+# config keys per algorithm kind; the plan sets time_limit, each cell its seed
+PLAN_KEYS = {
+    "nl": {f.name for f in fields(SolverConfig)} - {"time_limit", "seed"},
+    "qubo-sa": {"reads", "sweeps"},
+}
+
+
 @dataclass
 class Plan:
     instances: list[PlanInstance]
@@ -63,27 +71,38 @@ class Plan:
 
     @classmethod
     def from_json(cls, text: str, base_dir: Path = Path(".")) -> "Plan":
-        doc = json.loads(text)
-        instances = [
-            PlanInstance(d["id"], family(d["problem"]), d["path"])
-            for d in doc["instances"]
-        ]
-        algorithms = [
-            PlanAlgorithm(d["name"], d.get("kind", d["name"]), d.get("config", {}))
-            for d in doc["algorithms"]
-        ]
-        for alg in algorithms:
-            if alg.kind not in ("nl", "qubo-sa"):
-                raise ParseError(f"unknown algorithm kind {alg.kind!r} in plan")
-        return cls(
-            instances=instances,
-            algorithms=algorithms,
-            runs=int(doc.get("runs", 10)),
-            master_seed=int(doc.get("master_seed", 0)),
-            time_limit=float(doc.get("time_limit", 5.0)),
-            optima_path=doc.get("optima"),
-            base_dir=base_dir,
-        )
+        """Parse a plan and check it before any cell runs: a malformed plan or a
+        key outside ``PLAN_KEYS`` raises ``ParseError``, a bad nl value ``DomainError``."""
+        try:
+            doc = json.loads(text)
+            plan = cls(
+                instances=[PlanInstance(d["id"], family(d["problem"]), d["path"])
+                           for d in doc["instances"]],
+                algorithms=[PlanAlgorithm(d["name"], d.get("kind", d["name"]),
+                                          d.get("config", {})) for d in doc["algorithms"]],
+                runs=int(doc.get("runs", 10)),
+                master_seed=int(doc.get("master_seed", 0)),
+                time_limit=float(doc.get("time_limit", 5.0)),
+                optima_path=doc.get("optima"),
+                base_dir=base_dir,
+            )
+            if not 0 < plan.time_limit < math.inf:
+                raise ParseError("plan time_limit must be a finite number > 0")
+            for alg in plan.algorithms:
+                if alg.kind not in PLAN_KEYS:
+                    raise ParseError(f"unknown algorithm kind {alg.kind!r} in plan")
+                for key, value in alg.config.items():
+                    if key not in PLAN_KEYS[alg.kind]:
+                        raise ParseError(f"algorithm {alg.name!r}: unknown key {key!r}")
+                    if alg.kind == "qubo-sa" and not (type(value) is int and value >= 1):
+                        raise ParseError(f"algorithm {alg.name!r}: {key} must be int >= 1")
+                if alg.kind == "nl":
+                    SolverConfig(time_limit=plan.time_limit, **alg.config)
+        except KeyError as e:
+            raise ParseError(f"plan entry lacks the key {e}") from e
+        except (AttributeError, TypeError, ValueError) as e:  # JSONDecodeError too
+            raise ParseError(f"malformed plan: {e}") from e
+        return plan
 
     @classmethod
     def load(cls, path: str | Path) -> "Plan":
@@ -180,16 +199,12 @@ def qubo_sa_reads(model, family: str, reads: int, sweeps: int, seed: int,
 
 
 def run_cell(model, family: str, algorithm: PlanAlgorithm, seed: int,
-             time_limit: float, optimum: float | None,
-             threads: int | None = None) -> dict:
+             time_limit: float, optimum: float) -> dict:
     """One (instance, algorithm, run) execution, reduced to metric values."""
     sense = model.tags["sense"]
     t0 = time.monotonic()
     if algorithm.kind == "nl":
-        kwargs = dict(algorithm.config)
-        if threads is not None:
-            kwargs.setdefault("threads", threads)
-        cfg = SolverConfig(time_limit=time_limit, seed=seed, **kwargs)
+        cfg = SolverConfig(time_limit=time_limit, seed=seed, **algorithm.config)
         result = solve(model, cfg)
         pairs = [(native(sense, s.objective), s.feasible) for s in result]
     else:
@@ -203,46 +218,35 @@ def run_cell(model, family: str, algorithm: PlanAlgorithm, seed: int,
     wall = time.monotonic() - t0
 
     feasible_values = [v for v, ok in pairs if ok]
-    if sense == "max":
-        best_value = max(feasible_values) if feasible_values else None
-    else:
-        best_value = min(feasible_values) if feasible_values else None
-    metrics = sampleset_metrics(pairs, optimum, sense) if optimum is not None else None
+    best_value = (max if sense == "max" else min)(feasible_values, default=None)
+    metrics = sampleset_metrics(pairs, optimum, sense)
     return {
         "best_value": best_value,
-        "best_ratio": metrics.best_ratio if metrics else None,
-        "mean_ratio": metrics.mean_ratio if metrics else None,
-        "feasible_fraction": (
-            metrics.feasible_fraction
-            if metrics
-            else sum(ok for _, ok in pairs) / len(pairs)
-        ),
+        "best_ratio": metrics.best_ratio,
+        "mean_ratio": metrics.mean_ratio,
+        "feasible_fraction": metrics.feasible_fraction,
         "n_samples": len(pairs),
         "wall_time": round(wall, 4),
     }
 
 
 def run_experiment(plan: Plan, out_dir: str | Path, resume: bool = True,
-                   ratios_required: bool = True, threads: int | None = None,
                    log=None) -> ResultsTable:
     """Execute every cell of the plan, appending to ``records.jsonl``.
 
-    With ``resume=True`` cells already present in the log are skipped, so
-    re-running a completed plan is a no-op.
+    Every instance needs a reference optimum in the plan's optima file, since
+    each record carries ratio metrics; a missing one raises ``MetricError``
+    before any cell runs.  With ``resume=True`` cells already present in the
+    log are skipped, so re-running a completed plan is a no-op.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records_path = out / "records.jsonl"
 
-    optima: dict[str, float] = {}
-    if plan.optima_path:
-        optima = load_optima((plan.base_dir / plan.optima_path))
-    if ratios_required:
-        missing = [i.id for i in plan.instances if i.id not in optima]
-        if missing:
-            raise MetricError(
-                "reference optima missing for instances: " + ", ".join(missing)
-            )
+    optima = load_optima(plan.base_dir / plan.optima_path) if plan.optima_path else {}
+    missing = [i.id for i in plan.instances if i.id not in optima]
+    if missing:
+        raise MetricError("reference optima missing for instances: " + ", ".join(missing))
 
     table = ResultsTable(optima=optima)
     if resume and records_path.exists():
@@ -264,10 +268,8 @@ def run_experiment(plan: Plan, out_dir: str | Path, resume: bool = True,
                     if key in done:
                         continue
                     seed = cell_seed(plan.master_seed, inst.id, alg.name, run)
-                    cell = run_cell(
-                        model, family, alg, seed, plan.time_limit,
-                        optima.get(inst.id), threads=threads,
-                    )
+                    cell = run_cell(model, family, alg, seed, plan.time_limit,
+                                    optima[inst.id])
                     record = {"instance": inst.id, "algorithm": alg.name, "run": run}
                     record.update(cell)
                     table.add(record)

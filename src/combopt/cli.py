@@ -18,7 +18,9 @@ File formats (all UTF-8 text):
 * Optima: lines of "instance_id optimum".
 * Score matrix: CSV, header "instance,<alg>,<alg>,..."; one row per instance.
 * Plan: JSON with instances, algorithms, runs, master_seed, time_limit,
-  optima (see data/plan_smoke.json for a working example).
+  optima (see data/plan_smoke.json for a working example).  An "nl" config
+  sets SolverConfig fields other than time_limit and seed; a "qubo-sa" config
+  sets reads and sweeps (integers >= 1).  Other keys are rejected (exit 2).
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ def cmd_solve(args) -> int:
             time_limit=args.time_limit,
             n_branches=args.branches,
             seed=args.seed,
-            threads=args.threads,
         )
         result = solve(model, config)
     else:
@@ -131,7 +132,6 @@ def cmd_bench(args) -> int:
         plan,
         args.out_dir,
         resume=args.resume,
-        threads=args.threads,
         log=lambda msg: print(msg, file=sys.stderr),
     )
     paths = emit_report(table, args.out_dir, control=args.control)
@@ -276,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", default="nl", choices=("nl", "qubo-sa"))
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--branches", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None, help="cap solver parallelism")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reads", type=int, default=64, help="qubo-sa restarts")
     p.add_argument("--sweeps", type=int, default=512, help="qubo-sa sweeps per read")
@@ -288,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--threads", type=int, default=None, help="cap solver parallelism")
     p.add_argument("--control", default=None, help="Holm control algorithm")
     p.set_defaults(func=cmd_bench)
 

@@ -1,5 +1,5 @@
 from .branch import Branch, metropolis_delta
-from .config import SolverConfig, default_branch_count
+from .config import SolverConfig
 from .moves import initial_state, propose, propose_state, reverse_move
 from .portfolio import solve
 from .sampleset import Sample, SampleSet, make_sample
@@ -11,7 +11,6 @@ __all__ = [
     "Sample",
     "SampleSet",
     "SolverConfig",
-    "default_branch_count",
     "initial_state",
     "make_sample",
     "metropolis_delta",

@@ -24,6 +24,10 @@ from .sampleset import Sample, make_sample
 from .subproblem import qm_query
 
 _T_FLOOR = 1e-3  # final SA temperature as a fraction of T0
+_RESTART_AFTER = 10_000  # steps without improvement before re-centring on the incumbent
+_TABU_TENURE = 32  # steps a reversed move stays tabu
+_QM_READS = 4  # annealing reads per subproblem query
+_QM_SWEEPS = 64  # sweeps per read
 
 
 def metropolis_delta(cand: Evaluation, cur: Evaluation) -> float:
@@ -62,20 +66,18 @@ class Branch:
 
         self.t0 = 1.0
         self.temp = 1.0
-        self.alpha = 1.0
 
     # -- schedule calibration ---------------------------------------------------
 
     def calibrate(self, model: Model) -> None:
         """Initial temperature from neighbor probes; cooling to 1e-3 * T0.
 
-        T0 is the mean uphill magnitude over 100 random neighbors.  Under a
-        wall-clock limit the temperature follows elapsed solve time,
-        ``T = T0 * 1e-3^min(1, t / time_limit)``, so it reaches its floor at
-        the deadline however many steps the branch gets.  Under ``max_steps``
-        it decays by a fixed ``alpha`` per step, chosen to reach the floor
-        after ``max(1000, max_steps)`` steps, which keeps fixed-work runs
-        deterministic.
+        T0 is the mean uphill magnitude over 100 random neighbors.  Each SA
+        step then sets ``T = T0 * 1e-3^min(1, progress)``.  Under a wall-clock
+        limit ``progress`` is ``elapsed / time_limit``, so the temperature
+        reaches its floor at the deadline however many steps the branch gets.
+        Under ``max_steps`` it is ``steps / max(1000, max_steps)``, counting
+        the step being taken, which keeps fixed-work runs deterministic.
         """
         deltas = []
         for _ in range(100):
@@ -86,14 +88,13 @@ class Branch:
                 deltas.append(d)
         self.t0 = float(np.mean(deltas)) if deltas else 1.0
         self.temp = self.t0
-        if self.config.max_steps is not None:
-            self.alpha = _T_FLOOR ** (1.0 / max(1000, self.config.max_steps))
 
     def _cool(self) -> None:
         if self.config.max_steps is None:
-            self.temp = self.t0 * _T_FLOOR ** min(1.0, self.clock() / self.time_limit)
+            progress = self.clock() / self.time_limit
         else:
-            self.temp *= self.alpha
+            progress = (self.steps + 1) / max(1000, self.config.max_steps)
+        self.temp = self.t0 * _T_FLOOR ** min(1.0, progress)
 
     # -- sampling hooks -----------------------------------------------------------
 
@@ -122,7 +123,7 @@ class Branch:
             self._sa_step(model)
         self.steps += 1
         self.stagnation += 1
-        if self.stagnation >= self.config.restart_after:
+        if self.stagnation >= _RESTART_AFTER:
             # re-center the walk on the incumbent; the cooling schedule keeps
             # its course (resetting it would keep the search hot forever)
             self.current = self.incumbent.copy()
@@ -159,8 +160,8 @@ class Branch:
                 best_state, best_eval, best_tag = cand, ev, tag
         if best_eval is None:
             return
-        self.tabu[reverse_move(best_tag)] = self.steps + self.config.tabu_tenure
-        if len(self.tabu) > 4 * self.config.tabu_tenure * self.config.tabu_candidates:
+        self.tabu[reverse_move(best_tag)] = self.steps + _TABU_TENURE
+        if len(self.tabu) > 4 * _TABU_TENURE * self.config.tabu_candidates:
             self.tabu = {k: v for k, v in self.tabu.items() if v > self.steps}
         self.current = best_state
         self.current_eval = best_eval
@@ -193,10 +194,9 @@ class Branch:
             )
             return
         seed = int(self.rng.integers(0, 2**63 - 1))
-        reads, sweeps = self.config.qm_reads, self.config.qm_sweeps
 
         def run():
-            return sa_sample(query.qubo, reads=reads, sweeps=sweeps, seed=seed)
+            return sa_sample(query.qubo, reads=_QM_READS, sweeps=_QM_SWEEPS, seed=seed)
 
         if executor is None:
             future = Future()  # inline queries complete before the mailbox is read

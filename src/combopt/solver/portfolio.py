@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 from ..errors import StateError
 from ..modeling import Model
@@ -67,7 +68,7 @@ def solve(model: Model, config: SolverConfig | None = None) -> SampleSet:
     warnings = [w for br in branches for w in br.warnings]
     return SampleSet(
         samples=samples,
-        config=config.echo(),
+        config=asdict(config),
         wall_time=clock(),
         warnings=warnings,
     )

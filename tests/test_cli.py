@@ -204,13 +204,60 @@ def test_export_qubo_fixed_penalty(data_dir, tmp_path):
     assert Qubo.load_text(out_auto.read_text()) != Qubo.load_text(out_fixed.read_text())
 
 
-def test_solve_threads_flag(data_dir, capsys):
-    code = run_cli(
-        "solve", "--problem", "tsp", "--instance", str(data_dir / "tsp7.tsp"),
-        "--time-limit", "2", "--threads", "1", "--seed", "5",
-    )
-    assert code == 0
-    assert "best=" in capsys.readouterr().out
+def _set(path, value):
+    def change(doc):
+        *keys, last = path
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return change
+
+
+NL, QUBO_SA = ("algorithms", 1, "config"), ("algorithms", 2, "config")
+
+
+@pytest.mark.parametrize("change, code", [
+    (_set((*NL, "bogus"), 1), 2),
+    (_set((*NL, "time_limit"), 1), 2),
+    (_set((*NL, "threads"), 2), 2),
+    (_set((*NL, "restart_after"), 50), 2),
+    (_set((*NL, "qm_period"), "often"), 2),
+    (_set((*QUBO_SA, "reads"), 0), 2),
+    (_set((*QUBO_SA, "sweeps"), 1.5), 2),
+    (_set((*QUBO_SA, "seed"), 4), 2),
+    (_set((*QUBO_SA, "qm_period"), 5), 2),
+    (_set(QUBO_SA, [1]), 2),
+    (_set(("time_limit",), 0), 2),
+    (_set(("time_limit",), float("inf")), 2),
+    (lambda doc: doc["instances"][1].pop("id"), 2),
+    (lambda doc: doc.pop("algorithms"), 2),
+    ("{not json", 2),
+    (_set((*NL, "qm_period"), 0), 3),
+    (_set((*NL, "cm_kind"), "walk"), 3),
+], ids=["nl-unknown-key", "nl-time_limit", "nl-threads", "nl-restart_after",
+        "nl-str-value", "sa-reads-0", "sa-float-sweeps", "sa-seed", "sa-nl-key",
+        "sa-config-list", "time_limit-0", "time_limit-inf", "instance-no-id",
+        "no-algorithms", "bad-json", "nl-qm_period-0", "nl-cm_kind"])
+def test_bench_rejects_malformed_plan_before_any_cell(data_dir, tmp_path, capsys,
+                                                      change, code):
+    doc = json.loads((data_dir / "plan_smoke.json").read_text())
+    for inst in doc["instances"]:
+        inst["path"] = str(data_dir / inst["path"])
+    doc["optima"] = str(data_dir / doc["optima"])
+    # a sound algorithm comes first, so a late check would leave its records
+    doc["algorithms"].insert(0, {"name": "first", "kind": "qubo-sa",
+                                 "config": {"reads": 2, "sweeps": 8}})
+    if isinstance(change, str):
+        text = change
+    else:
+        change(doc)
+        text = json.dumps(doc)
+    plan = tmp_path / "plan.json"
+    plan.write_text(text)
+    out = tmp_path / "bench"
+    assert run_cli("bench", "--plan", str(plan), "--out-dir", str(out)) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "records.jsonl").exists()
 
 
 def test_export_qubo_non_numeric_penalty_exit_2(data_dir, capsys):

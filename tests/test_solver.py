@@ -370,11 +370,49 @@ def test_sa_cools_by_steps_under_max_steps():
     now = [0.0]
     model, branch = _sa_branch(2000, now)
     t0 = branch.t0
-    assert branch.alpha == pytest.approx(1e-3 ** (1 / 2000), rel=1e-12)
     for k in range(1, 51):
         now[0] = 100.0 * k  # wall time plays no part in a fixed-work run
         branch.cm_step(model)
-        assert branch.temp == pytest.approx(t0 * branch.alpha ** k, rel=1e-9)
+        assert branch.temp == pytest.approx(t0 * 1e-3 ** (k / 2000), rel=1e-9)
+
+
+def test_restart_recentres_walk_on_incumbent(monkeypatch):
+    monkeypatch.setattr(branch, "_RESTART_AFTER", 5)
+    model = build_tsp_model(random_tsp(10, seed=30))
+    config = SolverConfig(time_limit=10.0, n_branches=1, seed=2, qm_enabled=False,
+                          max_steps=10_000)
+    br = Branch(0, model, config, lambda: 0.0, config.time_limit)
+    br.t0 = 1e9  # hot enough to accept every move, so the walk leaves the incumbent
+    restarts = moved = 0
+    for _ in range(200):
+        away = not np.array_equal(br.current.values[0], br.incumbent.values[0])
+        br.cm_step(model)
+        assert br.stagnation < 5
+        if br.stagnation == 0:  # an improvement leaves it at 1 after the step
+            restarts += 1
+            moved += away
+            assert br.current is not br.incumbent
+            assert np.array_equal(br.current.values[0], br.incumbent.values[0])
+            assert br.current_eval.key == br.incumbent_eval.key
+    assert restarts >= 20 and moved > 0
+
+
+def test_tabu_table_is_pruned_to_live_entries(monkeypatch):
+    monkeypatch.setattr(branch, "_TABU_TENURE", 2)
+    model = build_tsp_model(random_tsp(12, seed=31))
+    config = SolverConfig(time_limit=10.0, n_branches=1, seed=0, qm_enabled=False,
+                          cm_kind="tabu", max_steps=1500)
+    br = Branch(0, model, config, lambda: 0.0, config.time_limit)
+    cap = 4 * 2 * config.tabu_candidates
+    prunes = 0
+    for _ in range(1500):
+        table = br.tabu
+        br.cm_step(model)
+        assert len(br.tabu) <= cap
+        if br.tabu is not table:  # pruning builds a new table
+            prunes += 1
+            assert br.tabu and all(until > br.steps - 1 for until in br.tabu.values())
+    assert prunes >= 3
 
 # --- qm queries --------------------------------------------------------------------
 
@@ -516,22 +554,22 @@ def test_qm_pool_only_for_the_gil_releasing_annealer(monkeypatch, backend, poole
         assert len(threads) == 39 and set(threads) == {threading.current_thread().name}
 
 
-def test_threads_caps_branches():
-    from combopt.errors import DomainError
-
-    assert SolverConfig(n_branches=6, threads=2).resolved_branches() == 2
-    assert SolverConfig(n_branches=2, threads=8).resolved_branches() == 2
-    with pytest.raises(DomainError):
-        SolverConfig(threads=0)
-
-
 @pytest.mark.parametrize("value", [0, -3])
-@pytest.mark.parametrize("setting", ["qm_window", "qm_reads", "qm_sweeps", "tabu_candidates"])
+@pytest.mark.parametrize("setting", ["qm_window", "tabu_candidates", "n_branches",
+                                     "qm_period", "max_steps"])
 def test_config_rejects_settings_below_one(setting, value):
     from combopt.errors import DomainError
 
     with pytest.raises(DomainError, match=f"{setting} must be >= 1"):
         SolverConfig(**{setting: value})
+
+
+@pytest.mark.parametrize("time_limit", [float("inf"), float("-inf"), float("nan"), 0])
+def test_config_rejects_time_limit_that_is_not_finite_and_positive(time_limit):
+    from combopt.errors import DomainError
+
+    with pytest.raises(DomainError, match="time_limit must be a finite number > 0"):
+        SolverConfig(time_limit=time_limit)
 
 
 # --- delta evaluation -------------------------------------------------------------
