@@ -10,7 +10,8 @@ Covered: the deterministic README command lines, qubo-sa ``solve`` JSON
 ``--help`` output, qubo-sa plan records apart from ``wall_time``, TSP, kp and
 maxcut window subproblems and their decodes, annealer reads, and the ``max_steps`` +
 ``qm_inline`` sample-set JSON of the perfbench fixed-work configurations plus a
-kp50 SA solve (set moves, the set delta rule and the kp window).  Each solve
+kp50 SA solve (set moves, the set delta rule and the kp window), each with one
+branch and, through the forked portfolio, with two or three.  Each solve
 gives two lines, ``samples`` (the JSON without its ``config`` block) and
 ``config``, so a change to the config echo alone shows up as such.
 """
@@ -224,6 +225,14 @@ def solver_cases() -> None:
         cfg = SolverConfig(seed=seed, n_branches=1, qm_inline=True, max_steps=3_000,
                            time_limit=600.0)
         emit_solve(f"kp50-sa seed={seed}", kp50, cfg)
+    for n_branches in (2, 3):
+        cfg = SolverConfig(seed=0, n_branches=n_branches, qm_inline=True, max_steps=3_000,
+                           time_limit=600.0)
+        emit_solve(f"kp50-sa branches={n_branches}", kp50, cfg)
+    mc = BUILDERS["mc"](generate_random_maxcut(200, 0.1, seed=0, name="mc200"))
+    cfg = SolverConfig(seed=0, n_branches=2, qm_inline=True, max_steps=2_000,
+                       time_limit=600.0, cm_kind="tabu", tabu_candidates=12)
+    emit_solve("mc200-tabu branches=2", mc, cfg)
 
 
 if __name__ == "__main__":

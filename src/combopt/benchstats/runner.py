@@ -80,12 +80,14 @@ class Plan:
                            for d in doc["instances"]],
                 algorithms=[PlanAlgorithm(d["name"], d.get("kind", d["name"]),
                                           d.get("config", {})) for d in doc["algorithms"]],
-                runs=int(doc.get("runs", 10)),
+                runs=doc.get("runs", 10),
                 master_seed=int(doc.get("master_seed", 0)),
                 time_limit=float(doc.get("time_limit", 5.0)),
                 optima_path=doc.get("optima"),
                 base_dir=base_dir,
             )
+            if not (type(plan.runs) is int and plan.runs >= 1):
+                raise ParseError("plan runs must be an integer >= 1")
             if not 0 < plan.time_limit < math.inf:
                 raise ParseError("plan time_limit must be a finite number > 0")
             for alg in plan.algorithms:

@@ -17,8 +17,10 @@ class SolverConfig:
     scales with problem size as ``max(5, elements / 20)``).  ``max_steps``
     optionally adds a deterministic per-branch iteration stop: wall-clock
     cutoffs cannot be byte-reproducible, so reproducibility-sensitive runs set
-    ``max_steps`` and ``qm_inline`` (see README).  ``target`` stops the whole
-    solve as soon as a feasible incumbent reaches the given objective value.
+    ``max_steps`` and ``qm_inline`` (see README), with any ``n_branches``.
+    ``target`` stops the whole solve once a feasible incumbent reaches the
+    given objective value; with forked branches, the step at which the others
+    stop depends on timing.  ``qm_enabled`` and ``qm_inline`` must be bools.
 
     The SA branches cool from T0 to 1e-3 * T0 by elapsed wall time over
     ``time_limit`` when ``max_steps`` is None, and by steps over
@@ -26,7 +28,8 @@ class SolverConfig:
 
     The restart interval, the tabu tenure and the reads and sweeps of a query
     are constants in ``solver/branch.py``: the solver keeps its search settings
-    internal, and ``n_branches`` is its one parallelism setting.
+    internal, and ``n_branches`` is its one parallelism setting: with more
+    than one branch each runs in its own forked process where ``fork`` exists.
     """
 
     time_limit: float | None = None
@@ -50,6 +53,9 @@ class SolverConfig:
                 continue  # unset: one branch per CPU up to 8, no step stop
             if value < 1:
                 raise DomainError(f"{name} must be >= 1")
+        for name in ("qm_enabled", "qm_inline"):
+            if type(getattr(self, name)) is not bool:
+                raise DomainError(f"{name} must be true or false")
         if self.cm_kind not in ("sa", "tabu"):
             raise DomainError(f"unknown cm_kind {self.cm_kind!r}")
 

@@ -229,15 +229,19 @@ NL, QUBO_SA = ("algorithms", 1, "config"), ("algorithms", 2, "config")
     (_set(QUBO_SA, [1]), 2),
     (_set(("time_limit",), 0), 2),
     (_set(("time_limit",), float("inf")), 2),
+    (_set(("runs",), 0), 2),
+    (_set(("runs",), 1.5), 2),
     (lambda doc: doc["instances"][1].pop("id"), 2),
     (lambda doc: doc.pop("algorithms"), 2),
     ("{not json", 2),
     (_set((*NL, "qm_period"), 0), 3),
     (_set((*NL, "cm_kind"), "walk"), 3),
+    (_set((*NL, "qm_inline"), "no"), 3),
 ], ids=["nl-unknown-key", "nl-time_limit", "nl-threads", "nl-restart_after",
         "nl-str-value", "sa-reads-0", "sa-float-sweeps", "sa-seed", "sa-nl-key",
-        "sa-config-list", "time_limit-0", "time_limit-inf", "instance-no-id",
-        "no-algorithms", "bad-json", "nl-qm_period-0", "nl-cm_kind"])
+        "sa-config-list", "time_limit-0", "time_limit-inf", "runs-0", "runs-float",
+        "instance-no-id", "no-algorithms", "bad-json", "nl-qm_period-0", "nl-cm_kind",
+        "nl-str-qm_inline"])
 def test_bench_rejects_malformed_plan_before_any_cell(data_dir, tmp_path, capsys,
                                                       change, code):
     doc = json.loads((data_dir / "plan_smoke.json").read_text())

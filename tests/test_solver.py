@@ -1,7 +1,10 @@
 import itertools
+import multiprocessing
+import os
 import pickle
 import struct
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -330,12 +333,82 @@ def test_portfolio_dominance_merge_takes_min():
 
 
 def test_time_budget_respected():
-    import time
-
     inst = random_tsp(30, seed=15)
     t0 = time.monotonic()
     solve(build_tsp_model(inst), SolverConfig(time_limit=1.5, n_branches=2, seed=0))
     assert time.monotonic() - t0 < 2.5
+
+
+needs_fork = pytest.mark.skipif(not portfolio.fork_available(),
+                                reason="branches run in this process without fork")
+
+
+@needs_fork
+def test_branches_run_in_child_processes(monkeypatch):
+    finalize = Branch.finalize
+
+    def tagged(self):
+        finalize(self)
+        self.warnings.append(f"pid {os.getpid()}")
+
+    monkeypatch.setattr(Branch, "finalize", tagged)
+    result = solve(build_kp_model(random_kp(8, seed=3)),
+                   SolverConfig(time_limit=60.0, n_branches=2, seed=5, max_steps=200,
+                                qm_inline=True))
+    pids = [w for w in result.warnings if w.startswith("pid ")]
+    assert len(set(pids)) == 2 and f"pid {os.getpid()}" not in pids
+
+
+def test_forked_and_serial_solves_are_byte_identical(monkeypatch):
+    model = build_tsp_model(random_tsp(9, seed=11))
+    config = SolverConfig(time_limit=60.0, n_branches=3, seed=13, max_steps=1500,
+                          qm_inline=True, qm_period=100)
+    forked = solve(model, config).to_json()
+    monkeypatch.setattr(portfolio, "fork_available", lambda: False)
+    assert solve(model, config).to_json() == forked
+
+
+@needs_fork
+def test_branch_error_is_reraised_and_every_child_ends(monkeypatch):
+    step = Branch.cm_step
+
+    def failing(self, model):
+        if self.index == 1:
+            raise StateError(f"branch {self.index} broke")
+        step(self, model)
+
+    monkeypatch.setattr(Branch, "cm_step", failing)
+    t0 = time.monotonic()
+    with pytest.raises(StateError, match="branch 1 broke"):
+        # branch 0 would run for the whole minute: it is terminated
+        solve(build_kp_model(random_kp(20, seed=6)),
+              SolverConfig(time_limit=60.0, n_branches=2, seed=0))
+    assert time.monotonic() - t0 < 30
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_branch_that_dies_without_a_result_is_named(monkeypatch):
+    monkeypatch.setattr(Branch, "cm_step", lambda self, model: os._exit(1))
+    with pytest.raises(StateError, match=r"branch \d process exited without a result"):
+        solve(build_kp_model(random_kp(8, seed=3)),
+              SolverConfig(time_limit=60.0, n_branches=2, seed=0))
+    assert multiprocessing.active_children() == []
+
+
+def test_target_stops_every_branch(monkeypatch, data_dir):
+    # branch 1 never improves, so only the target that branch 0 reaches stops it
+    offer = Branch.offer
+    monkeypatch.setattr(Branch, "offer",
+                        lambda self, *args: self.index != 1 and offer(self, *args))
+    inst = parse_tsplib((data_dir / "tsp8.tsp").read_text(), "tsp8")
+    opt, _ = exact_tsp(inst)
+    t0 = time.monotonic()
+    result = solve(build_tsp_model(inst),
+                   SolverConfig(time_limit=30.0, n_branches=2, seed=0, target=opt))
+    assert time.monotonic() - t0 < 10
+    assert result.best().objective == opt
+    assert len([s for s in result if s.source == "final"]) == 2
 
 
 
@@ -561,6 +634,15 @@ def test_config_rejects_settings_below_one(setting, value):
     from combopt.errors import DomainError
 
     with pytest.raises(DomainError, match=f"{setting} must be >= 1"):
+        SolverConfig(**{setting: value})
+
+
+@pytest.mark.parametrize("value", ["no", 0, None])
+@pytest.mark.parametrize("setting", ["qm_enabled", "qm_inline"])
+def test_config_rejects_switches_that_are_not_bool(setting, value):
+    from combopt.errors import DomainError
+
+    with pytest.raises(DomainError, match=f"{setting} must be true or false"):
         SolverConfig(**{setting: value})
 
 
