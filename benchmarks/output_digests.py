@@ -8,10 +8,11 @@ leaves the outputs byte-identical:
 Covered: the deterministic README command lines, qubo-sa ``solve`` JSON
 (including reads that do not decode), ``export-qubo``, ``exact`` and
 ``--help`` output, qubo-sa plan records apart from ``wall_time``, TSP, kp and
-maxcut window subproblems and their decodes, annealer reads, and the ``max_steps`` +
-``qm_inline`` sample-set JSON of the perfbench fixed-work configurations plus a
-kp50 SA solve (set moves, the set delta rule and the kp window), each with one
-branch and, through the forked portfolio, with two or three.  Each solve
+maxcut window subproblems and their decodes, annealer reads, and the ``max_steps``
+sample-set JSON of the perfbench fixed-work configurations plus a kp50 SA solve
+(set moves, the set delta rule and the kp window), each with one branch and,
+through the forked portfolio, with two or three; the two-branch kp50 solve runs
+once more without ``qm_inline``.  Each solve
 gives two lines, ``samples`` (the JSON without its ``config`` block) and
 ``config``, so a change to the config echo alone shows up as such.
 """
@@ -229,6 +230,9 @@ def solver_cases() -> None:
         cfg = SolverConfig(seed=0, n_branches=n_branches, qm_inline=True, max_steps=3_000,
                            time_limit=600.0)
         emit_solve(f"kp50-sa branches={n_branches}", kp50, cfg)
+    # qm_inline selects nothing, so this samples line equals "kp50-sa branches=2"
+    emit_solve("kp50-sa default branches=2", kp50,
+               SolverConfig(seed=0, n_branches=2, max_steps=3_000, time_limit=600.0))
     mc = BUILDERS["mc"](generate_random_maxcut(200, 0.1, seed=0, name="mc200"))
     cfg = SolverConfig(seed=0, n_branches=2, qm_inline=True, max_steps=2_000,
                        time_limit=600.0, cm_kind="tabu", tabu_candidates=12)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import MetricError, ParseError
+from ..errors import DomainError, MetricError, ParseError
 from ..families import ENCODERS, PARSERS, family, native
 from ..problems import BUILDERS
 from ..qubo import sa_sample
@@ -81,13 +81,15 @@ class Plan:
                 algorithms=[PlanAlgorithm(d["name"], d.get("kind", d["name"]),
                                           d.get("config", {})) for d in doc["algorithms"]],
                 runs=doc.get("runs", 10),
-                master_seed=int(doc.get("master_seed", 0)),
+                master_seed=doc.get("master_seed", 0),
                 time_limit=float(doc.get("time_limit", 5.0)),
                 optima_path=doc.get("optima"),
                 base_dir=base_dir,
             )
             if not (type(plan.runs) is int and plan.runs >= 1):
                 raise ParseError("plan runs must be an integer >= 1")
+            if type(plan.master_seed) is not int:
+                raise ParseError("plan master_seed must be an integer")
             if not 0 < plan.time_limit < math.inf:
                 raise ParseError("plan time_limit must be a finite number > 0")
             for alg in plan.algorithms:
@@ -126,10 +128,11 @@ def load_optima(path: str | Path) -> dict[str, float]:
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ParseError(f"bad optima line: {ln!r}")
-        out[parts[0]] = float(parts[1])
+        try:
+            name, value = ln.split()
+            out[name] = float(value)
+        except ValueError:
+            raise ParseError(f"bad optima line: {ln!r}") from None
     return out
 
 
@@ -184,6 +187,8 @@ def qubo_sa_reads(model, family: str, reads: int, sweeps: int, seed: int,
     they run in batches of ``reads // 8`` (seeded ``seed + done``) until the
     reads or the time are used up, and at least one batch always runs.
     """
+    if reads < 1:
+        raise DomainError(f"reads must be >= 1, got {reads}")
     t0 = time.monotonic()
     qubo, decode = ENCODERS[family](model.tags["instance"])
     batch = reads if time_limit is None else max(1, reads // 8)

@@ -4,14 +4,14 @@ Each branch owns an independent RNG stream and an incumbent; the heuristic
 loop (simulated annealing by default, tabu search optionally) explores the
 encoding-feasible neighborhood, while every ``qm_period`` steps a QUBO window
 subproblem is sampled and its decoded solutions compete with the incumbent.
-Subproblem results arrive through a mailbox and are consumed at step
-boundaries, so a slow query never blocks the loop.
+A query runs inline, on the stepping thread, when it is launched; its samples
+are decoded and offered at the next step boundary, so a fixed step budget
+(``max_steps``) alone makes a branch's trajectory reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class Branch:
         self.samples: list[Sample] = []
         self.warnings: list[str] = []
         self.tabu: dict = {}
-        self.pending = None  # (future, query) awaiting mailbox consumption
+        self.pending = None  # (results, query) of the last launch, not yet offered
         self.qm_failed = False
 
         self.current = initial_state(model, self.rng)
@@ -167,18 +167,27 @@ class Branch:
         self.current_eval = best_eval
         self.offer(best_state, best_eval, "cm")
 
-    # -- subproblem queries (the mailbox contract) -----------------------------------
+    # -- subproblem queries -----------------------------------------------------------
 
-    def want_query(self) -> bool:
-        return (
-            self.config.qm_enabled
-            and not self.qm_failed
-            and self.pending is None
-            and self.steps > 0
-            and self.steps % self.config.qm_period == 0
-        )
-
-    def launch_query(self, model: Model, executor) -> None:
+    def exchange(self, model: Model, launch: bool = True) -> None:
+        """Offer the samples of the query launched one step earlier, then, with
+        ``launch``, sample a new query inline when one is due."""
+        if self.pending is not None:
+            results, query = self.pending
+            self.pending = None
+            for bits, _ in results:
+                state = query.decode(bits)
+                if state is None:
+                    continue
+                ev = model.evaluate_unchecked(state)
+                if not ev.feasible:
+                    continue
+                if self.offer(state, ev, "qm"):
+                    self.current = state.copy()
+                    self.current_eval = ev
+        if not (launch and self.config.qm_enabled and not self.qm_failed
+                and self.steps > 0 and self.steps % self.config.qm_period == 0):
+            return
         window = self.config.qm_window
         n_max = max(spec.n for spec in model.decisions)
         if window > n_max:
@@ -194,42 +203,12 @@ class Branch:
             )
             return
         seed = int(self.rng.integers(0, 2**63 - 1))
-
-        def run():
-            return sa_sample(query.qubo, reads=_QM_READS, sweeps=_QM_SWEEPS, seed=seed)
-
-        if executor is None:
-            future = Future()  # inline queries complete before the mailbox is read
-            try:
-                future.set_result(run())
-            except Exception as exc:
-                future.set_exception(exc)
-        else:
-            future = executor.submit(run)
-        self.pending = (future, query)
-
-    def consume_mailbox(self, model: Model) -> None:
-        if self.pending is None:
-            return
-        future, query = self.pending
-        if not future.done():
-            return
-        self.pending = None
         try:
-            results = future.result()
+            results = sa_sample(query.qubo, reads=_QM_READS, sweeps=_QM_SWEEPS, seed=seed)
         except Exception as exc:  # sampler failure must not kill the branch
             self.warnings.append(f"branch {self.index}: subproblem sampling failed: {exc}")
             return
-        for bits, _ in results:
-            state = query.decode(bits)
-            if state is None:
-                continue
-            ev = model.evaluate_unchecked(state)
-            if not ev.feasible:
-                continue
-            if self.offer(state, ev, "qm"):
-                self.current = state.copy()
-                self.current_eval = ev
+        self.pending = (results, query)
 
     def finalize(self) -> None:
         self.samples.append(

@@ -17,10 +17,12 @@ class SolverConfig:
     scales with problem size as ``max(5, elements / 20)``).  ``max_steps``
     optionally adds a deterministic per-branch iteration stop: wall-clock
     cutoffs cannot be byte-reproducible, so reproducibility-sensitive runs set
-    ``max_steps`` and ``qm_inline`` (see README), with any ``n_branches``.
-    ``target`` stops the whole solve once a feasible incumbent reaches the
-    given objective value; with forked branches, the step at which the others
-    stop depends on timing.  ``qm_enabled`` and ``qm_inline`` must be bools.
+    ``max_steps`` (see README), with any ``n_branches``.  ``target`` stops the
+    whole solve once a feasible incumbent reaches the given objective value;
+    with forked branches, the step at which the others stop depends on timing.
+    ``qm_enabled`` and ``qm_inline`` must be bools.  ``qm_inline`` selects
+    nothing, as every query runs inline; it stays while the perfbench workloads
+    pass it and goes with perfbench's Housekeeping change (ROADMAP).
 
     The SA branches cool from T0 to 1e-3 * T0 by elapsed wall time over
     ``time_limit`` when ``max_steps`` is None, and by steps over

@@ -10,13 +10,11 @@ exists: the frozen model is inherited, not pickled, every child cools by the
 same ``time.monotonic`` clock, and a ``target`` stop is an event shared by all.
 Otherwise the branches step round-robin, ``_CHUNK`` steps at a time, here.
 
-Subproblem sampling runs on a small thread pool, with mailbox delivery at step
-boundaries, only for the numba kernel, which releases the GIL.  The numpy
-fallback holds it, so pool threads would take it from the branches at moments
-that vary from run to run: its queries run inline, as with ``qm_inline``.  So
-the step rate is not known in advance, and each branch cools by elapsed time
-under a wall-clock limit, by steps under ``max_steps`` (``Branch.calibrate``).
-The pool is created after the fork, so no child inherits its threads.
+Each branch samples its subproblem queries inline, between its own steps
+(``Branch.exchange``), so ``max_steps`` alone makes a solve byte-reproducible.
+Queries make the step rate uneven and unknown in advance, so each branch cools
+by elapsed time under a wall-clock limit, by steps under ``max_steps``
+(``Branch.calibrate``).
 """
 
 from __future__ import annotations
@@ -25,12 +23,10 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 from ..errors import StateError
 from ..modeling import Model
-from ..qubo.sampler import default_backend
 from .branch import Branch
 from .config import SolverConfig
 from .sampleset import SampleSet
@@ -65,19 +61,10 @@ def solve(model: Model, config: SolverConfig | None = None) -> SampleSet:
         branches = [Branch(b, model, config, clock, time_limit) for b in indices]
         for br in branches:
             br.calibrate(model)
-
-        executor = None
-        if config.qm_enabled and not config.qm_inline and default_backend() == "numba":
-            executor = ThreadPoolExecutor(max_workers=min(len(branches), 4),
-                                          thread_name_prefix="qm")
-        try:
-            _interleave(branches, model, config, deadline, executor, stop)
-            for br in branches:
-                br.consume_mailbox(model)
-                br.finalize()
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=False, cancel_futures=True)
+        _interleave(branches, model, config, deadline, stop)
+        for br in branches:
+            br.exchange(model, launch=False)
+            br.finalize()
         return [(br.samples, br.warnings) for br in branches]
 
     if n_branches > 1 and fork_available():
@@ -143,8 +130,7 @@ def _run_forked(run, n_branches: int) -> list:
     return [results[b] for b in range(n_branches)]
 
 
-def _interleave(branches, model: Model, config: SolverConfig, deadline: float,
-                executor, stop) -> None:
+def _interleave(branches, model: Model, config: SolverConfig, deadline: float, stop) -> None:
     """Step the branches round-robin, ``_CHUNK`` steps at a time, until one
     stop condition holds: every branch has taken ``max_steps`` steps, the
     deadline has passed, or an incumbent has reached ``target``.  The branch
@@ -158,9 +144,7 @@ def _interleave(branches, model: Model, config: SolverConfig, deadline: float,
             for _ in range(min(_CHUNK, max_steps - br.steps)):
                 if time.monotonic() >= deadline:
                     return
-                br.consume_mailbox(model)
-                if br.want_query():
-                    br.launch_query(model, executor)
+                br.exchange(model)
                 br.cm_step(model)
                 if (goal is not None and br.incumbent_eval.feasible
                         and br.incumbent_eval.objective <= goal):

@@ -54,6 +54,37 @@ def test_solve_qubo_sa_backend(data_dir, capsys):
     assert "solver=qubo-sa" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("reads", ["0", "-2"])
+def test_solve_qubo_sa_rejects_reads_below_one(data_dir, capsys, reads):
+    code = run_cli(
+        "solve", "--problem", "kp", "--instance", str(data_dir / "kp50.kp"),
+        "--solver", "qubo-sa", "--reads", reads, "--sweeps", "8",
+    )
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: reads must be >= 1")
+
+
+def test_bad_optima_line_exit_2(data_dir, tmp_path, capsys):
+    optima = tmp_path / "optima.txt"
+    optima.write_text("tsp7 1267\ntsp8 abc\nmc10 146\n")
+    code = run_cli(
+        "solve", "--problem", "maxcut", "--instance", str(data_dir / "mc10.mc"),
+        "--solver", "qubo-sa", "--reads", "2", "--sweeps", "8", "--optima", str(optima),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: bad optima line: 'tsp8 abc'\n"
+    doc = json.loads((data_dir / "plan_smoke.json").read_text())
+    for inst in doc["instances"]:
+        inst["path"] = str(data_dir / inst["path"])
+    doc["optima"] = str(optima)
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(doc))
+    out = tmp_path / "bench"
+    assert run_cli("bench", "--plan", str(plan), "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err == "error: bad optima line: 'tsp8 abc'\n"
+    assert not (out / "records.jsonl").exists()
+
+
 def test_solve_seed_determinism(data_dir, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -231,6 +262,8 @@ NL, QUBO_SA = ("algorithms", 1, "config"), ("algorithms", 2, "config")
     (_set(("time_limit",), float("inf")), 2),
     (_set(("runs",), 0), 2),
     (_set(("runs",), 1.5), 2),
+    (_set(("master_seed",), 1.5), 2),
+    (_set(("master_seed",), True), 2),
     (lambda doc: doc["instances"][1].pop("id"), 2),
     (lambda doc: doc.pop("algorithms"), 2),
     ("{not json", 2),
@@ -240,6 +273,7 @@ NL, QUBO_SA = ("algorithms", 1, "config"), ("algorithms", 2, "config")
 ], ids=["nl-unknown-key", "nl-time_limit", "nl-threads", "nl-restart_after",
         "nl-str-value", "sa-reads-0", "sa-float-sweeps", "sa-seed", "sa-nl-key",
         "sa-config-list", "time_limit-0", "time_limit-inf", "runs-0", "runs-float",
+        "master_seed-float", "master_seed-bool",
         "instance-no-id", "no-algorithms", "bad-json", "nl-qm_period-0", "nl-cm_kind",
         "nl-str-qm_inline"])
 def test_bench_rejects_malformed_plan_before_any_cell(data_dir, tmp_path, capsys,

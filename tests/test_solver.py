@@ -5,7 +5,6 @@ import pickle
 import struct
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -286,11 +285,12 @@ def test_every_sample_is_structurally_valid():
 
 def test_single_branch_runs_are_byte_identical():
     inst = random_tsp(9, seed=11)
-    config = SolverConfig(time_limit=30.0, n_branches=1, seed=13,
-                          max_steps=1500, qm_inline=True)
-    a = solve(build_tsp_model(inst), config).to_json()
-    b = solve(build_tsp_model(inst), config).to_json()
-    assert a == b
+    for qm_inline in (True, False):  # the field is inert; the default is covered too
+        config = SolverConfig(time_limit=30.0, n_branches=1, seed=13,
+                              max_steps=1500, qm_inline=qm_inline)
+        a = solve(build_tsp_model(inst), config).to_json()
+        b = solve(build_tsp_model(inst), config).to_json()
+        assert a == b
 
 
 def test_different_seeds_differ():
@@ -585,46 +585,31 @@ def test_qm_improves_or_preserves_incumbent():
     assert result.best().feasible
 
 
-@pytest.mark.parametrize("inline", [True, False])
-def test_qm_sampler_failure_becomes_a_warning(monkeypatch, inline):
+def test_qm_sampler_failure_becomes_a_warning(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("sampler down")
 
     monkeypatch.setattr(branch, "sa_sample", broken)
     model = build_tsp_model(random_tsp(8, seed=25))
     result = solve(model, SolverConfig(time_limit=60.0, n_branches=1, seed=1,
-                                        max_steps=2000, qm_inline=inline, qm_period=50))
+                                        max_steps=2000, qm_period=50))
     assert "branch 0: subproblem sampling failed: sampler down" in result.warnings
     assert result.best().feasible
 
 
-@pytest.mark.parametrize("backend, pooled", [("numpy", False), ("numba", True)])
-def test_qm_pool_only_for_the_gil_releasing_annealer(monkeypatch, backend, pooled):
-    # the numpy annealer holds the GIL, so its queries run on the stepping thread
-    made, threads = [], []
-
-    class Recording(ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(kwargs["thread_name_prefix"])
-            super().__init__(*args, **kwargs)
-
+def test_qm_queries_run_on_the_stepping_thread(monkeypatch):
+    threads = []
     real = branch.sa_sample
 
     def spy(*args, **kwargs):
         threads.append(threading.current_thread().name)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(portfolio, "ThreadPoolExecutor", Recording)
-    monkeypatch.setattr(portfolio, "default_backend", lambda: backend)
     monkeypatch.setattr(branch, "sa_sample", spy)
     model = build_tsp_model(random_tsp(8, seed=25))
     solve(model, SolverConfig(time_limit=60.0, n_branches=1, seed=1, max_steps=2000,
                               qm_period=50))
-    assert made == (["qm"] if pooled else [])
-    if pooled:
-        assert all(name.startswith("qm") for name in threads)
-    else:
-        assert len(threads) == 39 and set(threads) == {threading.current_thread().name}
+    assert len(threads) == 39 and set(threads) == {threading.current_thread().name}
 
 
 @pytest.mark.parametrize("value", [0, -3])
