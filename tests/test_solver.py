@@ -585,14 +585,15 @@ def test_qm_improves_or_preserves_incumbent():
     assert result.best().feasible
 
 
-def test_qm_sampler_failure_becomes_a_warning(monkeypatch):
+@pytest.mark.parametrize("inline", [True, False])  # qm_inline is inert; both must warn
+def test_qm_sampler_failure_becomes_a_warning(monkeypatch, inline):
     def broken(*args, **kwargs):
         raise RuntimeError("sampler down")
 
     monkeypatch.setattr(branch, "sa_sample", broken)
     model = build_tsp_model(random_tsp(8, seed=25))
     result = solve(model, SolverConfig(time_limit=60.0, n_branches=1, seed=1,
-                                        max_steps=2000, qm_period=50))
+                                        max_steps=2000, qm_inline=inline, qm_period=50))
     assert "branch 0: subproblem sampling failed: sampler down" in result.warnings
     assert result.best().feasible
 
