@@ -12,7 +12,8 @@ maxcut window subproblems and their decodes, annealer reads, and the ``max_steps
 sample-set JSON of the perfbench fixed-work configurations plus a kp50 SA solve
 (set moves, the set delta rule and the kp window), each with one branch and,
 through the forked portfolio, with two or three; the two-branch kp50 solve runs
-once more without ``qm_inline``.  Each solve
+once more without ``qm_inline``; an SA maxcut solve whose last step has a query
+due runs with one branch and with two.  Each solve
 gives two lines, ``samples`` (the JSON without its ``config`` block) and
 ``config``, so a change to the config echo alone shows up as such.
 """
@@ -237,6 +238,12 @@ def solver_cases() -> None:
     cfg = SolverConfig(seed=0, n_branches=2, qm_inline=True, max_steps=2_000,
                        time_limit=600.0, cm_kind="tabu", tabu_candidates=12)
     emit_solve("mc200-tabu branches=2", mc, cfg)
+    # a query is due before the last step, so its samples are offered after it,
+    # just before the branch finalizes
+    mc = BUILDERS["mc"](generate_random_maxcut(200, 0.2, (1, 10), seed=7, name="mc200"))
+    for n_branches in (1, 2):
+        cfg = SolverConfig(seed=3, n_branches=n_branches, max_steps=2_001, time_limit=600.0)
+        emit_solve(f"mc200-sa max_steps=2001 branches={n_branches}", mc, cfg)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 Structured decision variables (permutations, subsets, partitions, bit and
 integer arrays) over an expression-graph model, a portfolio heuristic solver
-that pairs local search with an asynchronous QUBO subproblem sampler, QUBO
+that pairs local search with an inline QUBO subproblem sampler, QUBO
 penalty encodings with a simulated-annealing sampler, and a benchmark harness
 with Friedman / Holm / Wilcoxon statistics.
 """

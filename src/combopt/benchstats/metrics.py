@@ -7,6 +7,13 @@ from dataclasses import dataclass
 from ..errors import MetricError
 
 
+def _raw_ratio(value: float, optimum: float, sense: str) -> float:
+    """optimum/value when minimizing, value/optimum otherwise; not clamped."""
+    if sense == "min":
+        return optimum / value if value > 0 else (1.0 if value == optimum else 0.0)
+    return value / optimum if optimum else 0.0
+
+
 def approximation_ratio(value, optimum, sense: str, feasible: bool = True) -> float:
     """Quality in [0, 1]; 1 means optimal, infeasible solutions score 0.
 
@@ -22,26 +29,18 @@ def approximation_ratio(value, optimum, sense: str, feasible: bool = True) -> fl
         return 0.0
     optimum = float(optimum)
     value = float(value)
-    if sense == "min":
-        if optimum <= 0:
-            raise MetricError("minimization ratios require optimum > 0")
-        ratio = optimum / value if value > 0 else (1.0 if value == optimum else 0.0)
-    else:
-        if optimum == 0:
-            raise MetricError("maximization ratios require optimum != 0")
-        ratio = value / optimum
-    return min(1.0, max(0.0, ratio))
+    if sense == "min" and optimum <= 0:
+        raise MetricError("minimization ratios require optimum > 0")
+    if sense == "max" and optimum == 0:
+        raise MetricError("maximization ratios require optimum != 0")
+    return min(1.0, max(0.0, _raw_ratio(value, optimum, sense)))
 
 
 def is_clamped(value, optimum, sense: str, feasible: bool = True) -> bool:
     """True when the raw ratio falls outside [0, 1] (stale-optimum guard)."""
     if not feasible or optimum is None:
         return False
-    value, optimum = float(value), float(optimum)
-    if sense == "min":
-        raw = optimum / value if value > 0 else (1.0 if value == optimum else 0.0)
-    else:
-        raw = value / optimum if optimum else 0.0
+    raw = _raw_ratio(float(value), float(optimum), sense)
     return raw > 1.0 or raw < 0.0
 
 

@@ -114,8 +114,6 @@ def emit_report(table: ResultsTable, out_dir: str | Path,
                     scores = table.score_matrix(instances, algorithms, metric)
                 except Exception:
                     continue
-                if np.any([v is None for v in scores.ravel()]):
-                    continue
                 summary = average_ranks(scores, algorithms, direction="max")
                 chi, df = friedman_statistic(summary)
                 crit = friedman_critical_value(df)

@@ -4,9 +4,10 @@ Each branch owns an independent RNG stream and an incumbent; the heuristic
 loop (simulated annealing by default, tabu search optionally) explores the
 encoding-feasible neighborhood, while every ``qm_period`` steps a QUBO window
 subproblem is sampled and its decoded solutions compete with the incumbent.
-A query runs inline, on the stepping thread, when it is launched; its samples
-are decoded and offered at the next step boundary, so a fixed step budget
-(``max_steps``) alone makes a branch's trajectory reproducible.
+A query runs inline, on the stepping thread, within one ``Branch.step``: the
+window is sampled before the heuristic step and its decoded samples are offered
+after it, so a fixed step budget (``max_steps``) alone makes a branch's
+trajectory reproducible.
 """
 
 from __future__ import annotations
@@ -53,16 +54,16 @@ class Branch:
         self.samples: list[Sample] = []
         self.warnings: list[str] = []
         self.tabu: dict = {}
-        self.pending = None  # (results, query) of the last launch, not yet offered
         self.qm_failed = False
+        n_max = max(spec.n for spec in model.decisions)
+        if config.qm_enabled and config.qm_window > n_max:
+            self.warnings.append(f"branch {index}: window {config.qm_window} clamped to {n_max}")
 
         self.current = initial_state(model, self.rng)
         self.current_eval = model.evaluate_unchecked(self.current)
         self.incumbent = self.current.copy()
         self.incumbent_eval = self.current_eval
-        self.samples.append(
-            make_sample(self.incumbent, self.incumbent_eval, index, 0, "init", clock())
-        )
+        self.record_improvement("init")
 
         self.t0 = 1.0
         self.temp = 1.0
@@ -99,6 +100,7 @@ class Branch:
     # -- sampling hooks -----------------------------------------------------------
 
     def record_improvement(self, source: str) -> None:
+        """Deposit the incumbent as a sample from ``source``."""
         self.samples.append(
             make_sample(self.incumbent, self.incumbent_eval, self.index,
                         self.steps, source, self.clock())
@@ -167,52 +169,37 @@ class Branch:
         self.current_eval = best_eval
         self.offer(best_state, best_eval, "cm")
 
-    # -- subproblem queries -----------------------------------------------------------
+    # -- one step -------------------------------------------------------------------
 
-    def exchange(self, model: Model, launch: bool = True) -> None:
-        """Offer the samples of the query launched one step earlier, then, with
-        ``launch``, sample a new query inline when one is due."""
-        if self.pending is not None:
-            results, query = self.pending
-            self.pending = None
-            for bits, _ in results:
-                state = query.decode(bits)
-                if state is None:
-                    continue
-                ev = model.evaluate_unchecked(state)
-                if not ev.feasible:
-                    continue
-                if self.offer(state, ev, "qm"):
-                    self.current = state.copy()
-                    self.current_eval = ev
-        if not (launch and self.config.qm_enabled and not self.qm_failed
-                and self.steps > 0 and self.steps % self.config.qm_period == 0):
-            return
-        window = self.config.qm_window
-        n_max = max(spec.n for spec in model.decisions)
-        if window > n_max:
-            msg = f"branch {self.index}: window {window} clamped to {n_max}"
-            if msg not in self.warnings:
-                self.warnings.append(msg)
-        query = qm_query(model, self.incumbent, window, self.rng)
-        if query is None:
-            self.qm_failed = True
-            self.warnings.append(
-                f"branch {self.index}: model has no problem-family tag; "
-                "subproblem sampling disabled"
-            )
-            return
-        seed = int(self.rng.integers(0, 2**63 - 1))
-        try:
-            results = sa_sample(query.qubo, reads=_QM_READS, sweeps=_QM_SWEEPS, seed=seed)
-        except Exception as exc:  # sampler failure must not kill the branch
-            self.warnings.append(f"branch {self.index}: subproblem sampling failed: {exc}")
-            return
-        self.pending = (results, query)
+    def step(self, model: Model) -> None:
+        """One heuristic step.  When a query is due, its window is sampled before
+        the step and its decoded, feasible samples are offered after it."""
+        reads = ()
+        if (self.config.qm_enabled and not self.qm_failed and self.steps > 0
+                and self.steps % self.config.qm_period == 0):
+            query = qm_query(model, self.incumbent, self.config.qm_window, self.rng)
+            if query is None:
+                self.qm_failed = True
+                self.warnings.append(f"branch {self.index}: model has no problem-family tag; "
+                                     "subproblem sampling disabled")
+            else:
+                seed = int(self.rng.integers(0, 2**63 - 1))
+                try:
+                    reads = sa_sample(query.qubo, reads=_QM_READS, sweeps=_QM_SWEEPS, seed=seed)
+                except Exception as exc:  # sampler failure must not kill the branch
+                    self.qm_failed = True
+                    self.warnings.append(
+                        f"branch {self.index}: subproblem sampling failed: {exc}")
+        self.cm_step(model)
+        for bits, _ in reads:
+            state = query.decode(bits)
+            if state is None:
+                continue
+            ev = model.evaluate_unchecked(state)
+            if ev.feasible and self.offer(state, ev, "qm"):
+                self.current = state.copy()
+                self.current_eval = ev
 
     def finalize(self) -> None:
-        self.samples.append(
-            make_sample(self.incumbent, self.incumbent_eval, self.index,
-                        self.steps, "final", self.clock())
-        )
+        self.record_improvement("final")
 

@@ -10,8 +10,8 @@ exists: the frozen model is inherited, not pickled, every child cools by the
 same ``time.monotonic`` clock, and a ``target`` stop is an event shared by all.
 Otherwise the branches step round-robin, ``_CHUNK`` steps at a time, here.
 
-Each branch samples its subproblem queries inline, between its own steps
-(``Branch.exchange``), so ``max_steps`` alone makes a solve byte-reproducible.
+Each branch samples its subproblem queries inline, inside its own steps
+(``Branch.step``), so ``max_steps`` alone makes a solve byte-reproducible.
 Queries make the step rate uneven and unknown in advance, so each branch cools
 by elapsed time under a wall-clock limit, by steps under ``max_steps``
 (``Branch.calibrate``).
@@ -63,7 +63,6 @@ def solve(model: Model, config: SolverConfig | None = None) -> SampleSet:
             br.calibrate(model)
         _interleave(branches, model, config, deadline, stop)
         for br in branches:
-            br.exchange(model, launch=False)
             br.finalize()
         return [(br.samples, br.warnings) for br in branches]
 
@@ -144,8 +143,7 @@ def _interleave(branches, model: Model, config: SolverConfig, deadline: float, s
             for _ in range(min(_CHUNK, max_steps - br.steps)):
                 if time.monotonic() >= deadline:
                     return
-                br.exchange(model)
-                br.cm_step(model)
+                br.step(model)
                 if (goal is not None and br.incumbent_eval.feasible
                         and br.incumbent_eval.objective <= goal):
                     stop.set()

@@ -1,4 +1,5 @@
 import itertools
+import json
 import multiprocessing
 import os
 import pickle
@@ -594,8 +595,56 @@ def test_qm_sampler_failure_becomes_a_warning(monkeypatch, inline):
     model = build_tsp_model(random_tsp(8, seed=25))
     result = solve(model, SolverConfig(time_limit=60.0, n_branches=1, seed=1,
                                         max_steps=2000, qm_inline=inline, qm_period=50))
-    assert "branch 0: subproblem sampling failed: sampler down" in result.warnings
+    # the first failure disables the branch's queries: one warning, not one per period
+    failed = [w for w in result.warnings if "subproblem sampling failed" in w]
+    assert failed == ["branch 0: subproblem sampling failed: sampler down"]
     assert result.best().feasible
+
+
+def _mc200_query_solve(**overrides):
+    model = build_mcp_model(generate_random_maxcut(200, 0.2, (1, 10), seed=7))
+    config = dict(time_limit=600.0, n_branches=1, seed=3, max_steps=2001)
+    return solve(model, SolverConfig(**{**config, **overrides}))
+
+
+def test_qm_samples_carry_the_step_after_their_query():
+    # a query is sampled before step k * qm_period + 1 and offered after it
+    for period in (500, 120):
+        steps = {s.step for s in _mc200_query_solve(qm_period=period) if s.source == "qm"}
+        assert steps and all(step % period == 1 for step in steps)
+
+
+def test_query_due_at_the_last_step_is_offered_before_finalize():
+    # the query sampled before step 2001, the last one, still competes
+    doc = json.loads(_mc200_query_solve().to_json())
+    assert ("qm", 2001) in {(s["source"], s["step"]) for s in doc["samples"]}
+
+
+def test_window_clamp_warns_once_per_branch():
+    model = build_tsp_model(random_tsp(8, seed=25))
+    result = solve(model, SolverConfig(time_limit=60.0, n_branches=2, seed=1, max_steps=400,
+                                        qm_period=50, qm_window=20))
+    clamped = [w for w in result.warnings if "clamped" in w]
+    assert sorted(clamped) == [f"branch {b}: window 20 clamped to 8" for b in range(2)]
+
+
+def test_untagged_model_warns_once_and_stops_querying(monkeypatch):
+    calls = []
+    real = branch.qm_query
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(branch, "qm_query", spy)
+    m = Model()
+    x = m.binary(16)
+    m.minimize(x.sum())
+    result = solve(m, SolverConfig(time_limit=60.0, n_branches=1, seed=0, max_steps=2000,
+                                   qm_period=50))
+    assert len(calls) == 1
+    assert result.warnings == [
+        "branch 0: model has no problem-family tag; subproblem sampling disabled"]
 
 
 def test_qm_queries_run_on_the_stepping_thread(monkeypatch):
