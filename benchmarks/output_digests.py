@@ -7,7 +7,8 @@ leaves the outputs byte-identical:
 
 Covered: the deterministic README command lines, qubo-sa ``solve`` JSON
 (including reads that do not decode), ``export-qubo``, ``exact`` and
-``--help`` output, qubo-sa plan records apart from ``wall_time``, TSP, kp and
+``--help`` output, qubo-sa plan records apart from ``wall_time``, every CSV of
+``emit_report`` on six synthetic results tables, TSP, kp and
 maxcut window subproblems and their decodes, annealer reads, and the ``max_steps``
 sample-set JSON of the perfbench fixed-work configurations plus a kp50 SA solve
 (set moves, the set delta rule and the kp window), each with one branch and,
@@ -25,11 +26,13 @@ import hashlib
 import io
 import itertools
 import json
+import random
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from combopt.benchstats import ResultsTable, emit_report
 from combopt.cli import main as cli
 from combopt.problems import (
     BUILDERS,
@@ -133,6 +136,40 @@ def plan_cases(tmp: Path) -> None:
         for r in rows:
             r.pop("wall_time")
         emit(f"plan records time_limit={time_limit}", json.dumps(rows, sort_keys=True))
+
+
+def synthetic_table(rng: random.Random, n_instances: int, algorithms: str, runs: int,
+                    ratios=None, missing=()) -> ResultsTable:
+    """Shuffled records of every (instance, algorithm) cell outside ``missing``;
+    ``ratios`` draws each best_ratio from a few values, so cell means tie."""
+    table = ResultsTable()
+    for i, alg, run in itertools.product(range(n_instances), algorithms, range(runs)):
+        if (f"i{i}", alg) in missing:
+            continue
+        best = rng.choice(ratios) if ratios else rng.uniform(0.3, 1.0)
+        table.add({"instance": f"i{i}", "algorithm": alg, "run": run,
+                   "best_value": None if best < 0.4 else round(100 * best, 2),
+                   "best_ratio": best, "mean_ratio": best * rng.random(),
+                   "feasible_fraction": rng.randint(0, 8) / 8, "n_samples": 8,
+                   "wall_time": round(rng.uniform(0.01, 2.0), 4)})
+    rng.shuffle(table.records)
+    return table
+
+
+def report_cases(tmp: Path) -> None:
+    rng = random.Random(2024)
+    cases = [
+        ("empty", ResultsTable(), None),
+        ("one algorithm", synthetic_table(rng, 4, "a", 3), None),
+        ("two algorithms", synthetic_table(rng, 6, "ab", 3), None),
+        ("three algorithms tied", synthetic_table(rng, 8, "abc", 1, (0.5, 0.75, 1.0)), None),
+        ("missing cell", synthetic_table(rng, 5, "abc", 2, missing={("i2", "b")}), None),
+        ("control c", synthetic_table(rng, 7, "abc", 3), "c"),
+    ]
+    for k, (name, table, control) in enumerate(cases):
+        paths = emit_report(table, tmp / f"report-{k}", control=control)
+        for key, path in paths.items():
+            emit(f"report {name} {key}", path.read_bytes())
 
 
 def window_cases() -> None:
@@ -250,6 +287,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         cli_cases(Path(tmp))
         plan_cases(Path(tmp))
+        report_cases(Path(tmp))
     window_cases()
     kp_mc_window_cases()
     sampler_cases()

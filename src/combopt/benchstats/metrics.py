@@ -49,7 +49,6 @@ class SamplesetMetrics:
     best_ratio: float
     mean_ratio: float
     feasible_fraction: float
-    clamped: int
 
 
 def sampleset_metrics(samples, optimum, sense: str) -> SamplesetMetrics:
@@ -62,15 +61,12 @@ def sampleset_metrics(samples, optimum, sense: str) -> SamplesetMetrics:
     if not samples:
         raise MetricError("cannot compute metrics of an empty sample collection")
     ratios = []
-    clamped = 0
     feasible_count = 0
     for value, feasible in samples:
         ratios.append(approximation_ratio(value, optimum, sense, feasible))
-        clamped += is_clamped(value, optimum, sense, feasible)
         feasible_count += bool(feasible)
     return SamplesetMetrics(
         best_ratio=max(ratios),
         mean_ratio=sum(ratios) / len(ratios),
         feasible_fraction=feasible_count / len(samples),
-        clamped=clamped,
     )

@@ -3,8 +3,8 @@
 A plan is a single JSON document naming instance files, algorithms (the
 portfolio solver and/or the binary annealing baseline), the run count, time
 limits, and a reference-optima file.  Cells run with a seed derived from
-(master seed, instance, algorithm, run), results append to a JSONL log, and
-a re-run skips completed cells, so interrupted experiments resume for free.
+(master seed, instance, algorithm, run), results go to a JSONL log, and a
+resumed run skips the cells already in it, so interrupted experiments resume.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import math
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-
-import numpy as np
 
 from ..errors import DomainError, MetricError, ParseError
 from ..families import ENCODERS, PARSERS, family, native
@@ -82,7 +80,7 @@ class Plan:
                                           d.get("config", {})) for d in doc["algorithms"]],
                 runs=doc.get("runs", 10),
                 master_seed=doc.get("master_seed", 0),
-                time_limit=float(doc.get("time_limit", 5.0)),
+                time_limit=doc.get("time_limit", 5.0),
                 optima_path=doc.get("optima"),
                 base_dir=base_dir,
             )
@@ -90,7 +88,7 @@ class Plan:
                 raise ParseError("plan runs must be an integer >= 1")
             if type(plan.master_seed) is not int:
                 raise ParseError("plan master_seed must be an integer")
-            if not 0 < plan.time_limit < math.inf:
+            if type(plan.time_limit) not in (int, float) or not 0 < plan.time_limit < math.inf:
                 raise ParseError("plan time_limit must be a finite number > 0")
             for alg in plan.algorithms:
                 if alg.kind not in PLAN_KEYS:
@@ -138,10 +136,9 @@ def load_optima(path: str | Path) -> dict[str, float]:
 
 @dataclass
 class ResultsTable:
-    """Flat records plus the reference optima used for ratio metrics."""
+    """Flat per-run records of an experiment."""
 
     records: list[dict] = field(default_factory=list)
-    optima: dict[str, float] = field(default_factory=dict)
 
     def add(self, record: dict) -> None:
         self.records.append(record)
@@ -156,21 +153,9 @@ class ResultsTable:
             if r["instance"] == instance and r["algorithm"] == algorithm
         ]
 
-    def score_matrix(self, instances: list[str], algorithms: list[str],
-                     metric: str = "best_ratio") -> np.ndarray:
-        """Mean metric over runs, instances x algorithms."""
-        out = np.empty((len(instances), len(algorithms)))
-        for i, inst in enumerate(instances):
-            for j, alg in enumerate(algorithms):
-                rows = self.runs_of(inst, alg)
-                if not rows:
-                    raise MetricError(f"no records for ({inst}, {alg})")
-                out[i, j] = float(np.mean([r[metric] for r in rows]))
-        return out
-
     @classmethod
-    def load_jsonl(cls, path: str | Path, optima: dict | None = None) -> "ResultsTable":
-        table = cls(optima=optima or {})
+    def load_jsonl(cls, path: str | Path) -> "ResultsTable":
+        table = cls()
         for ln in Path(path).read_text().splitlines():
             if ln.strip():
                 table.add(json.loads(ln))
@@ -239,12 +224,13 @@ def run_cell(model, family: str, algorithm: PlanAlgorithm, seed: int,
 
 def run_experiment(plan: Plan, out_dir: str | Path, resume: bool = True,
                    log=None) -> ResultsTable:
-    """Execute every cell of the plan, appending to ``records.jsonl``.
+    """Execute every cell of the plan, writing each record to ``records.jsonl``.
 
     Every instance needs a reference optimum in the plan's optima file, since
     each record carries ratio metrics; a missing one raises ``MetricError``
-    before any cell runs.  With ``resume=True`` cells already present in the
-    log are skipped, so re-running a completed plan is a no-op.
+    before any cell runs.  With ``resume=True`` the log is appended to and the
+    cells already in it are skipped, so re-running a completed plan is a
+    no-op; with ``resume=False`` the log starts empty.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -255,10 +241,10 @@ def run_experiment(plan: Plan, out_dir: str | Path, resume: bool = True,
     if missing:
         raise MetricError("reference optima missing for instances: " + ", ".join(missing))
 
-    table = ResultsTable(optima=optima)
+    table = ResultsTable()
     if resume and records_path.exists():
-        table = ResultsTable.load_jsonl(records_path, optima=optima)
-    done = table.completed() if resume else set()
+        table = ResultsTable.load_jsonl(records_path)
+    done = table.completed()
 
     models = {}
     for inst in plan.instances:
@@ -266,7 +252,7 @@ def run_experiment(plan: Plan, out_dir: str | Path, resume: bool = True,
         parsed = PARSERS[inst.problem](text, Path(inst.path).stem)
         models[inst.id] = (inst.problem, BUILDERS[inst.problem](parsed))
 
-    with open(records_path, "a") as fh:
+    with open(records_path, "a" if resume else "w") as fh:
         for inst in plan.instances:
             family, model = models[inst.id]
             for alg in plan.algorithms:

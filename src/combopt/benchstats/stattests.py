@@ -44,6 +44,11 @@ class RankSummary:
     def n_blocks(self) -> int:
         return self.rank_rows.shape[0]
 
+    @property
+    def best(self) -> str:
+        """The algorithm with the lowest average rank; the first of a tie."""
+        return self.algorithms[int(np.argmin(self.avg_ranks))]
+
 
 def average_ranks(scores, algorithms=None, direction: str = "max") -> RankSummary:
     """Rank algorithms per instance row; ties share the mean of tied positions.
@@ -95,13 +100,15 @@ class HolmEntry:
     p_adjusted: float
 
 
-def holm_posthoc(summary: RankSummary, control: str) -> list[HolmEntry]:
+def holm_posthoc(summary: RankSummary, control: str | None = None) -> list[HolmEntry]:
     """Step-down adjusted p-values of every non-control algorithm vs control.
 
-    z = (rank_j - rank_control) / sqrt(k (k+1) / (6 N)); two-sided normal p;
-    adjusted p_(i) = max over j <= i of min(1, (m - j + 1) p_(j)) after
-    sorting ascending.
+    The control defaults to ``summary.best``.  z = (rank_j - rank_control) /
+    sqrt(k (k+1) / (6 N)); two-sided normal p; adjusted p_(i) = max over
+    j <= i of min(1, (m - j + 1) p_(j)) after sorting ascending.
     """
+    if control is None:
+        control = summary.best
     if control not in summary.algorithms:
         raise MetricError(f"control algorithm {control!r} not in summary")
     k, n = summary.k, summary.n_blocks

@@ -202,7 +202,7 @@ def cmd_stats(args) -> int:
         )
         out_rows.append(["friedman_chi2", "", format_sig(chi)])
     elif args.test == "holm":
-        control = args.control or summary.algorithms[int(np.argmin(summary.avg_ranks))]
+        control = args.control or summary.best
         entries = holm_posthoc(summary, control)
         print(f"Holm post-hoc, control = {control}")
         print("Algorithm          Adjusted p")

@@ -185,6 +185,12 @@ def test_holm_pinned_values():
     adj = holm_by_name(summary, "ctl")
     assert adj["mid"] == pytest.approx(0.00617, abs=5e-4)
 
+    # without a control, the best-ranked algorithm is the control
+    pat = [(2, 1, 3)] * 13 + [(1, 2, 3)] * 2  # "mid" ranks best
+    summary = average_ranks(rank_matrix(pat), algorithms=["ctl", "mid", "low"])
+    assert summary.best == "mid"
+    assert holm_posthoc(summary) == holm_posthoc(summary, "mid")
+
 
 def test_holm_monotone_and_above_unadjusted():
     rng = np.random.default_rng(7)

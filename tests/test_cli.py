@@ -221,6 +221,28 @@ def test_bench_smoke_plan(data_dir, tmp_path, capsys):
     assert len((tmp_path / "bench" / "records.jsonl").read_text().splitlines()) == 8
 
 
+def test_bench_without_resume_starts_a_fresh_log(data_dir, tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "optima": str(data_dir / "optima.txt"), "runs": 2, "time_limit": 5.0,
+        "algorithms": [
+            {"name": "hot", "kind": "qubo-sa", "config": {"reads": 4, "sweeps": 16}},
+            {"name": "cold", "kind": "qubo-sa", "config": {"reads": 4, "sweeps": 2}},
+        ],
+        "instances": [{"id": "mc10", "problem": "maxcut", "path": str(data_dir / "mc10.mc")}],
+    }))
+    out = tmp_path / "bench"
+    for extra in ([], [], ["--resume"]):
+        assert run_cli("bench", "--plan", str(plan), "--out-dir", str(out), *extra) == 0
+    keys = [(r["instance"], r["algorithm"], r["run"]) for r in
+            map(json.loads, (out / "records.jsonl").read_text().splitlines())]
+    assert len(set(keys)) == len(keys) == 4
+    with open(out / "records.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1 + 4
+    with open(out / "aggregates.csv", newline="") as fh:
+        assert [r["runs"] for r in csv.DictReader(fh)] == ["2", "2"]
+
+
 def test_export_qubo_fixed_penalty(data_dir, tmp_path):
     out_auto = tmp_path / "auto.qubo"
     out_fixed = tmp_path / "fixed.qubo"
@@ -260,6 +282,8 @@ NL, QUBO_SA = ("algorithms", 1, "config"), ("algorithms", 2, "config")
     (_set(QUBO_SA, [1]), 2),
     (_set(("time_limit",), 0), 2),
     (_set(("time_limit",), float("inf")), 2),
+    (_set(("time_limit",), True), 2),
+    (_set(("time_limit",), "5"), 2),
     (_set(("runs",), 0), 2),
     (_set(("runs",), 1.5), 2),
     (_set(("master_seed",), 1.5), 2),
@@ -272,7 +296,8 @@ NL, QUBO_SA = ("algorithms", 1, "config"), ("algorithms", 2, "config")
     (_set((*NL, "qm_inline"), "no"), 3),
 ], ids=["nl-unknown-key", "nl-time_limit", "nl-threads", "nl-restart_after",
         "nl-str-value", "sa-reads-0", "sa-float-sweeps", "sa-seed", "sa-nl-key",
-        "sa-config-list", "time_limit-0", "time_limit-inf", "runs-0", "runs-float",
+        "sa-config-list", "time_limit-0", "time_limit-inf", "time_limit-bool",
+        "time_limit-str", "runs-0", "runs-float",
         "master_seed-float", "master_seed-bool",
         "instance-no-id", "no-algorithms", "bad-json", "nl-qm_period-0", "nl-cm_kind",
         "nl-str-qm_inline"])

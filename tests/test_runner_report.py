@@ -128,7 +128,7 @@ def test_emit_report_empty_table(tmp_path):
 
 
 def test_aggregate_of_identical_runs_equals_single_value(tmp_path):
-    table = ResultsTable(optima={"x": 10})
+    table = ResultsTable()
     for run in range(10):
         table.add(
             {
@@ -151,9 +151,15 @@ def test_aggregate_of_identical_runs_equals_single_value(tmp_path):
 
 
 def test_score_matrix_shape(tmp_path, data_dir):
+    # plot_best_ratio.csv is the score matrix that `combopt stats` reads
     plan = Plan.load(small_plan(tmp_path, data_dir, runs=2, instances=("tsp7", "mc10")))
     table = run_experiment(plan, tmp_path / "out")
-    m = table.score_matrix(["mc10", "tsp7"], ["nl", "qubo-sa"], "best_ratio")
+    paths = emit_report(table, tmp_path / "out")
+    with open(paths["plot_best_ratio"], newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["instance", "nl", "qubo-sa"]
+    assert [r[0] for r in rows[1:]] == ["mc10", "tsp7"]
+    m = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
     assert m.shape == (2, 2)
     assert (m >= 0).all() and (m <= 1).all()
 
