@@ -20,8 +20,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def commit() -> str:
+    """Short hash of the checked-out commit, with ``-dirty`` when tracked files
+    differ from it, so a run of uncommitted code is not filed under its parent."""
     done = subprocess.run(
-        ["git", "rev-parse", "--short", "HEAD"], cwd=ROOT, capture_output=True, text=True
+        ["git", "describe", "--always", "--dirty", "--abbrev=7", "--exclude=*"], cwd=ROOT,
+        capture_output=True, text=True,
     )
     return done.stdout.strip() if done.returncode == 0 else "unknown"
 

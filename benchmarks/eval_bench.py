@@ -1,9 +1,11 @@
 """Benchmark model evaluation: full DAG evaluation against delta evaluation.
 
 For each workload family and move kind it proposes candidates around one
-random state and times ``Model.evaluate_unchecked`` on them, once in full and
-once with ``base=(state, evaluation, move)``, which takes the delta path of
-the frozen model.  Every delta result is checked bit for bit against the full
+random state and times their evaluation, once in full with
+``Model.evaluate_unchecked`` and once from the move's tag with
+``Model.evaluate_move(state, evaluation, move)``, which takes the delta path
+of the frozen model and falls back to the full evaluation where the plan
+cannot answer.  Every delta result is checked bit for bit against the full
 one before anything is timed.
 
     PYTHONPATH=src python3 benchmarks/eval_bench.py
@@ -13,11 +15,10 @@ of one kind, full and delta passes alternating) and whether the frozen model
 has a delta plan at all; a model without one takes the full path on both
 sides.  It merges the numbers into ``BENCH_eval.json`` at the repository root
 under the short hash of the checked-out commit.  With the ``src`` of a commit
-that has no delta path on ``PYTHONPATH``, only the full evaluation is timed,
-so the same script measures the parent of the change.
+that has no ``evaluate_move`` on ``PYTHONPATH``, only the full evaluation is
+timed, so the same script measures such a commit too.
 """
 
-import inspect
 import struct
 import time
 
@@ -39,7 +40,7 @@ BENCH_FILE = ROOT / "BENCH_eval.json"
 DATA = ROOT / "data"
 CANDIDATES = 3000
 REPEATS = 9
-HAS_DELTA = "base" in inspect.signature(Model.evaluate_unchecked).parameters
+HAS_DELTA = hasattr(Model, "evaluate_move")
 
 
 def models():
@@ -60,9 +61,15 @@ def candidates(model):
     return kinds
 
 
+def evaluate_move(model, cand, base):
+    """The evaluation a branch makes: from the tag, else in full."""
+    ev = model.evaluate_move(*base)
+    return model.evaluate_unchecked(cand) if ev is None else ev
+
+
 def check(model, group) -> None:
     for cand, base in group:
-        full, delta = model.evaluate_unchecked(cand), model.evaluate_unchecked(cand, base)
+        full, delta = model.evaluate_unchecked(cand), evaluate_move(model, cand, base)
         same = (struct.pack("<d", full.objective) == struct.pack("<d", delta.objective)
                 and full.violations == delta.violations and full.state_key == delta.state_key)
         if not same:
@@ -82,7 +89,7 @@ def us_per_eval(model, group) -> tuple[float, float | None]:
         if HAS_DELTA:
             t0 = time.perf_counter()
             for cand, base in group:
-                evaluate(cand, base)
+                evaluate_move(model, cand, base)
             delta = min(delta, time.perf_counter() - t0)
     scale = 1e6 / len(group)
     return full * scale, delta * scale if HAS_DELTA else None
@@ -90,7 +97,7 @@ def us_per_eval(model, group) -> tuple[float, float | None]:
 
 def main():
     if not HAS_DELTA:
-        print("evaluate_unchecked has no base argument: timing the full evaluation only\n")
+        print("Model has no evaluate_move: timing the full evaluation only\n")
     header = (f"{'case':<14} {'plan':>5} {'candidates':>10} {'full us':>9} {'delta us':>9} "
               f"{'speedup':>8}")
     print(header)

@@ -128,6 +128,9 @@ def cmd_solve(args) -> int:
 
 def cmd_bench(args) -> int:
     plan = Plan.load(args.plan)
+    names = [alg.name for alg in plan.algorithms]
+    if args.control is not None and args.control not in names:
+        raise MetricError(f"control algorithm {args.control!r} is not in the plan: {names}")
     table = run_experiment(
         plan,
         args.out_dir,

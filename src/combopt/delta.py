@@ -279,8 +279,9 @@ class DeltaPlan:
         self.tail = tail
         self.bits = bits  # bit-array decision ids, whose rules read their old and new values
 
-    def update(self, state, prev_state, prev_eval, move):
-        """The roots' values at ``state``, or None when it needs the full evaluation."""
+    def update(self, prev_state, prev_eval, move):
+        """The roots' values at ``prev_state`` after ``move``, from the move's tag,
+        or None when they need the full evaluation."""
         cached = prev_eval.sums
         if cached is None:
             return None
@@ -294,7 +295,10 @@ class DeltaPlan:
         if d not in self.bits:
             args = (tag,)
         elif kind == "flip":
-            args = (np.concatenate((prev_state.values[d], state.values[d])), tag[1])
+            old, p = prev_state.values[d], tag[1]
+            both = np.concatenate((old, old))
+            both[old.size + p] = 1 - old[p]
+            args = (both, p)
         else:
             return None
         sums = list(cached)

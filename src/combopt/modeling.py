@@ -76,18 +76,58 @@ def order_key(feasible: bool, violation: float, objective: float, digest: int) -
     return (0 if feasible else 1, violation, objective, digest)
 
 
+class MoveDigest:
+    """The digest of ``state`` after ``move``, computed the first time it is compared.
+
+    It is the ``state_key`` of an evaluation made from a move's tag
+    (:meth:`Model.evaluate_move`).  Keys compare their digests only when their
+    first three entries tie, so the moved state is built only then, or when the
+    caller keeps it (:meth:`moved`).
+    """
+
+    __slots__ = ("state", "move", "_moved", "_value")
+
+    def __init__(self, state: State, move):
+        self.state = state
+        self.move = move
+        self._moved = None
+        self._value = None
+
+    def moved(self) -> State:
+        """The moved state, built once."""
+        if self._moved is None:
+            self._moved = self.state.moved(self.move)
+        return self._moved
+
+    def __int__(self) -> int:
+        if self._value is None:
+            self._value = self.moved().digest()
+        return self._value
+
+    def __eq__(self, other):
+        return int(self) == int(other)
+
+    def __lt__(self, other):
+        return int(self) < int(other)
+
+    def __gt__(self, other):
+        return int(self) > int(other)
+
+
 @dataclass
 class Evaluation:
     """Result of evaluating a model at a state.
 
     ``feasible``, ``total_violation`` and ``key`` are derived once: the
     solver compares every candidate it evaluates.  ``key`` is the solution
-    order (:func:`order_key`); a lower key is a better evaluation."""
+    order (:func:`order_key`); a lower key is a better evaluation.
+    ``state_key`` is the state's digest, or a :class:`MoveDigest` until
+    :meth:`pin` is called."""
 
     objective: float
     constraint_results: list[bool]
     violations: list[float]
-    state_key: int = 0
+    state_key: int | MoveDigest = 0
     # values of the frozen model's delta roots at this state, when it has a plan
     sums: list | None = field(default=None, compare=False, repr=False)
     feasible: bool = field(init=False, compare=False, repr=False)
@@ -99,6 +139,11 @@ class Evaluation:
         self.total_violation = float(sum(self.violations))
         self.key = order_key(self.feasible, self.total_violation, self.objective,
                              self.state_key)
+
+    def pin(self) -> None:
+        """Make ``state_key`` a plain int, computing a lazy digest."""
+        self.state_key = int(self.state_key)
+        self.key = (*self.key[:3], self.state_key)
 
 
 def _is_scalar(shape) -> bool:
@@ -470,34 +515,47 @@ class Model:
             raise StateError("; ".join(problems))
         return self.evaluate_unchecked(state)
 
-    def evaluate_unchecked(self, state: State, base=None) -> Evaluation:
+    def evaluate_unchecked(self, state: State) -> Evaluation:
         """Evaluate without the structural pre-check.
 
         For hot loops whose moves provably map valid states to valid states;
         behaviour on invalid states is undefined.
-
-        ``base = (prev_state, prev_eval, move)`` says that ``state`` is
-        ``prev_state`` after ``move``, the ``(decision, tag)`` pair that
-        ``propose_state`` returns.  When the model has a delta plan
-        (:mod:`combopt.delta`), only the terms the move touches are evaluated
-        again; the result equals the full evaluation bit for bit.
         """
         if not self._frozen:
             self.freeze()
         if self.objective is None:
             raise StateError("model has no objective; nothing to evaluate")
         vals: list = [None] * len(self.nodes)
+        self._run(self._schedule, vals, state)
         plan = self._plan
-        sums = None if base is None or plan is None else plan.update(state, *base)
-        if sums is None:
-            self._run(self._schedule, vals, state)
-            if plan is not None:
-                sums = [vals[nid] for nid in plan.roots]
-        else:
-            for nid, value in zip(plan.roots, sums):
-                vals[nid] = value
-            self._run(plan.tail, vals, state)
+        sums = None if plan is None else [vals[nid] for nid in plan.roots]
+        return self._evaluation(vals, sums, state.digest())
 
+    def evaluate_move(self, state: State, ev: Evaluation, move) -> Evaluation | None:
+        """Evaluation of ``state`` after ``move`` from the move's tag, without the moved state.
+
+        ``ev`` is the evaluation of ``state`` and ``move`` a ``(decision,
+        tag)`` pair (:func:`~combopt.solver.moves.draw_state_move`).  The delta
+        plan (:mod:`combopt.delta`) evaluates again only the terms the move
+        touches; the result equals the full evaluation of the moved state bit
+        for bit, and its ``state_key`` is a :class:`MoveDigest`.
+
+        Returns None when the plan cannot answer: the model has no plan (a
+        sum over a list gets none), the plan has no rule for the tag, or a
+        sum reaches zero.  The caller then builds the moved state and
+        evaluates it in full.
+        """
+        plan = self._plan
+        sums = None if plan is None else plan.update(state, ev, move)
+        if sums is None:
+            return None
+        vals: list = [None] * len(self.nodes)
+        for nid, value in zip(plan.roots, sums):
+            vals[nid] = value
+        self._run(plan.tail, vals, None)  # the tail reads no decision
+        return self._evaluation(vals, sums, MoveDigest(state, move))
+
+    def _evaluation(self, vals: list, sums, state_key) -> Evaluation:
         objective = float(vals[self.objective])
         results: list[bool] = []
         violations: list[float] = []
@@ -505,7 +563,7 @@ class Model:
             v = COMPARE_OPS[self.nodes[cid].op](*vals[cid])
             violations.append(v)
             results.append(v == 0.0)
-        return Evaluation(objective, results, violations, state_key=state.digest(), sums=sums)
+        return Evaluation(objective, results, violations, state_key=state_key, sums=sums)
 
     def _run(self, schedule, vals: list, state: State) -> None:
         """Evaluate the nodes of ``schedule`` in order, into ``vals``."""

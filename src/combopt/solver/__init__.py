@@ -1,6 +1,7 @@
+from ..state import apply_move
 from .branch import Branch, metropolis_delta
 from .config import SolverConfig
-from .moves import initial_state, propose, propose_state, reverse_move
+from .moves import draw_move, draw_state_move, initial_state, propose_state, reverse_move
 from .portfolio import solve
 from .sampleset import Sample, SampleSet, make_sample
 from .subproblem import QmQuery, qm_query
@@ -11,10 +12,12 @@ __all__ = [
     "Sample",
     "SampleSet",
     "SolverConfig",
+    "apply_move",
+    "draw_move",
+    "draw_state_move",
     "initial_state",
     "make_sample",
     "metropolis_delta",
-    "propose",
     "propose_state",
     "qm_query",
     "reverse_move",

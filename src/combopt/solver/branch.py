@@ -20,7 +20,7 @@ from ..modeling import Evaluation, Model
 from ..qubo.sampler import sa_sample
 from ..state import State
 from .config import SolverConfig
-from .moves import initial_state, propose_state, reverse_move
+from .moves import draw_state_move, initial_state, propose_state, reverse_move, tabu_key
 from .sampleset import Sample, make_sample
 from .subproblem import qm_query
 
@@ -81,9 +81,11 @@ class Branch:
         the step being taken, which keeps fixed-work runs deterministic.
         """
         deltas = []
-        for _ in range(100):
+        for _ in range(100):  # off the hot loop, so each probe builds its candidate
             cand, move = propose_state(model, self.current, self.rng)
-            ev = model.evaluate_unchecked(cand, (self.current, self.current_eval, move))
+            ev = model.evaluate_move(self.current, self.current_eval, move)
+            if ev is None:
+                ev = model.evaluate_unchecked(cand)
             d = abs(metropolis_delta(ev, self.current_eval))
             if d > 0:
                 deltas.append(d)
@@ -132,9 +134,25 @@ class Branch:
             self.current_eval = self.incumbent_eval
             self.stagnation = 0
 
+    def _evaluate(self, model: Model, move) -> tuple[Evaluation, State | None]:
+        """Evaluation of the current state after ``move``, and the moved state
+        when it had to be built for it (None when the tag sufficed)."""
+        ev = model.evaluate_move(self.current, self.current_eval, move)
+        if ev is not None:
+            return ev, None
+        cand = self.current.moved(move)
+        return model.evaluate_unchecked(cand), cand
+
+    @staticmethod
+    def _keep(ev: Evaluation, cand: State | None) -> State:
+        """The kept candidate, built now unless it was before; ``ev`` is pinned."""
+        if cand is None:
+            cand = ev.state_key.moved()
+            ev.pin()
+        return cand
+
     def _sa_step(self, model: Model) -> None:
-        cand, move = propose_state(model, self.current, self.rng)
-        ev = model.evaluate_unchecked(cand, (self.current, self.current_eval, move))
+        ev, cand = self._evaluate(model, draw_state_move(model, self.current, self.rng))
         accept = ev.key < self.current_eval.key
         if not accept:
             delta = metropolis_delta(ev, self.current_eval)
@@ -143,31 +161,30 @@ class Branch:
             elif self.temp > 0.0:
                 accept = self.rng.random() < math.exp(-delta / self.temp)
         if accept:
-            self.current = cand
+            self.current = self._keep(ev, cand)
             self.current_eval = ev
-            self.offer(cand, ev, "cm")
+            self.offer(self.current, ev, "cm")
         self._cool()
 
     def _tabu_step(self, model: Model) -> None:
-        best_state = None
-        best_eval = None
-        best_tag = None
+        best = None  # (evaluation, move, candidate) of the best admissible candidate
         for _ in range(self.config.tabu_candidates):
-            cand, tag = propose_state(model, self.current, self.rng)
-            ev = model.evaluate_unchecked(cand, (self.current, self.current_eval, tag))
-            blocked = self.tabu.get(tag, -1) > self.steps
+            move = draw_state_move(model, self.current, self.rng)
+            ev, cand = self._evaluate(model, move)
+            blocked = self.tabu.get(tabu_key(move), -1) > self.steps
             if blocked and not ev.key < self.incumbent_eval.key:
                 continue  # tabu unless it beats the incumbent (aspiration)
-            if best_eval is None or ev.key < best_eval.key:
-                best_state, best_eval, best_tag = cand, ev, tag
-        if best_eval is None:
+            if best is None or ev.key < best[0].key:
+                best = (ev, move, cand)
+        if best is None:
             return
-        self.tabu[reverse_move(best_tag)] = self.steps + _TABU_TENURE
+        ev, move, cand = best
+        self.tabu[reverse_move(move)] = self.steps + _TABU_TENURE
         if len(self.tabu) > 4 * _TABU_TENURE * self.config.tabu_candidates:
             self.tabu = {k: v for k, v in self.tabu.items() if v > self.steps}
-        self.current = best_state
-        self.current_eval = best_eval
-        self.offer(best_state, best_eval, "cm")
+        self.current = self._keep(ev, cand)
+        self.current_eval = ev
+        self.offer(self.current, ev, "cm")
 
     # -- one step -------------------------------------------------------------------
 

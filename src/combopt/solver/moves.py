@@ -1,10 +1,12 @@
 """Random initial states and validity-preserving neighborhood moves.
 
-Every move maps a structurally valid state to a structurally valid state;
-feasibility with respect to the variable encoding is never at risk, only the
-model's explicit constraints can be violated.  Impossible draws (dropping
-from an empty set, 2-opt on a one-element list) are resampled as a possible
-move of the same kind.
+A move is drawn as a tag (:func:`draw_move`) and made only when wanted
+(:func:`~combopt.state.apply_move`): the solver evaluates most candidates from
+their tags and builds only the ones it keeps.  Every move maps a structurally
+valid state to a structurally valid state; feasibility with respect to the
+variable encoding is never at risk, only the model's explicit constraints can
+be violated.  Impossible draws (dropping from an empty set, 2-opt on a
+one-element list) are resampled as a possible move of the same kind.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from ..state import (
     State,
 )
 
-Move = tuple  # (kind tag, *details); reversible via reverse_move
+Move = tuple  # (kind tag, *details), or (decision index, tag); reversible via reverse_move
 
 
 def initial_value(spec: DecisionSpec, rng: np.random.Generator):
@@ -49,29 +51,35 @@ def initial_state(model: Model, rng: np.random.Generator) -> State:
     return State([initial_value(spec, rng) for spec in model.decisions])
 
 
-def _list_move(value: np.ndarray, rng: np.random.Generator):
-    n = value.size
+def _two_distinct(n: int, rng: np.random.Generator) -> tuple[int, int]:
+    """``rng.choice(n, 2, replace=False)`` as two ints, from the same draws.
+
+    numpy draws the pair by Floyd's algorithm and then shuffles it; these three
+    ``integers`` calls repeat that without the overhead of ``choice``.
+    ``test_two_distinct_matches_rng_choice`` checks the match against the
+    installed numpy.
+    """
+    a = int(rng.integers(0, n - 1))
+    b = int(rng.integers(0, n))
+    if b == a:
+        b = n - 1
+    return (b, a) if int(rng.integers(0, 2)) == 0 else (a, b)
+
+
+def _list_draw(n: int, rng: np.random.Generator) -> Move:
     if n < 2:
-        return value.copy(), ("noop",)
-    new = value.copy()
+        return ("noop",)
     r = rng.random()
     if r < 0.50:  # 2-opt segment reversal
-        i, j = sorted(rng.choice(n, 2, replace=False))
-        new[i : j + 1] = new[i : j + 1][::-1]
-        return new, ("2opt", int(i), int(j))
+        i, j = _two_distinct(n, rng)
+        return ("2opt", min(i, j), max(i, j))
     if r < 0.70:  # single-element insertion
-        i, j = rng.choice(n, 2, replace=False)
-        elem = new[i]
-        new = np.delete(new, i)
-        new = np.insert(new, j, elem)
-        return new, ("ins", int(i), int(j))
+        return ("ins", *_two_distinct(n, rng))
     if r < 0.85:  # arbitrary swap
-        i, j = rng.choice(n, 2, replace=False)
-        new[i], new[j] = new[j], new[i]
-        return new, ("swap", int(min(i, j)), int(max(i, j)))
+        i, j = _two_distinct(n, rng)
+        return ("swap", min(i, j), max(i, j))
     i = int(rng.integers(0, n - 1))  # adjacent swap
-    new[i], new[i + 1] = new[i + 1], new[i]
-    return new, ("swap", i, i + 1)
+    return ("swap", i, i + 1)
 
 
 def set_complement(inside: np.ndarray, n: int) -> np.ndarray:
@@ -81,86 +89,84 @@ def set_complement(inside: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def _set_move(value: np.ndarray, n: int, rng: np.random.Generator):
-    inside = value
-    outside = set_complement(inside, n)
+def _missing(inside: np.ndarray, k: int) -> int:
+    """The ``k``-th smallest element missing from the sorted set ``inside``.
+
+    ``inside[t] - t`` elements are missing below ``inside[t]``.
+    """
+    return k + int(np.searchsorted(inside - np.arange(inside.size), k, "right"))
+
+
+def _set_draw(inside: np.ndarray, n: int, rng: np.random.Generator) -> Move:
+    m = inside.size
     r = rng.random()
-    if inside.size == 0 or (r < 0.34 and outside.size):
-        e = int(outside[rng.integers(outside.size)])
-        return np.sort(np.append(inside, e)), ("add", e)
-    if outside.size == 0 or r < 0.67:
-        e = int(inside[rng.integers(inside.size)])
-        return inside[inside != e], ("drop", e)
-    e_in = int(inside[rng.integers(inside.size)])
-    e_out = int(outside[rng.integers(outside.size)])
-    new = np.sort(np.append(inside[inside != e_in], e_out))
-    return new, ("exch", e_in, e_out)
+    if m == 0 or (r < 0.34 and m < n):
+        return ("add", _missing(inside, int(rng.integers(n - m))))
+    if m == n or r < 0.67:
+        return ("drop", int(inside[rng.integers(m)]))
+    e_in = int(inside[rng.integers(m)])
+    return ("exch", e_in, _missing(inside, int(rng.integers(n - m))))
 
 
-def _partition_move(parts: list, spec: DecisionSpec, rng: np.random.Generator):
+def _landing(part: np.ndarray, i: int, e: int) -> int:
+    """Where ``e`` lands in the sorted ``part`` once its entry at ``i`` is removed."""
+    q = int(np.searchsorted(part, e))
+    return q - (q > i)
+
+
+def _partition_draw(parts: list, ordered: bool, rng: np.random.Generator) -> Move:
     k = len(parts)
-    new = [p.copy() for p in parts]
-    ordered = spec.kind == DISJOINT_LISTS
     for _ in range(16):
         r = rng.random()
         if r < 0.45 and k >= 2:  # move one element to another part
             a = int(rng.integers(k))
-            if new[a].size == 0:
+            if parts[a].size == 0:
                 continue
             b = int((a + 1 + rng.integers(k - 1)) % k)
-            i = int(rng.integers(new[a].size))
-            elem = new[a][i]
-            new[a] = np.delete(new[a], i)
+            i = int(rng.integers(parts[a].size))
+            elem = int(parts[a][i])
             if ordered:
-                j = int(rng.integers(new[b].size + 1))
-                new[b] = np.insert(new[b], j, elem)
+                j = int(rng.integers(parts[b].size + 1))
             else:
-                new[b] = np.sort(np.append(new[b], elem))
-            return new, ("moveel", int(elem), a, b)
+                j = int(np.searchsorted(parts[b], elem))
+            return ("moveel", elem, a, b, i, j)
         if r < 0.80 and k >= 2:  # swap two elements across parts
-            a, b = rng.choice(k, 2, replace=False)
-            if new[a].size == 0 or new[b].size == 0:
+            a, b = _two_distinct(k, rng)
+            if parts[a].size == 0 or parts[b].size == 0:
                 continue
-            i = int(rng.integers(new[a].size))
-            j = int(rng.integers(new[b].size))
-            ea, eb = new[a][i], new[b][j]
-            new[a][i], new[b][j] = eb, ea
-            if not ordered:
-                new[a] = np.sort(new[a])
-                new[b] = np.sort(new[b])
-            return new, ("swapel", int(min(ea, eb)), int(max(ea, eb)))
+            i = int(rng.integers(parts[a].size))
+            j = int(rng.integers(parts[b].size))
+            ea, eb = int(parts[a][i]), int(parts[b][j])
+            p, q = (i, j) if ordered else (_landing(parts[a], i, eb), _landing(parts[b], j, ea))
+            return ("swapel", min(ea, eb), max(ea, eb), a, i, p, b, j, q)
         if ordered:  # in-part 2-opt
             a = int(rng.integers(k))
-            if new[a].size < 2:
+            if parts[a].size < 2:
                 continue
-            i, j = sorted(rng.choice(new[a].size, 2, replace=False))
-            new[a][i : j + 1] = new[a][i : j + 1][::-1]
-            return new, ("p2opt", a, int(i), int(j))
-    return new, ("noop",)
+            i, j = _two_distinct(parts[a].size, rng)
+            return ("p2opt", a, min(i, j), max(i, j))
+    return ("noop",)
 
 
-def propose(spec: DecisionSpec, value, rng: np.random.Generator):
-    """One random neighbor of ``value``; returns (new_value, move tag)."""
-    if spec.kind == LIST:
-        return _list_move(value, rng)
-    if spec.kind == SET:
-        return _set_move(value, spec.n, rng)
-    if spec.kind == BINARY:
+def draw_move(spec: DecisionSpec, value, rng: np.random.Generator) -> Move:
+    """The tag of one random move of ``value``; :func:`~combopt.state.apply_move` makes it."""
+    kind = spec.kind
+    if kind == BINARY:
+        return ("flip", int(rng.integers(spec.n)))
+    if kind == SET:
+        return _set_draw(value, spec.n, rng)
+    if kind == LIST:
+        return _list_draw(value.size, rng)
+    if kind == INTEGER:
         i = int(rng.integers(spec.n))
-        new = value.copy()
-        new[i] = 1 - new[i]
-        return new, ("flip", i)
-    if spec.kind == INTEGER:
-        i = int(rng.integers(spec.n))
-        new = value.copy()
         if spec.lo == spec.hi:
-            return new, ("noop",)
-        shift = int(rng.integers(1, spec.hi - spec.lo + 1))
-        new[i] = spec.lo + (int(new[i]) - spec.lo + shift) % (spec.hi - spec.lo + 1)
-        return new, ("seti", i, int(new[i]))
-    if spec.kind in (DISJOINT_LISTS, DISJOINT_BIT_SETS):
-        return _partition_move(value, spec, rng)
-    raise DomainError(f"no moves for decision kind {spec.kind!r}")
+            return ("noop",)
+        width = spec.hi - spec.lo + 1
+        shift = int(rng.integers(1, width))
+        return ("seti", i, spec.lo + (int(value[i]) - spec.lo + shift) % width)
+    if kind in (DISJOINT_LISTS, DISJOINT_BIT_SETS):
+        return _partition_draw(value, kind == DISJOINT_LISTS, rng)
+    raise DomainError(f"no moves for decision kind {kind!r}")
 
 
 def reverse_move(tag: Move) -> Move:
@@ -177,14 +183,30 @@ def reverse_move(tag: Move) -> Move:
         return ("ins", tag[2], tag[1])
     if tag and tag[0] == "moveel":
         return ("moveel", tag[1], tag[3], tag[2])
+    if tag and tag[0] == "swapel":
+        return tag[:3]
     return tag  # swaps, 2-opt, flips, and noop are self-inverse
 
 
-def propose_state(model: Model, state: State, rng: np.random.Generator):
-    """Neighbor of a full state: one move on one uniformly chosen decision."""
+def tabu_key(move: Move) -> Move:
+    """The name of ``move`` in a tabu list: partition moves drop the positions
+    their tags carry for :func:`apply_move`, as :func:`reverse_move` does."""
+    kind = move[1][0]
+    if kind == "moveel":
+        return (move[0], move[1][:4])
+    if kind == "swapel":
+        return (move[0], move[1][:3])
+    return move
+
+
+def draw_state_move(model: Model, state: State, rng: np.random.Generator) -> Move:
+    """One move of a full state, ``(decision index, tag)``, on one uniformly
+    chosen decision; :meth:`State.moved` makes it."""
     d = int(rng.integers(len(model.decisions))) if len(model.decisions) > 1 else 0
-    spec = model.decisions[d]
-    new_value, tag = propose(spec, state.values[d], rng)
-    new_state = state.copy()
-    new_state.values[d] = new_value
-    return new_state, (d, tag)
+    return d, draw_move(model.decisions[d], state.values[d], rng)
+
+
+def propose_state(model: Model, state: State, rng: np.random.Generator):
+    """Neighbor of a full state: ``(new state, move)`` for one drawn move."""
+    move = draw_state_move(model, state, rng)
+    return state.moved(move), move

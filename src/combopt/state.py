@@ -8,6 +8,9 @@ A :class:`State` assigns one value to every decision of a model:
   ``0..n_vars-1`` into the declared number of parts,
 * ``binary`` / ``integer`` decisions an array of bits / bounded integers.
 
+A move is a ``(decision index, tag)`` pair; :func:`apply_move` makes the edit
+a tag names, and :meth:`State.moved` the edit of a whole state.
+
 Validation is diagnostic: it returns human-readable violation strings rather
 than raising, so callers can decide whether a broken state is an error.
 """
@@ -95,6 +98,18 @@ class State:
         ]
         return out
 
+    def moved(self, move) -> "State":
+        """This state after ``move``, a ``(decision index, tag)`` pair.
+
+        The values the move leaves alone are shared with this state, not copied:
+        no code writes into a state's arrays.
+        """
+        d, tag = move
+        out = State.__new__(State)
+        out.values = self.values.copy()
+        out.values[d] = apply_move(self.values[d], tag)
+        return out
+
     def digest(self) -> int:
         """Deterministic 32-bit content hash, used as an ordering tie-breaker."""
         crc = 0
@@ -130,6 +145,93 @@ class State:
 
     def __repr__(self):
         return f"State({self.to_jsonable()})"
+
+
+def _insert(a: np.ndarray, q: int, e) -> np.ndarray:
+    """``a`` with ``e`` inserted at position ``q``."""
+    new = np.empty(a.size + 1, dtype=np.int64)
+    new[:q] = a[:q]
+    new[q] = e
+    new[q + 1:] = a[q:]
+    return new
+
+
+def _shift(a: np.ndarray, i: int, q: int, e) -> np.ndarray:
+    """``a`` with its entry at ``i`` removed and ``e`` inserted at position ``q``."""
+    new = a.copy()
+    if i < q:
+        new[i:q] = a[i + 1:q + 1]
+    elif q < i:
+        new[q + 1:i + 1] = a[q:i]
+    new[q] = e
+    return new
+
+
+def apply_move(value, tag):
+    """The value of one decision after the move ``tag``; ``value`` is left unchanged.
+
+    Tags, by decision kind (``i``, ``j``, ``p`` and ``q`` are positions):
+
+    * list: ``("2opt", i, j)`` reverses ``value[i..j]``, ``("ins", i, j)`` moves
+      the entry at ``i`` to ``j``, ``("swap", i, j)`` swaps two entries;
+    * set: ``("add", e)``, ``("drop", e)``, ``("exch", e_in, e_out)``;
+    * binary: ``("flip", i)``; integer: ``("seti", i, v)``;
+    * partition: ``("moveel", e, a, b, i, j)`` moves ``e`` from position ``i`` of
+      part ``a`` to position ``j`` of part ``b``; ``("swapel", lo, hi, a, i, p,
+      b, j, q)`` swaps the entries at ``i`` of part ``a`` and ``j`` of part
+      ``b``, which land at ``p`` and ``q``; ``("p2opt", a, i, j)`` reverses
+      ``i..j`` of part ``a``;
+    * ``("noop",)`` on any kind.
+
+    A partition value is a new list whose untouched parts are shared.
+    """
+    kind = tag[0]
+    if kind == "flip":
+        new = value.copy()
+        new[tag[1]] = 1 - value[tag[1]]
+        return new
+    if kind == "add":
+        return _insert(value, int(np.searchsorted(value, tag[1])), tag[1])
+    if kind == "drop":
+        return value[value != tag[1]]
+    if kind == "exch":
+        _, e_in, e_out = tag
+        i, q = int(np.searchsorted(value, e_in)), int(np.searchsorted(value, e_out))
+        return _shift(value, i, q - (q > i), e_out)
+    if kind == "2opt":
+        _, i, j = tag
+        new = value.copy()
+        new[i:j + 1] = value[i:j + 1][::-1]
+        return new
+    if kind == "ins":
+        _, i, j = tag
+        return _shift(value, i, j, value[i])
+    if kind == "swap":
+        _, i, j = tag
+        new = value.copy()
+        new[i], new[j] = value[j], value[i]
+        return new
+    if kind == "seti":
+        new = value.copy()
+        new[tag[1]] = tag[2]
+        return new
+    if kind == "noop":
+        return value
+    parts = list(value)
+    if kind == "moveel":
+        _, e, a, b, i, j = tag
+        parts[a] = np.concatenate((value[a][:i], value[a][i + 1:]))
+        parts[b] = _insert(value[b], j, e)
+    elif kind == "swapel":
+        _, _, _, a, i, p, b, j, q = tag
+        parts[a] = _shift(value[a], i, p, value[b][j])
+        parts[b] = _shift(value[b], j, q, value[a][i])
+    elif kind == "p2opt":
+        _, a, i, j = tag
+        parts[a] = apply_move(value[a], ("2opt", i, j))
+    else:
+        raise DomainError(f"unknown move {tag!r}")
+    return parts
 
 
 def validate_value(spec: DecisionSpec, value) -> list[str]:

@@ -323,6 +323,20 @@ def test_bench_rejects_malformed_plan_before_any_cell(data_dir, tmp_path, capsys
     assert not (out / "records.jsonl").exists()
 
 
+def test_bench_rejects_unknown_control_before_any_cell(data_dir, tmp_path, capsys):
+    doc = json.loads((data_dir / "plan_smoke.json").read_text())
+    for inst in doc["instances"]:
+        inst["path"] = str(data_dir / inst["path"])
+    doc["optima"] = str(data_dir / doc["optima"])
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(doc))
+    out = tmp_path / "bench"
+    code = run_cli("bench", "--plan", str(plan), "--out-dir", str(out), "--control", "typo")
+    assert code == 2
+    assert "control algorithm 'typo'" in capsys.readouterr().err
+    assert not (out / "records.jsonl").exists() and not list(out.glob("*.csv"))
+
+
 def test_export_qubo_non_numeric_penalty_exit_2(data_dir, capsys):
     # every family rejects a penalty that is not a finite number > 0 as an
     # input error, maxcut too, although its encoding has no penalty

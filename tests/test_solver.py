@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from combopt import Model, State, StateError
-from combopt.modeling import Evaluation
+from combopt.modeling import Evaluation, MoveDigest
 from combopt.problems import (
     KpInstance,
     TspInstance,
@@ -29,9 +29,11 @@ from combopt.qubo import mcp_to_qubo, tsp_to_qubo
 from combopt.solver import (
     SampleSet,
     SolverConfig,
+    apply_move,
+    draw_move,
+    draw_state_move,
     initial_state,
     make_sample,
-    propose,
     propose_state,
     qm_query,
     reverse_move,
@@ -39,8 +41,8 @@ from combopt.solver import (
 )
 from combopt.solver import branch, portfolio
 from combopt.solver.branch import Branch
-from combopt.solver.moves import set_complement
-from combopt.state import DecisionSpec
+from combopt.solver.moves import _two_distinct, set_complement, tabu_key
+from combopt.state import DecisionSpec, validate_state
 
 
 def random_tsp(n, seed):
@@ -135,7 +137,8 @@ def test_two_opt_reversal():
     rng = np.random.default_rng(1)
     seen = set()
     for _ in range(500):
-        new, tag = propose(spec, value, rng)
+        tag = draw_move(spec, value, rng)
+        new = apply_move(value, tag)
         if tag == ("2opt", 1, 2):
             assert new.tolist() == [0, 2, 1, 3]
             seen.add("hit")
@@ -146,7 +149,8 @@ def test_drop_from_empty_set_resamples_as_add():
     spec = DecisionSpec("set", 3)
     rng = np.random.default_rng(2)
     for _ in range(50):
-        new, tag = propose(spec, np.empty(0, dtype=np.int64), rng)
+        tag = draw_move(spec, np.empty(0, dtype=np.int64), rng)
+        new = apply_move(np.empty(0, dtype=np.int64), tag)
         assert tag[0] == "add"
         assert new.size == 1
 
@@ -163,6 +167,16 @@ def test_set_complement_matches_setdiff1d():
 
 
 def test_moves_preserve_validity_all_kinds():
+    m = _validity_model()
+    rng = np.random.default_rng(3)
+    state = initial_state(m, rng)
+    for _ in range(20_000):
+        state, _ = propose_state(m, state, rng)
+        errs = m.validate_state(state)
+        assert errs == [], errs
+
+
+def _validity_model():
     m = Model()
     m.list(7)
     m.set(6)
@@ -170,12 +184,96 @@ def test_moves_preserve_validity_all_kinds():
     m.integer(4, lo=0, hi=3)
     m.disjoint_lists(8, 3)
     m.disjoint_bit_sets(6, 2)
-    rng = np.random.default_rng(3)
+    return m
+
+
+def test_apply_of_each_draw_keeps_every_kind_valid():
+    """``apply_move(value, draw_move(spec, value, rng))`` on each decision
+    alone, ordered ``moveel`` included; the drawn-from value never changes."""
+    m = _validity_model()
+    rng = np.random.default_rng(5)
     state = initial_state(m, rng)
-    for _ in range(20_000):
-        state, _ = propose_state(m, state, rng)
-        errs = m.validate_state(state)
-        assert errs == [], errs
+    kinds = set()
+    for _ in range(3000):
+        for d, spec in enumerate(m.decisions):
+            value = state.values[d]
+            before = [p.copy() for p in value] if spec.is_partition else value.copy()
+            tag = draw_move(spec, value, rng)
+            new = apply_move(value, tag)
+            assert State([*state.values[:d], before, *state.values[d + 1:]]) == state
+            state.values[d] = new
+            assert validate_state(m.decisions, state) == [], (spec.kind, tag)
+            kinds.add((spec.kind, tag[0]))
+    assert {("disjoint_lists", "moveel"), ("disjoint_lists", "swapel"),
+            ("disjoint_lists", "p2opt"), ("disjoint_bit_sets", "moveel"),
+            ("disjoint_bit_sets", "swapel"), ("list", "ins"), ("set", "exch"),
+            ("integer", "seti"), ("binary", "flip")} <= kinds
+
+
+def _reference_edit(spec, value, tag):
+    """The edit a tag names, by the numpy calls that made it before the slice
+    shifts: sort after append, delete then insert."""
+    kind = tag[0]
+    if kind == "add":
+        return np.sort(np.append(value, tag[1]))
+    if kind == "exch":
+        return np.sort(np.append(value[value != tag[1]], tag[2]))
+    if kind == "ins":
+        _, i, j = tag
+        return np.insert(np.delete(value, i), j, value[i])
+    parts = [p.copy() for p in value]
+    if kind == "moveel":
+        _, e, a, b, i, j = tag
+        assert parts[a][i] == e
+        parts[a] = np.delete(parts[a], i)
+        parts[b] = (np.insert(parts[b], j, e) if spec.kind == "disjoint_lists"
+                    else np.sort(np.append(parts[b], e)))
+    elif kind == "swapel":
+        _, _, _, a, i, _, b, j, _ = tag
+        parts[a][i], parts[b][j] = value[b][j], value[a][i]
+        if spec.kind == "disjoint_bit_sets":
+            parts[a], parts[b] = np.sort(parts[a]), np.sort(parts[b])
+    else:
+        return None
+    return parts
+
+
+@pytest.mark.parametrize("spec", [DecisionSpec("set", 30), DecisionSpec("list", 12),
+                                  DecisionSpec("disjoint_lists", 12, n_parts=3),
+                                  DecisionSpec("disjoint_bit_sets", 12, n_parts=3)])
+def test_apply_move_matches_the_reference_edits(spec):
+    rng = np.random.default_rng(8)
+    m = Model()
+    m.add_decision(spec)
+    state = initial_state(m, rng)
+    checked = 0
+    for _ in range(3000):
+        value = state.values[0]
+        tag = draw_move(spec, value, rng)
+        new = apply_move(value, tag)
+        want = _reference_edit(spec, value, tag)
+        if want is not None:
+            checked += 1
+            assert State([new]) == State([want]), tag
+            assert State([new]).digest() == State([want]).digest(), tag
+        state = State([new])
+    assert checked > 500
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 52, 200, 1000])
+def test_two_distinct_matches_rng_choice(n):
+    """The list, partition and 2-opt draws replace ``rng.choice(n, 2,
+    replace=False)`` by three ``integers`` calls that repeat its stream.  That
+    rests on numpy internals: a numpy whose ``choice`` draws otherwise fails
+    here instead of changing every trajectory."""
+    ours, theirs = np.random.default_rng(n), np.random.default_rng(n)
+    for t in range(5000):
+        want = tuple(int(v) for v in theirs.choice(n, 2, replace=False))
+        assert _two_distinct(n, ours) == want, t
+        if t % 3 == 0:  # other draws between the pairs keep both streams in step
+            assert ours.random() == theirs.random()
+        if t % 5 == 0:
+            assert ours.integers(0, 7) == theirs.integers(0, 7)
 
 
 def test_reverse_move_round_trip():
@@ -185,6 +283,16 @@ def test_reverse_move_round_trip():
     assert reverse_move(("ins", 4, 6)) == ("ins", 6, 4)
     assert reverse_move(("swap", 1, 2)) == ("swap", 1, 2)
     assert reverse_move((0, ("add", 1))) == (0, ("drop", 1))
+
+
+def test_partition_tabu_keys_leave_out_the_positions():
+    # the positions a partition tag carries for apply_move are not part of its
+    # tabu name: a move and the reverse of its reverse look each other up
+    moveel, swapel = (2, ("moveel", 5, 0, 1, 3, 4)), (2, ("swapel", 1, 6, 0, 2, 2, 1, 0, 1))
+    assert tabu_key(moveel) == (2, ("moveel", 5, 0, 1))
+    assert reverse_move(moveel) == (2, ("moveel", 5, 1, 0))
+    assert tabu_key(swapel) == reverse_move(swapel) == (2, ("swapel", 1, 6))
+    assert tabu_key((0, ("flip", 3))) == (0, ("flip", 3))
 
 
 # --- sample sets ----------------------------------------------------------------
@@ -697,29 +805,39 @@ def _bits(x) -> bytes:
 
 
 def delta_walk(model, steps: int, accept: float, seed: int) -> tuple[int, list[bool]]:
-    """Random ``propose_state`` walk comparing delta and full evaluation bit for bit.
+    """Random walk comparing ``evaluate_move`` with the full evaluation of the
+    moved state bit for bit.
 
-    Returns how many candidates the delta plan evaluated (the rest fell back to
-    the full evaluation) and the feasibility of every candidate.
+    Returns how many candidates the delta plan evaluated from their tags (the
+    rest fell back to the full evaluation) and the feasibility of every
+    candidate.
     """
     rng = np.random.default_rng(seed)
     current = initial_state(model, rng)
     current_eval = model.evaluate_unchecked(current)
-    plan = model._plan
     taken, feasible = 0, []
     for _ in range(steps):
-        cand, move = propose_state(model, current, rng)
-        delta = model.evaluate_unchecked(cand, (current, current_eval, move))
+        move = draw_state_move(model, current, rng)
+        fast = model.evaluate_move(current, current_eval, move)
+        cand = State([apply_move(v, move[1]) if d == move[0] else v
+                       for d, v in enumerate(current.values)])
         full = model.evaluate_unchecked(cand)
-        assert _bits(delta.objective) == _bits(full.objective), move
-        assert delta.constraint_results == full.constraint_results, move
-        assert [_bits(v) for v in delta.violations] == [_bits(v) for v in full.violations]
-        assert delta.state_key == full.state_key
-        if plan is not None and plan.update(cand, current, current_eval, move) is not None:
+        if fast is not None:
             taken += 1
+            # the lazy digest orders like the full one, also when it breaks a tie
+            assert (fast.key < current_eval.key) == (full.key < current_eval.key)
+            assert (current_eval.key < fast.key) == (current_eval.key < full.key)
+            assert _bits(fast.objective) == _bits(full.objective), move
+            assert fast.constraint_results == full.constraint_results, move
+            assert [_bits(v) for v in fast.violations] == [_bits(v) for v in full.violations]
+            assert fast.key[:3] == full.key[:3]
+            assert fast.state_key == full.state_key  # forces the lazy digest
+            assert fast.state_key.moved() == cand
+            fast.pin()
+            assert type(fast.state_key) is int and fast.key == full.key
         feasible.append(full.feasible)
         if rng.random() < accept:
-            current, current_eval = cand, delta
+            current, current_eval = cand, full if fast is None else fast
     return taken, feasible
 
 
@@ -780,8 +898,8 @@ def _walk_model(data_dir, name):
 def test_delta_evaluation_matches_full_evaluation(data_dir, name, accept):
     model = _walk_model(data_dir, name)
     if name in ("tsp9", "disc52"):
-        # a sum over a list gets no delta rule: a TSP model has no plan, and
-        # an evaluation given a base must still equal the full one
+        # a sum over a list gets no delta rule: a TSP model has no plan, so
+        # no move is evaluated from its tag
         assert model._plan is None
         taken, _ = delta_walk(model, 1000, accept, seed=len(name))
         assert taken == 0
@@ -830,6 +948,45 @@ def test_gather_that_fails_only_for_some_sets_still_freezes():
     m.freeze()
     assert m._plan is None
     assert m.evaluate(State([[0, 2]])).objective == 10.0
+
+
+@pytest.mark.parametrize("name, kind, steps", [("kp50", "sa", 4000), ("mc200", "tabu", 400)])
+def test_candidates_are_built_only_when_kept_or_tied(data_dir, monkeypatch, name, kind, steps):
+    """A branch evaluates its candidates from their tags.  It builds one only
+    for an accepted step or a tabu winner, or when a key tie forces its digest,
+    and builds each at most once."""
+    if name == "kp50":
+        model = build_kp_model(parse_kplib((data_dir / "kp50.kp").read_text(), "kp50"))
+    else:
+        model = build_mcp_model(generate_random_maxcut(200, 0.1, seed=0))
+    model.freeze()
+    config = SolverConfig(seed=3, n_branches=1, max_steps=steps, cm_kind=kind)
+    br = Branch(0, model, config, lambda: 0.0, 10.0)
+    br.calibrate(model)  # each of its 100 probes builds its candidate
+    counts = {"built": 0, "kept": 0, "forced": 0}
+    moved, offer, force = State.moved, Branch.offer, MoveDigest.__int__
+
+    def counting_moved(self, move):
+        counts["built"] += 1
+        return moved(self, move)
+
+    def counting_offer(self, state, ev, source):
+        counts["kept"] += source == "cm"
+        return offer(self, state, ev, source)
+
+    def counting_force(self):  # a digest compared before its candidate was kept
+        counts["forced"] += self._moved is None
+        return force(self)
+
+    monkeypatch.setattr(State, "moved", counting_moved)
+    monkeypatch.setattr(Branch, "offer", counting_offer)
+    monkeypatch.setattr(MoveDigest, "__int__", counting_force)
+    for _ in range(steps):
+        br.step(model)
+    candidates = steps * (config.tabu_candidates if kind == "tabu" else 1)
+    assert 0 < counts["kept"] <= steps
+    assert counts["built"] <= counts["kept"] + counts["forced"]
+    assert counts["built"] < candidates / 4
 
 
 def test_frozen_model_pickles_with_its_delta_plan(data_dir):
