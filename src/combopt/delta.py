@@ -7,19 +7,25 @@ node whose summand is an elementwise tree (``add``/``sub``/``mul``/``neg``/
 ``x[2]``, is a one-term sum.  These nodes are the plan's *roots*; every node
 above them must be scalar arithmetic or a comparison, the plan's *tail*.
 
-For a flip, a root re-evaluates only the terms that read the flipped bit, at
-its old and at its new value, and adds the difference to its cached value.
-A sum over a set adds the terms of added elements and subtracts those of
-dropped ones.  A sum over a list gets no rule: a random 2-opt, insertion or
-swap spans about a third of the list, and a rule over the positions it
-changes cost as much as the full evaluation on tours of 52 to 3000 cities.
+For a flip, a root over a bit array uses the pairwise form of its terms.  A
+term that reads bits ``a <= b`` equals ``c + alpha*x_a + beta*x_b +
+gamma*x_a*x_b`` on {0, 1}², and ``freeze`` evaluates every term once at the
+four corners to find these coefficients.  It folds them into tables keyed by
+the positions the terms read.  A flip of ``p`` then changes a sum by
+``±(h[p] + J[p] @ x[nbrs[p]])``, one gather and one dot, and sets a one-term
+root to its value at the new corner.  A sum over a set adds the terms of
+added elements and subtracts those of dropped ones.  A sum over a list gets
+no rule: a random 2-opt, insertion or swap spans about a third of the list,
+and a rule over the positions it changes cost as much as the full evaluation
+on tours of 52 to 3000 cities.
 
 The result must equal the full evaluation bit for bit.  That holds because a
 root is compiled only when it is ``integral`` and its partial sums stay below
 2**53, so every float64 sum is exact in any order.  A model with any other
 node above a decision (a non-integral sum, a list, ``integer`` or partition
-decision, a sum of sums, a sum over a tree deeper than ``_MAX_DEPTH``) gets
-no plan and always evaluates in full.
+decision, a sum of sums, a sum over a tree deeper than ``_MAX_DEPTH``, a sum
+whose terms read three or more distinct bits) gets no plan and always
+evaluates in full.
 """
 
 from __future__ import annotations
@@ -45,12 +51,10 @@ class _NotDelta(Exception):
 class _Terms:
     """Compiles one root's summand into a term function.
 
-    ``fn(both, leaves)`` evaluates the summand term by term.  ``leaves`` are
-    per-term arrays (decision positions for reads, constants otherwise),
-    already gathered to the terms wanted; reads index ``both``, the old and
-    the new value of the decision concatenated.  Each node compiles to a
-    closure over its operands' closures, which costs less per call than
-    interpreting a list of steps.
+    ``fn(x, leaves)`` evaluates the summand term by term.  ``leaves`` are
+    per-term arrays (decision positions for reads, constants otherwise), and
+    reads index ``x``.  The rules call it only when they are built.  Each
+    node compiles to a closure over its operands' closures.
     """
 
     def __init__(self, nodes, decisions, n_terms):
@@ -83,14 +87,14 @@ class _Terms:
             raise _NotDelta("positions outside the decision")
         slot = self._leaf(pos)
         self.reads.append(slot)
-        return (lambda both, lv: both[lv[slot]]), 1.0, True
+        return (lambda x, lv: x[lv[slot]]), 1.0, True
 
     def _per_term(self, arr: np.ndarray, bound: float, is_int: bool):
         if arr.ndim == 0:
-            return (lambda both, lv: arr), bound, is_int
+            return (lambda x, lv: arr), bound, is_int
         if arr.ndim == 1 and arr.size == self.n_terms:
             slot = self._leaf(arr)
-            return (lambda both, lv: lv[slot]), bound, is_int
+            return (lambda x, lv: lv[slot]), bound, is_int
         raise _NotDelta("constant is not per-term")
 
     def compile(self, nid: int):
@@ -115,11 +119,11 @@ class _Terms:
             fb, bb, ib = self.compile(node.operands[1])
             # over |a| <= ba and |b| <= bb, |a + b|, |a - b| and |a * b| peak at a corner
             bound = max(abs(f(ba, bb)), abs(f(ba, -bb)))
-            return (lambda both, lv: f(fa(both, lv), fb(both, lv))), bound, ia and ib
+            return (lambda x, lv: f(fa(x, lv), fb(x, lv))), bound, ia and ib
         if op in UNARY_OPS:
             f = UNARY_OPS[op]
             fa, ba, ia = self.compile(node.operands[0])
-            return (lambda both, lv: f(fa(both, lv))), ba, ia
+            return (lambda x, lv: f(fa(x, lv))), ba, ia
         if op == "decision":
             spec = self.decisions[node.payload]
             if spec.kind != SET:
@@ -147,7 +151,7 @@ class _Terms:
                 table = base.payload
                 fks = [self._key(k) for k in keys]
                 bound = float(np.abs(table).max()) if table.size else 0.0
-                return (lambda both, lv: table[tuple([f(both, lv) for f in fks])]), bound, False
+                return (lambda x, lv: table[tuple([f(x, lv) for f in fks])]), bound, False
         raise _NotDelta(f"no delta rule for {op!r}")
 
     def _key(self, nid: int):
@@ -160,62 +164,95 @@ class _Terms:
         return fn
 
 
-class _FlipRule:
-    """Delta rule of a root over a bit array.
+def _corners(compiled: _Terms):
+    """The positions ``a <= b`` that each term reads, and its 4 corner values.
 
-    One pass evaluates the terms that read the flipped position at the old
-    and at the new value: reads gather from the old and new values of the
-    decision concatenated, and ``sign`` weighs each term's old copy by -1 and
-    its new copy by +1.  ``touched[p]`` holds, for the terms that read
-    position ``p``, their old copies and then their new copies, with every
-    leaf gathered in that order in advance.  The tables grow with the terms,
-    not with the decision, so a model with many one-term roots stays cheap.
+    Row ``k`` holds every term's value at corner ``k`` of ``(x_a, x_b)``:
+    (0, 0), (1, 0), (0, 1), (1, 1).  One call of the term function computes
+    them: each read becomes a 0/1 leaf into ``[0, 1]``.  A term that reads
+    one position has ``a == b`` and reads ``x_a`` at every corner.
+    """
+    m = compiled.n_terms
+    reads = np.array([compiled.leaves[s] for s in compiled.reads])
+    a, b = reads.min(0), reads.max(0)
+    if not ((reads == a) | (reads == b)).all():
+        raise _NotDelta("a term reads more than two bits")
+    corner = np.array([[0, 1, 0, 1], [0, 0, 1, 1]])[:, :, None]  # x_a, x_b
+    leaves = [
+        np.where(leaf == a, corner[0], corner[1]).ravel() if s in compiled.reads
+        else np.tile(leaf, 4)
+        for s, leaf in enumerate(compiled.leaves)
+    ]
+    return a, b, compiled.fn(np.array([0, 1]), leaves).reshape(4, m)
+
+
+class _FlipSumRule:
+    """Delta rule of a sum over a bit array, from the pairwise form of its terms.
+
+    On {0, 1}² a term that reads bits ``a <= b`` equals ``c + alpha*x_a +
+    beta*x_b + gamma*x_a*x_b``.  Flipping bit ``p`` changes the sum by
+    ``±(h[p] + J[p] @ x[nbrs[p]])``: ``h[p]`` adds up the linear coefficients
+    of ``p`` and ``J[p]`` its couplings with the bits ``nbrs[p]``.
+    ``touched[p]`` holds ``(h[p], nbrs[p], J[p])`` for each position the terms
+    read, so the tables grow with the terms, not with the decision.
     """
 
-    def __init__(self, slot: int, is_sum: bool, compiled: _Terms, spec):
+    def __init__(self, slot: int, compiled: _Terms, n: int, bound: float):
         self.slot = slot
-        self.is_sum = is_sum
-        self.terms_fn = compiled.fn
-        m, n = compiled.n_terms, spec.n
-        leaves = [
-            np.concatenate((leaf, leaf + n if s in compiled.reads else leaf))
-            for s, leaf in enumerate(compiled.leaves)
-        ]  # indexed by the term, or by the term + m for its new copy
-        # (position, term) pairs sorted by position, without repeats
-        pos = np.concatenate([compiled.leaves[s] for s in compiled.reads])
-        key = np.sort(pos * m + np.tile(np.arange(m), len(compiled.reads)))
-        key = key[np.diff(key, prepend=-1) != 0]
-        pos, terms = (key // m, key % m) if m else (key, key)
-        firsts = np.flatnonzero(np.diff(pos, prepend=-1))  # each position's first pair
-        # position p's old copies, then its new copies
-        counts = np.diff(firsts, append=pos.size)
-        block, size = np.repeat(firsts, counts), np.repeat(counts, counts)
-        old = block + np.arange(pos.size)
-        doubled = np.empty(2 * pos.size, dtype=np.int64)
-        doubled[old], doubled[old + size] = terms, terms + m
-        sign = np.where(doubled < m, -1.0, 1.0)
-        gathered = [leaf[doubled] for leaf in leaves]
+        a, b, (v00, v10, v01, v11) = _corners(compiled)
+        alpha, beta, gamma = v10 - v00, v01 - v00, (v11 - v10) - (v01 - v00)
+        # every partial sum of the cached value plus a change stays below 2**53
+        if compiled.n_terms * bound + sum(np.abs(c).sum() for c in (alpha, beta, gamma)) >= _EXACT:
+            raise _NotDelta("coefficients too large for exact sums")
+        # every term under each of its ends, sorted by (end, other end)
+        key = np.array([a * n + b, b * n + a]).ravel()
+        order = np.argsort(key)
+        key, linear = key[order], np.array([alpha, beta]).ravel()[order]
+        firsts = np.flatnonzero(np.diff(key // n, prepend=-1))  # each end's first
+        pos, h = key[firsts] // n, np.add.reduceat(linear, firsts, dtype=float)
+        firsts = np.flatnonzero(np.diff(key, prepend=-1))  # each pair's first
+        key = key[firsts]
+        coupling = np.add.reduceat(np.tile(gamma, 2)[order], firsts, dtype=float)
+        # a term with a == b, or a pair whose couplings cancel, couples nothing
+        key, coupling = key[coupling != 0], coupling[coupling != 0]
+        owner, nbrs = key // n, key % n
+        first, stop = np.searchsorted(owner, pos), np.searchsorted(owner, pos, "right")
         self.touched = {
-            p: (sign[2 * a:2 * (a + c)], [g[2 * a:2 * (a + c)] for g in gathered])
-            for p, a, c in zip(pos[firsts].tolist(), firsts.tolist(), counts.tolist())
+            p: (hp, nbrs[i:j], coupling[i:j])
+            for p, hp, i, j in zip(pos.tolist(), h.tolist(), first.tolist(), stop.tolist())
         }
 
-    def update(self, cached, both, p: int):
-        """New value of the root after a flip of position ``p``.
-
-        ``both`` is the decision's old value followed by its new value.
-        Returns None when the root needs the full evaluation.
-        """
+    def update(self, cached, old, p: int):
+        """New value of the sum after a flip of position ``p`` of ``old``;
+        None when it reaches zero, whose sign only the full sum knows."""
         touched = self.touched.get(p)
         if touched is None:
             return cached
-        sign, leaves = touched
-        values = self.terms_fn(both, leaves)
-        if not self.is_sum:
-            return values[-1]
-        value = float(cached + values @ sign)
-        # only the full sum knows the sign of a zero result
+        h, nbrs, coupling = touched
+        change = h + coupling @ old[nbrs]
+        value = float(cached - change if old[p] else cached + change)
         return value if value != 0.0 else None
+
+
+class _FlipTermRule:
+    """Delta rule of a one-term root over a bit array, such as ``x[2]``.
+
+    ``corners`` holds the term's value at each corner of the bits ``a <= b``
+    it reads, as the full evaluation computes it, so a zero keeps its sign.
+    """
+
+    def __init__(self, slot: int, compiled: _Terms):
+        self.slot = slot
+        a, b, values = _corners(compiled)
+        self.a, self.b = int(a[0]), int(b[0])
+        self.corners = list(values[:, 0])
+
+    def update(self, cached, old, p: int):
+        """New value of the term after a flip of position ``p`` of ``old``."""
+        a, b = self.a, self.b
+        if p != a and p != b:
+            return cached
+        return self.corners[(old[a] ^ (p == a)) + 2 * (old[b] ^ (p == b))]
 
 
 class _SetRule:
@@ -262,22 +299,27 @@ def _root(nodes, decisions, nid: int, slot: int):
     if 3.0 * compiled.n_terms * bound >= _EXACT:
         return None
     spec = decisions[compiled.decision]
-    if spec.kind == SET:
-        try:
-            return compiled.decision, _SetRule(slot, compiled)
-        except IndexError:  # a constant shorter than the set: let the sets that
-            return None     # reach past its end raise in the full evaluation
-    return compiled.decision, _FlipRule(slot, node.op == "sum", compiled, spec)
+    try:
+        if spec.kind == SET:
+            rule = _SetRule(slot, compiled)
+        elif node.op == "sum":
+            rule = _FlipSumRule(slot, compiled, spec.n, bound)
+        else:
+            rule = _FlipTermRule(slot, compiled)
+    except _NotDelta:
+        return None
+    except IndexError:  # a constant too short for some elements or bits: let the
+        return None     # states that reach past its end raise in the full evaluation
+    return compiled.decision, rule
 
 
 class DeltaPlan:
     """Roots, their rules per decision, and the tail schedule above them."""
 
-    def __init__(self, roots: list[int], rules: dict, tail: list, bits: set):
+    def __init__(self, roots: list[int], rules: dict, tail: list):
         self.roots = roots  # node ids, in the order of Evaluation.sums
         self.rules = rules  # decision id -> rules of the roots reading it
         self.tail = tail
-        self.bits = bits  # bit-array decision ids, whose rules read their old and new values
 
     def update(self, prev_state, prev_eval, move):
         """The roots' values at ``prev_state`` after ``move``, from the move's tag,
@@ -292,15 +334,8 @@ class DeltaPlan:
         rules = self.rules.get(d)
         if not rules:
             return cached
-        if d not in self.bits:
-            args = (tag,)
-        elif kind == "flip":
-            old, p = prev_state.values[d], tag[1]
-            both = np.concatenate((old, old))
-            both[old.size + p] = 1 - old[p]
-            args = (both, p)
-        else:
-            return None
+        # a flip rule reads the bits before the flip, a set rule only the tag
+        args = (prev_state.values[d], tag[1]) if kind == "flip" else (tag,)
         sums = list(cached)
         for rule in rules:
             value = rule.update(cached[rule.slot], *args)
@@ -331,5 +366,4 @@ def compile_plan(nodes, decisions, schedule, tops) -> DeltaPlan | None:
             stack.extend(nodes[nid].operands)
         else:
             return None
-    bits = {d for d in rules if decisions[d].kind == BINARY}
-    return DeltaPlan(roots, rules, [e for e in schedule if e[0] in tail_ids], bits)
+    return DeltaPlan(roots, rules, [e for e in schedule if e[0] in tail_ids])

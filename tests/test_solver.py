@@ -828,6 +828,8 @@ def delta_walk(model, steps: int, accept: float, seed: int) -> tuple[int, list[b
             assert (fast.key < current_eval.key) == (full.key < current_eval.key)
             assert (current_eval.key < fast.key) == (current_eval.key < full.key)
             assert _bits(fast.objective) == _bits(full.objective), move
+            # every root, the sign of a zero included
+            assert [_bits(v) for v in fast.sums] == [_bits(v) for v in full.sums], move
             assert fast.constraint_results == full.constraint_results, move
             assert [_bits(v) for v in fast.violations] == [_bits(v) for v in full.violations]
             assert fast.key[:3] == full.key[:3]
@@ -856,6 +858,23 @@ def _mixed_model():
                + 2 * x[2] - (x * w).sum() + (-x[[3, 4, 5]] * w[[3, 4, 5]]).sum())
     m.add_constraint(x.sum() >= 3)
     m.add_constraint(y[0] + 2 * y[7] <= 1)
+    return m.freeze()
+
+
+def _signed_model():
+    """A cut over hand-built edges: a self-loop, both directions of one edge,
+    repeated edges, zero and negative weights, and a one-term root that is
+    -0.0 whenever its bit is 0."""
+    rng = np.random.default_rng(7)
+    us, vs = rng.integers(0, 16, 60), rng.integers(0, 16, 60)
+    ws = rng.integers(1, 10, 60)
+    ws[:6] = [0, 0, -3, -5, -1, -8]
+    extra = np.array([[4, 4, 7], [0, 1, 5], [1, 0, -2], [2, 5, 3], [2, 5, 3], [2, 5, 0]])
+    us, vs, ws = (np.append(col, e) for col, e in zip((us, vs, ws), extra.T))
+    m = Model()
+    x = m.binary(16)
+    cut = (abs(x[m.constant(us)] - x[m.constant(vs)]) * m.constant(ws)).sum()
+    m.minimize(-cut + -(1.0 * x[3]))
     return m.freeze()
 
 
@@ -888,13 +907,15 @@ def _walk_model(data_dir, name):
         return _mixed_model()
     if name == "chain":
         return _chain_model()
+    if name == "signed":
+        return _signed_model()
     n, density, seed = {"mc200": (200, 0.1, 11), "mc3": (3, 1.0, 2)}[name]
     return build_mcp_model(generate_random_maxcut(n, density, seed=seed)).freeze()
 
 
 @pytest.mark.parametrize("accept", [1.0, 0.5])
 @pytest.mark.parametrize(
-    "name", ["tsp9", "disc52", "kp50", "mc10", "mc200", "mc3", "mixed", "chain"])
+    "name", ["tsp9", "disc52", "kp50", "mc10", "mc200", "mc3", "mixed", "chain", "signed"])
 def test_delta_evaluation_matches_full_evaluation(data_dir, name, accept):
     model = _walk_model(data_dir, name)
     if name in ("tsp9", "disc52"):
@@ -933,7 +954,17 @@ def _disjoint_lists_model():
     return m
 
 
-@pytest.mark.parametrize("build", [_float_tsp_model, _integer_model, _disjoint_lists_model])
+def _three_bit_model():
+    """A sum whose terms each read three distinct bits: no pairwise form."""
+    m = Model()
+    x = m.binary(9)
+    us, vs, ws = (m.constant((np.arange(9) + k) % 9) for k in range(3))
+    m.minimize((x[us] * x[vs] * x[ws]).sum())
+    return m
+
+
+@pytest.mark.parametrize(
+    "build", [_float_tsp_model, _integer_model, _disjoint_lists_model, _three_bit_model])
 def test_models_outside_the_delta_rules_evaluate_in_full(build):
     model = build().freeze()
     assert model._plan is None
