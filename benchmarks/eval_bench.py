@@ -27,9 +27,11 @@ import numpy as np
 from benchfile import ROOT, save
 from combopt.modeling import Model
 from combopt.problems import (
+    TspInstance,
     build_kp_model,
     build_mcp_model,
     build_tsp_model,
+    euc2d_matrix,
     generate_random_maxcut,
     parse_kplib,
     parse_tsplib,
@@ -47,6 +49,9 @@ def models():
     yield "disc52", build_tsp_model(parse_tsplib((DATA / "disc52.tsp").read_text(), "disc52"))
     yield "kp50", build_kp_model(parse_kplib((DATA / "kp50.kp").read_text(), "kp50"))
     yield "mc200", build_mcp_model(generate_random_maxcut(200, 0.1, seed=0, name="mc200"))
+    # a random EUC_2D tour: symmetric and integral, like disc52
+    coords = np.random.default_rng(1000).uniform(0, 10_000, (1000, 2))
+    yield "tsp1000", build_tsp_model(TspInstance("tsp1000", 1000, euc2d_matrix(coords)))
 
 
 def candidates(model):

@@ -19,25 +19,33 @@ import time
 import numpy as np
 
 from benchfile import ROOT, save
-from combopt.problems import generate_random_maxcut, KpInstance, TspInstance
+from combopt.problems import generate_random_maxcut, KpInstance, TspInstance, parse_tsplib
 from combopt.qubo import NUMBA_AVAILABLE, kp_to_qubo, mcp_to_qubo, sa_sample, tsp_to_qubo
+from combopt.qubo.encode import tour_qubo
 
 BENCH_FILE = ROOT / "BENCH_sampler.json"
 REPEATS = 3
 
 
-def cases():
+def cases(reads, sweeps):
+    """(name, qubo, reads, sweeps) of each case."""
     rng = np.random.default_rng(0)
     for n in (30, 80, 160):
         inst = generate_random_maxcut(n, 0.5, (1, 10), seed=n)
-        yield f"maxcut n={n}", mcp_to_qubo(inst)[0]
+        yield f"maxcut n={n}", mcp_to_qubo(inst)[0], reads, sweeps
     w = rng.integers(50, 400, 40)
     kp = KpInstance("kp40", 40, w + rng.integers(0, 100, 40), w, int(w.sum() // 2))
-    yield "knapsack n=40 (+slack)", kp_to_qubo(kp)[0]
+    yield "knapsack n=40 (+slack)", kp_to_qubo(kp)[0], reads, sweeps
     c = rng.integers(1, 100, (12, 12)).astype(float)
     c = np.triu(c, 1)
     tsp = TspInstance("t12", 12, c + c.T)
-    yield "tsp n=12 (one-hot 144)", tsp_to_qubo(tsp)[0]
+    yield "tsp n=12 (one-hot 144)", tsp_to_qubo(tsp)[0], reads, sweeps
+    # a QM window of the solver on disc52, cities 5..20 between 4 and 21, at
+    # the solver's 4 reads x 64 sweeps
+    c = parse_tsplib((ROOT / "data" / "disc52.tsp").read_text(), "disc52").cost_matrix
+    cities = np.arange(5, 21)
+    window = tour_qubo(c[np.ix_(cities, cities)], ends=(c[4, cities], c[cities, 21]))
+    yield "disc52 window 16 cities", window, 4, 64
 
 
 def run(qubo, backend, reads, sweeps):
@@ -66,12 +74,12 @@ def main():
     print(header)
     print("-" * len(header))
     results = {}
-    for name, qubo in cases():
-        ns_np, out_np = run(qubo, "numpy", args.reads, args.sweeps)
-        entry = {"n": qubo.n, "reads": args.reads, "sweeps": args.sweeps, "numpy": round(ns_np, 1)}
+    for name, qubo, reads, sweeps in cases(args.reads, args.sweeps):
+        ns_np, out_np = run(qubo, "numpy", reads, sweeps)
+        entry = {"n": qubo.n, "reads": reads, "sweeps": sweeps, "numpy": round(ns_np, 1)}
         if NUMBA_AVAILABLE:
             run(qubo, "numba", 1, 1)  # exclude JIT compile
-            ns_nb, out_nb = run(qubo, "numba", args.reads, args.sweeps)
+            ns_nb, out_nb = run(qubo, "numba", reads, sweeps)
             entry["numba"] = round(ns_nb, 1)
             same = all(
                 np.array_equal(a[0], b[0]) and a[1] == b[1]

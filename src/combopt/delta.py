@@ -14,18 +14,25 @@ four corners to find these coefficients.  It folds them into tables keyed by
 the positions the terms read.  A flip of ``p`` then changes a sum by
 ``±(h[p] + J[p] @ x[nbrs[p]])``, one gather and one dot, and sets a one-term
 root to its value at the new corner.  A sum over a set adds the terms of
-added elements and subtracts those of dropped ones.  A sum over a list gets
-no rule: a random 2-opt, insertion or swap spans about a third of the list,
-and a rule over the positions it changes cost as much as the full evaluation
-on tours of 52 to 3000 cities.
+added elements and subtracts those of dropped ones.
+
+A list decision ``L`` has two roots, the two parts of a tour length: the path
+``C[L[:-1], L[1:]].sum()`` over a symmetric table ``C`` and a one-term entry
+such as the closing edge ``C[L[-1], L[0]]``.  A 2-opt, swap or insertion
+changes at most six edges of the path; the rest keep their lengths, reversed
+or shifted along the list, because ``C`` is symmetric (Johnson and McGeoch's
+O(1) 2-opt gain).  The rule reads those edges from the tag, at positions of
+the list before the move.  A one-term entry reads the table at the entries
+that the move brings to its positions.
 
 The result must equal the full evaluation bit for bit.  That holds because a
-root is compiled only when it is ``integral`` and its partial sums stay below
-2**53, so every float64 sum is exact in any order.  A model with any other
-node above a decision (a non-integral sum, a list, ``integer`` or partition
-decision, a sum of sums, a sum over a tree deeper than ``_MAX_DEPTH``, a sum
-whose terms read three or more distinct bits) gets no plan and always
-evaluates in full.
+sum is compiled only when it is ``integral`` and its partial sums stay below
+2**53, so every float64 sum is exact in any order; a one-term root is read
+from its table as the full evaluation reads it.  A model with any other node
+above a decision (a non-integral sum, a path over an asymmetric table, any
+other sum over a list, an ``integer`` or partition decision, a sum of sums, a
+sum over a tree deeper than ``_MAX_DEPTH``, a sum whose terms read three or
+more distinct bits) gets no plan and always evaluates in full.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .modeling import ARITH_OPS, COMPARE_OPS, UNARY_OPS
-from .state import BINARY, SET
+from .state import BINARY, LIST, SET
 
 _TERM_OPS = (*ARITH_OPS, *UNARY_OPS)
 _TAIL_OPS = ("const", *_TERM_OPS, *COMPARE_OPS)
@@ -222,9 +229,10 @@ class _FlipSumRule:
             for p, hp, i, j in zip(pos.tolist(), h.tolist(), first.tolist(), stop.tolist())
         }
 
-    def update(self, cached, old, p: int):
-        """New value of the sum after a flip of position ``p`` of ``old``;
+    def update(self, cached, old, tag):
+        """New value of the sum after the flip ``tag`` of the bits ``old``;
         None when it reaches zero, whose sign only the full sum knows."""
+        p = tag[1]
         touched = self.touched.get(p)
         if touched is None:
             return cached
@@ -247,9 +255,9 @@ class _FlipTermRule:
         self.a, self.b = int(a[0]), int(b[0])
         self.corners = list(values[:, 0])
 
-    def update(self, cached, old, p: int):
-        """New value of the term after a flip of position ``p`` of ``old``."""
-        a, b = self.a, self.b
+    def update(self, cached, old, tag):
+        """New value of the term after the flip ``tag`` of the bits ``old``."""
+        p, a, b = tag[1], self.a, self.b
         if p != a and p != b:
             return cached
         return self.corners[(old[a] ^ (p == a)) + 2 * (old[b] ^ (p == b))]
@@ -262,8 +270,9 @@ class _SetRule:
         self.slot = slot
         self.table = compiled.fn(None, compiled.leaves).tolist()
 
-    def update(self, cached, tag):
-        """New value of the sum after a set move; None for a zero sum or another tag."""
+    def update(self, cached, old, tag):
+        """New value of the sum after the set move ``tag``; None for a zero sum
+        or another tag."""
         kind = tag[0]
         if kind == "add":
             value = cached + self.table[tag[1]]
@@ -276,9 +285,138 @@ class _SetRule:
         return value if value != 0.0 else None
 
 
+def _moved_from(tag, p: int) -> int:
+    """The position, before the list move ``tag``, of the entry it brings to ``p``."""
+    kind, i, j = tag
+    if kind == "2opt":
+        return i + j - p if i <= p <= j else p
+    if kind == "swap":
+        return j if p == i else i if p == j else p
+    # an insertion takes the entry at i to j and shifts the ones between by one
+    if p == j:
+        return i
+    if i <= p < j:
+        return p + 1
+    if j < p <= i:
+        return p - 1
+    return p
+
+
+class _PathRule:
+    """Delta rule of a path ``C[L[:-1], L[1:]].sum()`` over a symmetric table.
+
+    A move cuts a few edges of the path and joins as many; every other edge
+    keeps its length, reversed or shifted along the list.  ``update`` names
+    both as pairs of positions of the list before the move, with ``i < j``
+    for a 2-opt or swap as :func:`~combopt.solver.moves.draw_move` makes
+    them.  A pair with an end outside the list stands for no edge on either
+    side, as the edge before a 2-opt from position 0.
+    """
+
+    def __init__(self, slot: int, table: np.ndarray, n: int):
+        self.slot = slot
+        self.table = table
+        self.n = n
+
+    def update(self, cached, old, tag):
+        """New value of the path after the list move ``tag`` of ``old``; None
+        when it reaches zero, whose sign only the full sum knows."""
+        kind, i, j = tag
+        if kind == "2opt" or kind == "swap" and j == i + 1:
+            cut, join = ((i - 1, i), (j, j + 1)), ((i - 1, j), (i, j + 1))
+        elif kind == "swap":
+            cut = ((i - 1, i), (i, i + 1), (j - 1, j), (j, j + 1))
+            join = ((i - 1, j), (j, i + 1), (j - 1, i), (i, j + 1))
+        elif kind == "ins" and i < j:
+            cut = ((i - 1, i), (i, i + 1), (j, j + 1))
+            join = ((i - 1, i + 1), (j, i), (i, j + 1))
+        elif kind == "ins":
+            cut = ((j - 1, j), (i - 1, i), (i, i + 1))
+            join = ((j - 1, i), (i, j), (i - 1, i + 1))
+        else:
+            return None
+        value = cached - self._length(old, cut) + self._length(old, join)
+        return value if value != 0.0 else None
+
+    def _length(self, old, edges) -> float:
+        n, edge, at = self.n, self.table.item, old.item
+        total = 0.0
+        for p, q in edges:
+            if p >= 0 and q < n:  # every pair above has p >= -1 and q <= n
+                total += edge(at(p), at(q))
+        return total
+
+
+class _EntryRule:
+    """Delta rule of a one-term root that reads a table at constant positions
+    of a list, such as the closing edge ``C[L[-1], L[0]]``.  It reads the
+    table as the full evaluation does, so any table is exact."""
+
+    def __init__(self, slot: int, table: np.ndarray, positions: list[int]):
+        self.slot = slot
+        self.table = table
+        self.positions = positions
+
+    def update(self, cached, old, tag):
+        """The table entry at the entries that the list move ``tag`` of ``old``
+        brings to the positions."""
+        return self.table.item(*[old.item(_moved_from(tag, p)) for p in self.positions])
+
+
+def _list_read(nodes, decisions, nid: int):
+    """``(decision, node)`` when node ``nid`` gathers or slices a list decision."""
+    node = nodes[nid]
+    base = nodes[node.operands[0]] if node.op in ("index", "slice") else None
+    if base is None or base.op != "decision" or decisions[base.payload].kind != LIST:
+        return None
+    return base.payload, node
+
+
+def _list_root(nodes, decisions, node, slot: int):
+    """The list decision and rule of a path or a one-term entry over a list,
+    or None when ``node`` is neither."""
+    if node.op == "sum":
+        node = nodes[node.operands[0]]
+        path = True
+    elif node.op == "index" and node.shape == ():
+        path = False
+    else:
+        return None
+    if node.op != "index" or nodes[node.operands[0]].op != "const":
+        return None
+    table = nodes[node.operands[0]].payload
+    reads = [_list_read(nodes, decisions, k) for k in node.operands[1:]]
+    if table.ndim != len(reads) or None in reads or len({d for d, _ in reads}) != 1:
+        return None
+    did = reads[0][0]
+    n = decisions[did].n
+    if min(table.shape) < n:  # states past its end raise in the full evaluation
+        return None
+    if path:
+        if [key.payload for _, key in reads] != [(0, n - 1), (1, n)]:
+            return None
+        if not (node.integral and np.array_equal(table, table.T)):
+            return None
+        if (n + 8) * float(np.abs(table).max()) >= _EXACT:
+            return None
+        return did, _PathRule(slot, table, n)
+    positions = []
+    for _, key in reads:
+        pos = nodes[key.operands[1]] if key.op == "index" else None
+        if pos is None or pos.op != "const" or pos.payload.ndim:
+            return None
+        positions.append(int(pos.payload))
+    if not all(0 <= p < n for p in positions):
+        return None
+    return did, _EntryRule(slot, table, positions)
+
+
 def _root(nodes, decisions, nid: int, slot: int):
     """The delta rule of node ``nid``, or None when it is not a root."""
     node = nodes[nid]
+    found = _list_root(nodes, decisions, node, slot)
+    if found is not None:
+        return found
     if node.op == "sum":
         body = node.operands[0]
         shape = nodes[body].shape
@@ -328,17 +466,15 @@ class DeltaPlan:
         if cached is None:
             return None
         d, tag = move
-        kind = tag[0]
-        if kind == "noop":
+        if tag[0] == "noop":
             return cached
         rules = self.rules.get(d)
         if not rules:
             return cached
-        # a flip rule reads the bits before the flip, a set rule only the tag
-        args = (prev_state.values[d], tag[1]) if kind == "flip" else (tag,)
+        old = prev_state.values[d]
         sums = list(cached)
         for rule in rules:
-            value = rule.update(cached[rule.slot], *args)
+            value = rule.update(cached[rule.slot], old, tag)
             if value is None:
                 return None
             sums[rule.slot] = value

@@ -476,25 +476,12 @@ class Model:
             for nid in sorted(needed)
         ]
         self._frozen = True
-        self._plan = self._compile_plan()
+        if self.objective is not None:
+            from .delta import compile_plan  # delta imports the operator tables from here
+
+            self._plan = compile_plan(self.nodes, self.decisions, self._schedule,
+                                      [self.objective, *self.constraints])
         return self
-
-    def _compile_plan(self):
-        if not self._frozen or self.objective is None:
-            return None
-        from .delta import compile_plan  # delta imports the operator tables from here
-
-        return compile_plan(self.nodes, self.decisions, self._schedule,
-                            [self.objective, *self.constraints])
-
-    def __getstate__(self):
-        # the delta plan is made of closures, which do not pickle; it is
-        # compiled again from the nodes when the model is unpickled
-        return {**self.__dict__, "_plan": None}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._plan = self._compile_plan()
 
     @property
     def frozen(self) -> bool:
@@ -541,8 +528,8 @@ class Model:
         for bit, and its ``state_key`` is a :class:`MoveDigest`.
 
         Returns None when the plan cannot answer: the model has no plan (a
-        sum over a list gets none), the plan has no rule for the tag, or a
-        sum reaches zero.  The caller then builds the moved state and
+        sum over float data gets none), the plan has no rule for the tag, or
+        a sum reaches zero.  The caller then builds the moved state and
         evaluates it in full.
         """
         plan = self._plan

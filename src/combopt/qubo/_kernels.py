@@ -10,12 +10,23 @@ All randomness is addressed, never stateful: uniform ``u(k)`` is a pure
 function of (key, counter k), so the numba kernel computes them one at a
 time while the numpy twin draws a block of whole sweeps with one vectorized
 ``uniforms`` call (at most ``_UNIFORM_BLOCK`` counters, at least one sweep).
+
+The numpy twin also skips the visits that cannot flip.  After a whole sweep
+in which no visit flipped, no field changes until the next accepted flip, so
+every later visit of the read tests the same flip energy against its own
+uniform and beta.  :func:`_next_flip` finds the first visit that passes in
+vector form, over the rest of the block, and the sweep loop resumes at it.
+That is exact: a vector filter keeps a superset of the passing visits, and
+the loop's own scalar test, in visit order, picks the first of them.  On a
+256-variable tour window at 4 reads x 64 sweeps about half the sweeps flip
+nothing.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from itertools import islice
 
 import numpy as np
 
@@ -77,6 +88,39 @@ def random_bits(key: np.uint64, start: int, count: int) -> np.ndarray:
 # Counters per uniforms() call in anneal_numpy: whole sweeps, at least one.
 # Bounds the block's memory (a few MB) on a 4096-variable, many-sweep run.
 _UNIFORM_BLOCK = 1 << 16
+# Fewest variables for which anneal_numpy looks ahead past a sweep that
+# flips nothing.  Measured on a 2-CPU machine: 16-variable maxcut QUBOs
+# annealed 12–15% slower with it, where the next flip is often a sweep or
+# two away; from 64 variables on, maxcut and knapsack QUBOs broke even and
+# one-hot tour windows gained about 1.2x.
+_LOOKAHEAD_MIN = 64
+# Margin of the look-ahead filter over the difference of np.exp and math.exp,
+# which is a few units in the last place.
+_EXP_SLACK = 1.0 + 1e-12
+
+
+def _next_flip(de: np.ndarray, neg_betas: list, u: np.ndarray) -> int | None:
+    """Index into ``u`` of the first visit that accepts its flip while no
+    field changes; None when no visit does.
+
+    ``u`` holds the uniforms of whole sweeps, ``neg_betas`` their negated
+    inverse temperatures and ``de`` every variable's flip energy.  The filter
+    keeps a superset of the accepted visits: ``np.exp`` differs from
+    ``math.exp`` by far less than ``_EXP_SLACK``, and ``<=`` keeps a visit
+    whose ``np.exp`` underflows to 0.  The kernel's own scalar test then
+    confirms the kept visits in visit order, so the first one it passes is
+    the visit that the sweep loop accepts first.
+    """
+    n = de.shape[0]
+    with np.errstate(over="ignore"):
+        bound = np.exp(np.array(neg_betas)[:, None] * de) * _EXP_SLACK
+    keep = (de <= 0.0) | (u.reshape(-1, n) <= bound)
+    dl = de.tolist()
+    for k in np.flatnonzero(keep).tolist():
+        s, i = divmod(k, n)
+        if dl[i] <= 0.0 or u.item(k) < math.exp(neg_betas[s] * dl[i]):
+            return k
+    return None
 
 
 def anneal_numpy(
@@ -105,6 +149,7 @@ def anneal_numpy(
     cols = list(np.ascontiguousarray(s.T))
     neg_betas = [-float(b) for b in betas]
     block = max(1, _UNIFORM_BLOCK // n)
+    ahead = n >= _LOOKAHEAD_MIN
     exp = math.exp
     visit = range(n)
     for r in range(reads):
@@ -121,15 +166,23 @@ def anneal_numpy(
                 field += cols[i]
         best_e = energy
         best_b = bits[:]
-        for sw0 in range(0, sweeps, block):
-            count = min(block, sweeps - sw0)
-            us = iter(uniforms(key_flip, (r * sweeps + sw0) * n, count * n).tolist())
-            for nb in neg_betas[sw0 : sw0 + count]:
+        first = r * sweeps * n
+        # the next visit is variable start of sweep sw; uniforms are drawn
+        # for the sweeps b0..stop-1
+        sw = start = stop = 0
+        while sw < sweeps:
+            if sw == stop:
+                b0, stop = sw, min(sweeps, sw + block)
+                ua = uniforms(key_flip, first + b0 * n, (stop - b0) * n)
+                us = iter(ua.tolist())
+            for nb in neg_betas[sw:stop]:
+                flipped = False
                 # zip stops on the exhausted range before it pulls from us,
-                # so each sweep takes exactly the next n uniforms
-                for i, u in zip(visit, us):
+                # so each sweep takes exactly its next uniforms
+                for i, u in zip(range(start, n) if start else visit, us):
                     de = -fv[i] if bits[i] else fv[i]
                     if de <= 0.0 or u < exp(nb * de):
+                        flipped = True
                         if bits[i]:
                             bits[i] = 0
                             field -= cols[i]
@@ -140,6 +193,20 @@ def anneal_numpy(
                         if energy < best_e:
                             best_e = energy
                             best_b = bits[:]
+                sw += 1
+                if ahead and not (flipped or start) and sw < stop:
+                    # every visit of a whole sweep kept its bit, so no field
+                    # changes before the next accepted flip: skip to it, or
+                    # to the next block when it is not in this one
+                    de = np.where(bits, -field, field)
+                    k = _next_flip(de, neg_betas[sw:stop], ua[(sw - b0) * n:])
+                    if k is None:
+                        sw = stop
+                    else:
+                        sw, start = sw + k // n, k % n
+                        next(islice(us, k, k), None)  # us skips the k visits
+                    break
+                start = 0
         best_bits[r] = best_b
         best_energy[r] = best_e
     return best_bits, best_energy

@@ -488,7 +488,21 @@ def test_numpy_kernel_matches_reference_on_random_qubos(n):
     assert_kernel_matches_reference(np.zeros(n), np.zeros((n, n)), reads=2, sweeps=3, seed=n)
 
 
-def test_numpy_kernel_matches_reference_on_workload_qubos(data_dir):
+def spy_next_flip(monkeypatch) -> list:
+    """What each look-ahead of ``anneal_numpy`` finds: the offset of the
+    next accepted visit among the uniforms it scans, or None."""
+    calls, next_flip = [], _kernels._next_flip
+
+    def spy(de, neg_betas, u):
+        found = next_flip(de, neg_betas, u)
+        calls.append(found)
+        return found
+
+    monkeypatch.setattr(_kernels, "_next_flip", spy)
+    return calls
+
+
+def test_numpy_kernel_matches_reference_on_workload_qubos(data_dir, monkeypatch):
     tsp = parse_tsplib((data_dir / "disc52.tsp").read_text(), "disc52")
     c, cities = tsp.cost_matrix, np.arange(5, 21)
     window = tour_qubo(c[np.ix_(cities, cities)], ends=(c[4, cities], c[cities, 21]))
@@ -497,6 +511,36 @@ def test_numpy_kernel_matches_reference_on_workload_qubos(data_dir):
     assert (window.n, mc200.n) == (256, 200)
     for seed, qubo in enumerate((window, kp50, mc200)):
         assert_kernel_matches_reference(*qubo.fields(), reads=2, sweeps=12, seed=seed)
+    # the inline QM setting on a 16-city window: a whole sweep that flips
+    # nothing occurs, so the kernel looks ahead past it
+    looked = spy_next_flip(monkeypatch)
+    assert_kernel_matches_reference(*window.fields(), reads=4, sweeps=64, seed=3)
+    assert looked
+
+
+def test_numpy_kernel_looks_ahead_past_exp_underflow(monkeypatch):
+    """32 pairs whose bits gain only together, over an uphill flip of the
+    pair's own ``d`` in 1..3, and 8 bits pinned by a field of 1000.  Late in
+    the schedule whole sweeps flip nothing, a look-ahead finds the next pair
+    to flip or none, and exp(-beta * 1000) underflows to 0 in its filter and
+    in the scalar test."""
+    rng = np.random.default_rng(0)
+    d = rng.choice([1.0, 2.0, 3.0], 32)
+    h = np.concatenate([np.repeat(d, 2), np.full(8, 1000.0)])
+    s = np.zeros((72, 72))
+    a = np.arange(0, 64, 2)
+    s[a, a + 1] = s[a + 1, a] = -3 * d
+    assert h.size >= _kernels._LOOKAHEAD_MIN
+    betas = beta_schedule(h, s, 60)
+    assert math.exp(-betas[-1] * 1000.0) == 0.0 == np.exp(-betas[-1] * 1000.0)
+    looked = spy_next_flip(monkeypatch)
+    assert_kernel_matches_reference(h, s, reads=8, sweeps=60, seed=0)
+    assert None in looked and any(k is not None for k in looked)
+    # uniforms blocks of three sweeps: a look-ahead stops at its block's end
+    looked.clear()
+    monkeypatch.setattr(_kernels, "_UNIFORM_BLOCK", 3 * h.size)
+    assert_kernel_matches_reference(h, s, reads=8, sweeps=60, seed=0)
+    assert None in looked and any(k is not None for k in looked)
 
 
 def test_numpy_kernel_matches_reference_across_uniform_blocks(monkeypatch):

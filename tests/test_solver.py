@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from combopt import Model, State, StateError
+from combopt import Model, State, StateError, delta
 from combopt.modeling import Evaluation, MoveDigest
 from combopt.problems import (
     KpInstance,
@@ -804,13 +804,14 @@ def _bits(x) -> bytes:
     return struct.pack("<d", x)
 
 
-def delta_walk(model, steps: int, accept: float, seed: int) -> tuple[int, list[bool]]:
+def delta_walk(model, steps: int, accept: float, seed: int,
+               answered: list | None = None) -> tuple[int, list[bool]]:
     """Random walk comparing ``evaluate_move`` with the full evaluation of the
     moved state bit for bit.
 
     Returns how many candidates the delta plan evaluated from their tags (the
     rest fell back to the full evaluation) and the feasibility of every
-    candidate.
+    candidate.  ``answered``, when given, collects the tags of the former.
     """
     rng = np.random.default_rng(seed)
     current = initial_state(model, rng)
@@ -824,6 +825,8 @@ def delta_walk(model, steps: int, accept: float, seed: int) -> tuple[int, list[b
         full = model.evaluate_unchecked(cand)
         if fast is not None:
             taken += 1
+            if answered is not None:
+                answered.append(move[1])
             # the lazy digest orders like the full one, also when it breaks a tie
             assert (fast.key < current_eval.key) == (full.key < current_eval.key)
             assert (current_eval.key < fast.key) == (current_eval.key < full.key)
@@ -918,26 +921,34 @@ def _walk_model(data_dir, name):
     "name", ["tsp9", "disc52", "kp50", "mc10", "mc200", "mc3", "mixed", "chain", "signed"])
 def test_delta_evaluation_matches_full_evaluation(data_dir, name, accept):
     model = _walk_model(data_dir, name)
-    if name in ("tsp9", "disc52"):
-        # a sum over a list gets no delta rule: a TSP model has no plan, so
-        # no move is evaluated from its tag
-        assert model._plan is None
-        taken, _ = delta_walk(model, 1000, accept, seed=len(name))
-        assert taken == 0
-        return
     assert model._plan is not None
     steps = {"mc3": 400, "chain": 300}.get(name, 3000)
-    taken, feasible = delta_walk(model, steps, accept, seed=len(name))
+    answered: list = []
+    taken, feasible = delta_walk(model, steps, accept, seed=len(name), answered=answered)
     # only a sum that reaches zero is recomputed in full, to get its sign right;
     # the sums of the two small models are zero often
     assert taken >= (0.5 if name in ("mc3", "mixed") else 0.99) * steps
     if name == "kp50":  # the walk crosses the capacity constraint both ways
         assert any(feasible) and not all(feasible)
+    if name == "tsp9":  # the tour's ends and adjacent insertions both ways
+        n = 9
+        assert ("2opt", 0, n - 1) in answered
+        assert any(t[0] == "2opt" and t[1] == 0 and t[2] < n - 1 for t in answered)
+        assert any(t[0] == "2opt" and t[1] > 0 and t[2] == n - 1 for t in answered)
+        assert any(t[0] == "ins" and t[2] == t[1] + 1 for t in answered)
+        assert any(t[0] == "ins" and t[1] == t[2] + 1 for t in answered)
+        assert any(t[0] == "swap" and t[2] > t[1] + 1 for t in answered)
 
 
 def _float_tsp_model():
     c = random_tsp(7, seed=3).cost_matrix + 0.5 * (1 - np.eye(7))
     return build_tsp_model(TspInstance("f", 7, c))
+
+
+def _asymmetric_tsp_model():
+    """Integral distances, but one direction of each pair costs one more."""
+    c = random_tsp(7, seed=3).cost_matrix + np.triu(np.ones((7, 7)), 1)
+    return build_tsp_model(TspInstance("a", 7, c))
 
 
 def _integer_model():
@@ -964,7 +975,8 @@ def _three_bit_model():
 
 
 @pytest.mark.parametrize(
-    "build", [_float_tsp_model, _integer_model, _disjoint_lists_model, _three_bit_model])
+    "build", [_float_tsp_model, _asymmetric_tsp_model, _integer_model,
+              _disjoint_lists_model, _three_bit_model])
 def test_models_outside_the_delta_rules_evaluate_in_full(build):
     model = build().freeze()
     assert model._plan is None
@@ -1020,8 +1032,15 @@ def test_candidates_are_built_only_when_kept_or_tied(data_dir, monkeypatch, name
     assert counts["built"] < candidates / 4
 
 
-def test_frozen_model_pickles_with_its_delta_plan(data_dir):
-    model = pickle.loads(pickle.dumps(_walk_model(data_dir, "mc200")))
-    assert model._plan is not None
-    taken, _ = delta_walk(model, 200, 0.5, seed=3)
-    assert taken == 200
+def test_frozen_model_pickles_with_its_delta_plan(data_dir, monkeypatch):
+    data = [pickle.dumps(_walk_model(data_dir, name)) for name in ("mc200", "disc52", "kp50")]
+
+    def no_compile(*args):
+        raise AssertionError("unpickling compiled the delta plan again")
+
+    monkeypatch.setattr(delta, "compile_plan", no_compile)
+    for blob in data:
+        model = pickle.loads(blob)
+        assert model._plan is not None
+        taken, _ = delta_walk(model, 200, 0.5, seed=3)
+        assert taken == 200
