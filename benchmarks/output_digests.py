@@ -9,7 +9,9 @@ Covered: the deterministic README command lines, qubo-sa ``solve`` JSON
 (including reads that do not decode), ``export-qubo``, ``exact`` and
 ``--help`` output, qubo-sa plan records apart from ``wall_time``, every CSV of
 ``emit_report`` on six synthetic results tables, TSP, kp and
-maxcut window subproblems and their decodes, annealer reads, and the ``max_steps``
+maxcut window subproblems and their decodes, annealer reads, the delta plans
+of tsp9, disc52, kp50, mc10 and a generated mc200 (roots, tail, and each
+rule's class and tables), and the ``max_steps``
 sample-set JSON of the perfbench fixed-work configurations plus a kp50 SA solve
 (set moves, the set delta rule and the kp window), each with one branch and,
 through the forked portfolio, with two or three; the two-branch kp50 solve runs
@@ -40,6 +42,7 @@ from combopt.problems import (
     TspInstance,
     generate_random_maxcut,
     parse_kplib,
+    parse_maxcut,
     parse_tsplib,
 )
 from combopt.qubo import kp_to_qubo, mcp_to_qubo, sa_sample, tsp_to_qubo
@@ -136,6 +139,38 @@ def plan_cases(tmp: Path) -> None:
         for r in rows:
             r.pop("wall_time")
         emit(f"plan records time_limit={time_limit}", json.dumps(rows, sort_keys=True))
+
+
+def _plan_bytes(value) -> bytes:
+    """Exact bytes of a delta rule's attribute: arrays by dtype, shape and
+    data, numbers by repr, containers item by item."""
+    if isinstance(value, np.ndarray):
+        return repr((value.dtype.str, value.shape)).encode() + value.tobytes()
+    if isinstance(value, dict):
+        value = sorted(value.items())
+    if isinstance(value, (list, tuple)):
+        return b"[" + b",".join(_plan_bytes(v) for v in value) + b"]"
+    return repr(value).encode()
+
+
+def delta_plan_cases() -> None:
+    models = [
+        (name, BUILDERS[kind](parse((DATA / file).read_text(), name)))
+        for name, kind, parse, file in [
+            ("tsp9", "tsp", parse_tsplib, "tsp9.tsp"),
+            ("disc52", "tsp", parse_tsplib, "disc52.tsp"),
+            ("kp50", "kp", parse_kplib, "kp50.kp"),
+            ("mc10", "mc", parse_maxcut, "mc10.mc"),
+        ]
+    ]
+    models.append(("mc200", BUILDERS["mc"](generate_random_maxcut(200, 0.1, seed=0))))
+    for name, model in models:
+        plan = model.freeze()._plan
+        parts = [_plan_bytes(plan.roots), _plan_bytes([entry[0] for entry in plan.tail])]
+        for did, rules in sorted(plan.rules.items()):
+            parts += [f"{did} {type(rule).__name__} ".encode() + _plan_bytes(vars(rule))
+                      for rule in rules]
+        emit(f"delta plan {name}", b"\n".join(parts))
 
 
 def synthetic_table(rng: random.Random, n_instances: int, algorithms: str, runs: int,
@@ -288,6 +323,7 @@ if __name__ == "__main__":
         cli_cases(Path(tmp))
         plan_cases(Path(tmp))
         report_cases(Path(tmp))
+    delta_plan_cases()
     window_cases()
     kp_mc_window_cases()
     sampler_cases()

@@ -1,20 +1,25 @@
 """Delta rules: update a frozen model's sums from the terms a move touches.
 
-:meth:`Model.freeze <combopt.modeling.Model.freeze>` compiles every ``sum``
-node whose summand is an elementwise tree (``add``/``sub``/``mul``/``neg``/
-``abs``) over constants and gathers of one bit-array or set decision, such as
-``x[us]`` or ``weights[items]``.  A scalar tree of the same kind, such as
-``x[2]``, is a one-term sum.  These nodes are the plan's *roots*; every node
-above them must be scalar arithmetic or a comparison, the plan's *tail*.
+:meth:`Model.freeze <combopt.modeling.Model.freeze>` gives a rule to every
+``sum`` node whose summand is elementwise (``add``/``sub``/``mul``/``neg``/
+``abs``) over constants, gathers from constant tables and reads of one
+bit-array or set decision, such as ``x[us]`` or ``weights[items]``.  A scalar
+summand of the same kind, such as ``x[2]``, is a one-term sum.  These nodes
+are the plan's *roots*; every node above them must be scalar arithmetic or a
+comparison, the plan's *tail*.
 
-For a flip, a root over a bit array uses the pairwise form of its terms.  A
-term that reads bits ``a <= b`` equals ``c + alpha*x_a + beta*x_b +
-gamma*x_a*x_b`` on {0, 1}², and ``freeze`` evaluates every term once at the
-four corners to find these coefficients.  It folds them into tables keyed by
-the positions the terms read.  A flip of ``p`` then changes a sum by
-``±(h[p] + J[p] @ x[nbrs[p]])``, one gather and one dot, and sets a one-term
-root to its value at the new corner.  A sum over a set adds the terms of
-added elements and subtracts those of dropped ones.
+The rules' tables are the model's own evaluation of the summand
+(:func:`~combopt.modeling.run_schedule`), with every read set to its values
+in all terms at once.  A sum over a set reads the set as ``range(n)``, so its
+table holds each element's term; a set move adds the terms of added elements
+and subtracts those of dropped ones.  For a flip, a root over a bit array
+uses the pairwise form of its terms.  A term that reads bits ``a <= b``
+equals ``c + alpha*x_a + beta*x_b + gamma*x_a*x_b`` on {0, 1}², and
+``freeze`` evaluates the summand at the four corners of ``(x_a, x_b)`` to
+find these coefficients.  It folds them into tables keyed by the positions
+the terms read.  A flip of ``p`` then changes a sum by ``±(h[p] + J[p] @
+x[nbrs[p]])``, one gather and one dot, and sets a one-term root to its value
+at the new corner.
 
 A list decision ``L`` has two roots, the two parts of a tour length: the path
 ``C[L[:-1], L[1:]].sum()`` over a symmetric table ``C`` and a one-term entry
@@ -26,28 +31,29 @@ the list before the move.  A one-term entry reads the table at the entries
 that the move brings to its positions.
 
 The result must equal the full evaluation bit for bit.  That holds because a
-sum is compiled only when it is ``integral`` and its partial sums stay below
-2**53, so every float64 sum is exact in any order; a one-term root is read
-from its table as the full evaluation reads it.  A model with any other node
-above a decision (a non-integral sum, a path over an asymmetric table, any
-other sum over a list, an ``integer`` or partition decision, a sum of sums, a
-sum over a tree deeper than ``_MAX_DEPTH``, a sum whose terms read three or
-more distinct bits) gets no plan and always evaluates in full.
+sum gets a rule only when it is ``integral`` and its partial sums stay below
+2**53, a bound taken from its terms' values, so every float64 sum is exact in
+any order; a one-term root takes the corner value that the full evaluation's
+code computed.  A model with any other node above a decision (a non-integral
+sum, a path over an asymmetric table, any other sum over a list, an
+``integer`` or partition decision, a sum of sums, a summand deeper than
+``_MAX_DEPTH``, a sum whose terms read three or more distinct bits) gets no
+plan and always evaluates in full.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .modeling import ARITH_OPS, COMPARE_OPS, UNARY_OPS
+from .modeling import ARITH_OPS, COMPARE_OPS, UNARY_OPS, run_schedule
 from .state import BINARY, LIST, SET
 
 _TERM_OPS = (*ARITH_OPS, *UNARY_OPS)
 _TAIL_OPS = ("const", *_TERM_OPS, *COMPARE_OPS)
 _EXACT = 2.0**53
-# deepest term tree compiled: deeper trees (a long chain of Python-level
-# additions) stay in the tail, so neither compiling nor evaluating a rule
-# nests more than this many calls
+# deepest summand given a rule: a deeper one (a long chain of Python-level
+# additions) stays in the tail, so the walk from each node of such a chain
+# stops after this many levels and freezing stays linear in its length
 _MAX_DEPTH = 32
 
 
@@ -55,142 +61,81 @@ class _NotDelta(Exception):
     """The subtree fits no delta rule."""
 
 
-class _Terms:
-    """Compiles one root's summand into a term function.
+def _summand(nodes, body: int):
+    """The decision that the summand ``body`` reads, its read nodes, and its
+    other nodes.
 
-    ``fn(x, leaves)`` evaluates the summand term by term.  ``leaves`` are
-    per-term arrays (decision positions for reads, constants otherwise), and
-    reads index ``x``.  The rules call it only when they are built.  Each
-    node compiles to a closure over its operands' closures.
+    A read is a decision, a slice of one or its gather by a constant key;
+    every other node must be a constant, an elementwise op or a gather from a
+    constant table.  The walk visits operand 0 first and each node once, at
+    the depth it is first reached.
     """
-
-    def __init__(self, nodes, decisions, n_terms):
-        self.nodes = nodes
-        self.decisions = decisions
-        self.n_terms = n_terms  # None until a set read fixes it
-        self.decision = None
-        self.leaves: list[np.ndarray] = []
-        self.reads: list[int] = []  # leaf slots holding decision positions
-        self.memo: dict = {}
-        self.depth = 0
-
-    def _leaf(self, values: np.ndarray) -> int:
-        self.leaves.append(values)
-        return len(self.leaves) - 1
-
-    def _decision(self, did: int):
-        if self.decision is None:
-            self.decision = did
-        elif self.decision != did:
-            raise _NotDelta("terms read more than one decision")
-        return self.decisions[did]
-
-    def _read(self, did: int, positions):
-        spec = self._decision(did)
-        if spec.kind != BINARY or self.n_terms is None:
-            raise _NotDelta(f"no delta rule for {spec.kind} reads")
-        pos = np.array(np.broadcast_to(positions, (self.n_terms,)), dtype=np.int64)
-        if pos.size and (pos.min() < 0 or pos.max() >= spec.n):
-            raise _NotDelta("positions outside the decision")
-        slot = self._leaf(pos)
-        self.reads.append(slot)
-        return (lambda x, lv: x[lv[slot]]), 1.0, True
-
-    def _per_term(self, arr: np.ndarray, bound: float, is_int: bool):
-        if arr.ndim == 0:
-            return (lambda x, lv: arr), bound, is_int
-        if arr.ndim == 1 and arr.size == self.n_terms:
-            slot = self._leaf(arr)
-            return (lambda x, lv: lv[slot]), bound, is_int
-        raise _NotDelta("constant is not per-term")
-
-    def compile(self, nid: int):
-        """(term function, magnitude bound, integer dtype) of node ``nid``."""
-        if nid not in self.memo:
-            if self.depth == _MAX_DEPTH:
-                raise _NotDelta("term tree too deep")
-            self.depth += 1
-            self.memo[nid] = self._compile(nid)
-            self.depth -= 1
-        return self.memo[nid]
-
-    def _compile(self, nid: int):
-        node = self.nodes[nid]
-        op = node.op
-        if op == "const":
-            arr = node.payload
-            return self._per_term(arr, float(np.abs(arr).max()) if arr.size else 0.0, False)
-        if op in ARITH_OPS:
-            f = ARITH_OPS[op]
-            fa, ba, ia = self.compile(node.operands[0])
-            fb, bb, ib = self.compile(node.operands[1])
-            # over |a| <= ba and |b| <= bb, |a + b|, |a - b| and |a * b| peak at a corner
-            bound = max(abs(f(ba, bb)), abs(f(ba, -bb)))
-            return (lambda x, lv: f(fa(x, lv), fb(x, lv))), bound, ia and ib
-        if op in UNARY_OPS:
-            f = UNARY_OPS[op]
-            fa, ba, ia = self.compile(node.operands[0])
-            return (lambda x, lv: f(fa(x, lv))), ba, ia
-        if op == "decision":
-            spec = self.decisions[node.payload]
-            if spec.kind != SET:
-                return self._read(node.payload, np.arange(spec.n))
-            self._decision(node.payload)
-            if self.n_terms not in (None, spec.n):
-                raise _NotDelta("set read in a static-length tree")
-            self.n_terms = spec.n  # one term per element; its value is the element
-            return self._per_term(np.arange(spec.n), spec.n - 1.0, True)
-        if op == "slice":
-            base = self.nodes[node.operands[0]]
-            if base.op != "decision":
-                raise _NotDelta("slice of a non-decision")
-            start, stop = node.payload
-            return self._read(base.payload, np.arange(start, stop))
-        if op == "index":
-            base = self.nodes[node.operands[0]]
-            keys = node.operands[1:]
-            if base.op == "decision" and len(keys) == 1:
-                key = self.nodes[keys[0]]
-                if key.op != "const":
-                    raise _NotDelta("decision gathered by a non-constant key")
-                return self._read(base.payload, key.payload)
-            if base.op == "const":
-                table = base.payload
-                fks = [self._key(k) for k in keys]
-                bound = float(np.abs(table).max()) if table.size else 0.0
-                return (lambda x, lv: table[tuple([f(x, lv) for f in fks])]), bound, False
-        raise _NotDelta(f"no delta rule for {op!r}")
-
-    def _key(self, nid: int):
-        node = self.nodes[nid]
-        if node.op == "const":  # the full evaluation casts constant keys the same way
-            return self._per_term(np.asarray(node.payload, dtype=np.int64), 0.0, True)[0]
-        fn, _, is_int = self.compile(nid)
-        if not is_int:
-            raise _NotDelta("gather key is not integer-typed")
-        return fn
+    decision = None
+    reads: list[int] = []
+    inner: list[int] = []
+    seen: set = set()
+    stack = [(body, 1)]
+    while stack:
+        nid, depth = stack.pop()
+        if nid in seen:
+            continue
+        if depth > _MAX_DEPTH:
+            raise _NotDelta("summand too deep")
+        seen.add(nid)
+        node = nodes[nid]
+        base = nodes[node.operands[0]] if node.op in ("slice", "index") else node
+        if base.op == "decision" and (node.op != "index" or nodes[node.operands[1]].op == "const"):
+            if decision not in (None, base.payload):
+                raise _NotDelta("summand reads more than one decision")
+            decision = base.payload
+            reads.append(nid)
+            continue
+        if node.op not in ("const", *_TERM_OPS) and not (node.op == "index" and base.op == "const"):
+            raise _NotDelta(f"no delta rule for {node.op!r}")
+        inner.append(nid)
+        stack.extend((k, depth + 1) for k in reversed(node.operands))
+    if decision is None:
+        raise _NotDelta("summand reads no decision")
+    return decision, reads, inner
 
 
-def _corners(compiled: _Terms):
+def _read_positions(nodes, reads: list[int], n_terms: int, n: int) -> np.ndarray:
+    """Row ``k`` holds the bit that read ``k`` takes in each term."""
+    pos = np.empty((len(reads), n_terms), dtype=np.int64)
+    for row, nid in zip(pos, reads):
+        node = nodes[nid]
+        if node.op == "decision":
+            row[:] = np.arange(n)
+        elif node.op == "slice":
+            row[:] = np.arange(*node.payload)
+        else:
+            row[:] = nodes[node.operands[1]].payload  # a constant key, cast as evaluated
+    if pos.size and (pos.min() < 0 or pos.max() >= n):
+        raise _NotDelta("positions outside the decision")
+    return pos
+
+
+def _terms(schedule, body: int, reads: list[int], values) -> np.ndarray:
+    """The summand's terms, from the model's own evaluation of ``schedule``
+    with read ``k`` set to ``values[k]``."""
+    vals = dict(zip(reads, values))
+    run_schedule(schedule, vals, None)
+    return vals[body]
+
+
+def _corners(schedule, body: int, reads: list[int], pos: np.ndarray):
     """The positions ``a <= b`` that each term reads, and its 4 corner values.
 
     Row ``k`` holds every term's value at corner ``k`` of ``(x_a, x_b)``:
-    (0, 0), (1, 0), (0, 1), (1, 1).  One call of the term function computes
-    them: each read becomes a 0/1 leaf into ``[0, 1]``.  A term that reads
-    one position has ``a == b`` and reads ``x_a`` at every corner.
+    (0, 0), (1, 0), (0, 1), (1, 1).  One evaluation computes them: each read
+    takes the corner's bits, one row per corner.  A term that reads one
+    position has ``a == b`` and reads ``x_a`` at every corner.
     """
-    m = compiled.n_terms
-    reads = np.array([compiled.leaves[s] for s in compiled.reads])
-    a, b = reads.min(0), reads.max(0)
-    if not ((reads == a) | (reads == b)).all():
+    a, b = pos.min(0), pos.max(0)
+    if not ((pos == a) | (pos == b)).all():
         raise _NotDelta("a term reads more than two bits")
     corner = np.array([[0, 1, 0, 1], [0, 0, 1, 1]])[:, :, None]  # x_a, x_b
-    leaves = [
-        np.where(leaf == a, corner[0], corner[1]).ravel() if s in compiled.reads
-        else np.tile(leaf, 4)
-        for s, leaf in enumerate(compiled.leaves)
-    ]
-    return a, b, compiled.fn(np.array([0, 1]), leaves).reshape(4, m)
+    return a, b, _terms(schedule, body, reads, [np.where(p == a, *corner) for p in pos])
 
 
 class _FlipSumRule:
@@ -204,13 +149,14 @@ class _FlipSumRule:
     read, so the tables grow with the terms, not with the decision.
     """
 
-    def __init__(self, slot: int, compiled: _Terms, n: int, bound: float):
+    def __init__(self, slot: int, a: np.ndarray, b: np.ndarray, values: np.ndarray, n: int):
         self.slot = slot
-        a, b, (v00, v10, v01, v11) = _corners(compiled)
+        v00, v10, v01, v11 = values
         alpha, beta, gamma = v10 - v00, v01 - v00, (v11 - v10) - (v01 - v00)
         # every partial sum of the cached value plus a change stays below 2**53
-        if compiled.n_terms * bound + sum(np.abs(c).sum() for c in (alpha, beta, gamma)) >= _EXACT:
-            raise _NotDelta("coefficients too large for exact sums")
+        size = np.abs(values).max(0).sum() + sum(np.abs(c).sum() for c in (alpha, beta, gamma))
+        if size >= _EXACT:
+            raise _NotDelta("terms too large for exact sums")
         # every term under each of its ends, sorted by (end, other end)
         key = np.array([a * n + b, b * n + a]).ravel()
         order = np.argsort(key)
@@ -249,9 +195,8 @@ class _FlipTermRule:
     it reads, as the full evaluation computes it, so a zero keeps its sign.
     """
 
-    def __init__(self, slot: int, compiled: _Terms):
+    def __init__(self, slot: int, a: np.ndarray, b: np.ndarray, values: np.ndarray):
         self.slot = slot
-        a, b, values = _corners(compiled)
         self.a, self.b = int(a[0]), int(b[0])
         self.corners = list(values[:, 0])
 
@@ -266,9 +211,12 @@ class _FlipTermRule:
 class _SetRule:
     """Delta rule of a sum over a set: ``table[e]`` is element ``e``'s term."""
 
-    def __init__(self, slot: int, compiled: _Terms):
+    def __init__(self, slot: int, table: np.ndarray):
         self.slot = slot
-        self.table = compiled.fn(None, compiled.leaves).tolist()
+        # every partial sum of the cached value plus a change stays below 2**53
+        if np.abs(table).sum() >= _EXACT:
+            raise _NotDelta("terms too large for exact sums")
+        self.table = table.tolist()
 
     def update(self, cached, old, tag):
         """New value of the sum after the set move ``tag``; None for a zero sum
@@ -411,44 +359,39 @@ def _list_root(nodes, decisions, node, slot: int):
     return did, _EntryRule(slot, table, positions)
 
 
-def _root(nodes, decisions, nid: int, slot: int):
-    """The delta rule of node ``nid``, or None when it is not a root."""
+def _root(nodes, decisions, by_id: dict, nid: int, slot: int):
+    """The delta rule of node ``nid``, or None when it is not a root.
+    ``by_id`` maps a node id to its entry of the model's schedule."""
     node = nodes[nid]
     found = _list_root(nodes, decisions, node, slot)
     if found is not None:
         return found
     if node.op == "sum":
         body = node.operands[0]
-        shape = nodes[body].shape
-        n_terms = shape[0] if isinstance(shape, tuple) and len(shape) == 1 else None
-        if shape == ():
-            n_terms = 1
     elif node.shape == () and node.op in ("index", *_TERM_OPS):
-        body, n_terms = nid, 1
+        body = nid
     else:
         return None
-    compiled = _Terms(nodes, decisions, n_terms)
+    if not node.integral:
+        return None
     try:
-        compiled.fn, bound, _ = compiled.compile(body)
-    except _NotDelta:
-        return None
-    if compiled.decision is None or not node.integral:
-        return None
-    if 3.0 * compiled.n_terms * bound >= _EXACT:
-        return None
-    spec = decisions[compiled.decision]
-    try:
-        if spec.kind == SET:
-            rule = _SetRule(slot, compiled)
-        elif node.op == "sum":
-            rule = _FlipSumRule(slot, compiled, spec.n, bound)
+        did, reads, inner = _summand(nodes, body)
+        spec, shape = decisions[did], nodes[body].shape
+        schedule = [by_id[k] for k in sorted(inner)]
+        if spec.kind == SET:  # a set is read only whole: term e reads element e
+            rule = _SetRule(slot, _terms(schedule, body, reads, [np.arange(spec.n)]))
+        elif spec.kind == BINARY and len(shape) <= 1:
+            pos = _read_positions(nodes, reads, shape[0] if shape else 1, spec.n)
+            corners = _corners(schedule, body, reads, pos)
+            rule = (_FlipSumRule(slot, *corners, spec.n) if node.op == "sum"
+                    else _FlipTermRule(slot, *corners))
         else:
-            rule = _FlipTermRule(slot, compiled)
+            raise _NotDelta(f"no delta rule for {spec.kind} reads")
     except _NotDelta:
         return None
     except IndexError:  # a constant too short for some elements or bits: let the
         return None     # states that reach past its end raise in the full evaluation
-    return compiled.decision, rule
+    return did, rule
 
 
 class DeltaPlan:
@@ -487,13 +430,14 @@ def compile_plan(nodes, decisions, schedule, tops) -> DeltaPlan | None:
     rules: dict = {}
     tail_ids: set = set()
     seen: set = set()
+    by_id = {entry[0]: entry for entry in schedule}
     stack = list(tops)
     while stack:
         nid = stack.pop()
         if nid in seen:
             continue
         seen.add(nid)
-        found = _root(nodes, decisions, nid, len(roots))
+        found = _root(nodes, decisions, by_id, nid, len(roots))
         if found is not None:
             roots.append(nid)
             rules.setdefault(found[0], []).append(found[1])

@@ -48,8 +48,8 @@ class _Dynamic:
 
 DYNAMIC = _Dynamic()
 
-# The operators of arithmetic and comparison nodes, by node op.  Model evaluation and the
-# delta rules of :mod:`combopt.delta` both apply these.
+# The operators of arithmetic and comparison nodes, by node op.  :func:`run_schedule`
+# applies them; :mod:`combopt.delta` takes from them which ops act elementwise.
 ARITH_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 UNARY_OPS = {"neg": operator.neg, "abs": np.abs}
 # a comparison's violation magnitude at its operand values; 0.0 when it holds
@@ -513,7 +513,7 @@ class Model:
         if self.objective is None:
             raise StateError("model has no objective; nothing to evaluate")
         vals: list = [None] * len(self.nodes)
-        self._run(self._schedule, vals, state)
+        run_schedule(self._schedule, vals, state)
         plan = self._plan
         sums = None if plan is None else [vals[nid] for nid in plan.roots]
         return self._evaluation(vals, sums, state.digest())
@@ -539,7 +539,7 @@ class Model:
         vals: list = [None] * len(self.nodes)
         for nid, value in zip(plan.roots, sums):
             vals[nid] = value
-        self._run(plan.tail, vals, None)  # the tail reads no decision
+        run_schedule(plan.tail, vals, None)  # the tail reads no decision
         return self._evaluation(vals, sums, MoveDigest(state, move))
 
     def _evaluation(self, vals: list, sums, state_key) -> Evaluation:
@@ -552,48 +552,51 @@ class Model:
             results.append(v == 0.0)
         return Evaluation(objective, results, violations, state_key=state_key, sums=sums)
 
-    def _run(self, schedule, vals: list, state: State) -> None:
-        """Evaluate the nodes of ``schedule`` in order, into ``vals``."""
-        for nid, op, operands, payload, dynamic in schedule:
-            if op == "const":
-                vals[nid] = payload
-            elif op == "decision":
-                vals[nid] = state.values[payload]
-            elif op == "part":
-                vals[nid] = state.values[payload[0]][payload[1]]
-            elif op == "slice":
-                vals[nid] = vals[operands[0]][payload[0]:payload[1]]
-            elif op == "index":
-                base = vals[operands[0]]
-                if len(operands) == 3:
-                    a = np.asarray(vals[operands[1]], dtype=np.int64)
-                    b = np.asarray(vals[operands[2]], dtype=np.int64)
-                    if dynamic:
-                        self._check_dyn(a, b)
-                    vals[nid] = base[a, b]
-                else:
-                    vals[nid] = base[np.asarray(vals[operands[1]], dtype=np.int64)]
-            elif op in ARITH_OPS:
-                a, b = vals[operands[0]], vals[operands[1]]
-                if dynamic:
-                    self._check_dyn(a, b)
-                vals[nid] = ARITH_OPS[op](a, b)
-            elif op in UNARY_OPS:
-                vals[nid] = UNARY_OPS[op](vals[operands[0]])
-            elif op == "sum":
-                vals[nid] = float(np.sum(vals[operands[0]]))
-            elif op in COMPARE_OPS:
-                vals[nid] = (float(vals[operands[0]]), float(vals[operands[1]]))
-            else:  # pragma: no cover - construction forbids unknown ops
-                raise DomainError(f"unknown node op {op!r}")
 
-    @staticmethod
-    def _check_dyn(a, b):
-        if np.ndim(a) and np.ndim(b) and np.shape(a)[0] != np.shape(b)[0]:
-            raise ShapeError(
-                f"dynamic-length operands have different runtime lengths "
-                f"{np.shape(a)[0]} and {np.shape(b)[0]}"
-            )
+def run_schedule(schedule, vals, state: State | None) -> None:
+    """Evaluate the nodes of ``schedule`` in order into ``vals``, a list or a
+    dict by node id that holds the operands outside ``schedule``; ``state``
+    may be None when ``schedule`` reads no decision."""
+    for nid, op, operands, payload, dynamic in schedule:
+        if op == "const":
+            vals[nid] = payload
+        elif op == "decision":
+            vals[nid] = state.values[payload]
+        elif op == "part":
+            vals[nid] = state.values[payload[0]][payload[1]]
+        elif op == "slice":
+            vals[nid] = vals[operands[0]][payload[0]:payload[1]]
+        elif op == "index":
+            base = vals[operands[0]]
+            if len(operands) == 3:
+                a = np.asarray(vals[operands[1]], dtype=np.int64)
+                b = np.asarray(vals[operands[2]], dtype=np.int64)
+                if dynamic:
+                    _check_dyn(a, b)
+                vals[nid] = base[a, b]
+            else:
+                vals[nid] = base[np.asarray(vals[operands[1]], dtype=np.int64)]
+        elif op in ARITH_OPS:
+            a, b = vals[operands[0]], vals[operands[1]]
+            if dynamic:
+                _check_dyn(a, b)
+            vals[nid] = ARITH_OPS[op](a, b)
+        elif op in UNARY_OPS:
+            vals[nid] = UNARY_OPS[op](vals[operands[0]])
+        elif op == "sum":
+            vals[nid] = float(np.sum(vals[operands[0]]))
+        elif op in COMPARE_OPS:
+            vals[nid] = (float(vals[operands[0]]), float(vals[operands[1]]))
+        else:  # pragma: no cover - construction forbids unknown ops
+            raise DomainError(f"unknown node op {op!r}")
+
+
+def _check_dyn(a, b):
+    if np.ndim(a) and np.ndim(b) and np.shape(a)[0] != np.shape(b)[0]:
+        raise ShapeError(
+            f"dynamic-length operands have different runtime lengths "
+            f"{np.shape(a)[0]} and {np.shape(b)[0]}"
+        )
 
 
 def new_model() -> Model:

@@ -896,6 +896,18 @@ def _chain_model():
     return m.freeze()
 
 
+def _cast_model():
+    """Gather keys of float type and a one-element constant: the full
+    evaluation casts the keys to integers and broadcasts the constant."""
+    rng = np.random.default_rng(13)
+    m = Model()
+    x = m.binary(12)
+    us, vs = (m.constant(rng.integers(0, 12, 30)) for _ in range(2))
+    c = m.constant([[1, 2], [3, 4]])
+    m.minimize(c[x[us] * 1.0, x[vs]].sum() + (x[us] * m.constant([2])).sum())
+    return m.freeze()
+
+
 def _walk_model(data_dir, name):
     files = {
         "tsp9": (parse_tsplib, build_tsp_model, "tsp9.tsp"),
@@ -912,13 +924,16 @@ def _walk_model(data_dir, name):
         return _chain_model()
     if name == "signed":
         return _signed_model()
+    if name == "cast":
+        return _cast_model()
     n, density, seed = {"mc200": (200, 0.1, 11), "mc3": (3, 1.0, 2)}[name]
     return build_mcp_model(generate_random_maxcut(n, density, seed=seed)).freeze()
 
 
 @pytest.mark.parametrize("accept", [1.0, 0.5])
 @pytest.mark.parametrize(
-    "name", ["tsp9", "disc52", "kp50", "mc10", "mc200", "mc3", "mixed", "chain", "signed"])
+    "name", ["tsp9", "disc52", "kp50", "mc10", "mc200", "mc3", "mixed", "chain", "signed",
+             "cast"])
 def test_delta_evaluation_matches_full_evaluation(data_dir, name, accept):
     model = _walk_model(data_dir, name)
     assert model._plan is not None
@@ -974,9 +989,21 @@ def _three_bit_model():
     return m
 
 
+def _deep_summand_model():
+    """A summand of 40 chained additions over one bit array, deeper than
+    ``delta._MAX_DEPTH``."""
+    m = Model()
+    x = m.binary(6)
+    term = x
+    for _ in range(40):
+        term = term + x
+    m.minimize(term.sum())
+    return m
+
+
 @pytest.mark.parametrize(
     "build", [_float_tsp_model, _asymmetric_tsp_model, _integer_model,
-              _disjoint_lists_model, _three_bit_model])
+              _disjoint_lists_model, _three_bit_model, _deep_summand_model])
 def test_models_outside_the_delta_rules_evaluate_in_full(build):
     model = build().freeze()
     assert model._plan is None
