@@ -4,8 +4,9 @@ On kp50, a generated 200-node maxcut and disc52 it draws candidates around one
 random state and times each draw together with its evaluation, grouped by the
 kind of move drawn.  As in a branch, a candidate is built only where the
 model's delta plan cannot evaluate it from its tag.  It also times the SA steps
-of one kp50 branch with subproblem queries off.  Both sides of a comparison
-make the same random calls, so they time the same moves.
+of one kp50 branch and the tabu steps (12 candidates each) of one mc200
+branch, with subproblem queries off.  Both sides of a comparison make the same
+random calls, so they time the same moves.
 
     PYTHONPATH=src python3 benchmarks/moves_bench.py [--base OTHER/src] [--pairs 5]
 
@@ -35,8 +36,8 @@ from benchfile import ROOT, save
 BENCH_FILE = ROOT / "BENCH_moves.json"
 DATA = ROOT / "data"
 DRAWS = 20_000
-SA_STEPS = 10_000
-SA_REPEATS = 3
+STEPS = {"sa": 10_000, "tabu": 2_000}  # per timed block
+STEP_REPEATS = 3
 
 
 def models():
@@ -71,22 +72,23 @@ def draw_and_evaluate(model) -> dict[str, float]:
     return {kind: statistics.median(ts) * 1e6 for kind, ts in times.items()}
 
 
-def sa_step_us(model) -> float:
-    """Median over SA_REPEATS blocks of the µs per SA step of one branch."""
+def step_us(model, kind: str) -> float:
+    """Median over STEP_REPEATS blocks of the µs per ``kind`` step of one branch."""
     from combopt.solver import SolverConfig
     from combopt.solver.branch import Branch
 
-    config = SolverConfig(seed=0, n_branches=1, max_steps=SA_REPEATS * SA_STEPS,
-                          qm_enabled=False)
+    steps = STEPS[kind]
+    config = SolverConfig(seed=0, n_branches=1, max_steps=STEP_REPEATS * steps,
+                          qm_enabled=False, cm_kind=kind, tabu_candidates=12)
     br = Branch(0, model, config, lambda: 0.0, 1.0)
     br.calibrate(model)
     blocks = []
-    for _ in range(SA_REPEATS):
+    for _ in range(STEP_REPEATS):
         t0 = time.perf_counter()
-        for _ in range(SA_STEPS):
+        for _ in range(steps):
             br.cm_step(model)
         blocks.append(time.perf_counter() - t0)
-    return statistics.median(blocks) * 1e6 / SA_STEPS
+    return statistics.median(blocks) * 1e6 / steps
 
 
 def measure() -> dict[str, float]:
@@ -97,7 +99,9 @@ def measure() -> dict[str, float]:
         for kind, us in sorted(draw_and_evaluate(model).items()):
             out[f"{name} {kind}"] = us
         if name == "kp50":
-            out["kp50 sa step"] = sa_step_us(model)
+            out["kp50 sa step"] = step_us(model, "sa")
+        if name == "mc200":
+            out["mc200 tabu step"] = step_us(model, "tabu")
     return out
 
 

@@ -6,7 +6,8 @@
 bit-array or set decision, such as ``x[us]`` or ``weights[items]``.  A scalar
 summand of the same kind, such as ``x[2]``, is a one-term sum.  These nodes
 are the plan's *roots*; every node above them must be scalar arithmetic or a
-comparison, the plan's *tail*.
+comparison, or a subtree that reads no decision, such as a sum of constants:
+the plan's *tail*.
 
 The rules' tables are the model's own evaluation of the summand
 (:func:`~combopt.modeling.run_schedule`), with every read set to its values
@@ -17,9 +18,15 @@ uses the pairwise form of its terms.  A term that reads bits ``a <= b``
 equals ``c + alpha*x_a + beta*x_b + gamma*x_a*x_b`` on {0, 1}², and
 ``freeze`` evaluates the summand at the four corners of ``(x_a, x_b)`` to
 find these coefficients.  It folds them into tables keyed by the positions
-the terms read.  A flip of ``p`` then changes a sum by ``±(h[p] + J[p] @
-x[nbrs[p]])``, one gather and one dot, and sets a one-term root to its value
-at the new corner.
+the terms read.  A flip of ``p`` then changes a sum by ``±F[p]``, where ``F =
+h + J·x`` is the sum's *field*, and sets each one-term root that reads ``p``
+to its value at the new corner; the other roots are not called.  The field
+is cached with the evaluation (:attr:`Evaluation.fields
+<combopt.modeling.Evaluation.fields>`), so a flip reads it.  An evaluation
+made in full computes it, with one ``bincount`` over the couplings, at its
+first flip; one made from a flip's tag keeps its parent's field and the flip,
+and derives its own field (``±J[p]`` at ``nbrs[p]``) only when a move is
+evaluated from it.
 
 A list decision ``L`` has two roots, the two parts of a tour length: the path
 ``C[L[:-1], L[1:]].sum()`` over a symmetric table ``C`` and a one-term entry
@@ -32,9 +39,9 @@ that the move brings to its positions.
 
 The result must equal the full evaluation bit for bit.  That holds because a
 sum gets a rule only when it is ``integral`` and its partial sums stay below
-2**53, a bound taken from its terms' values, so every float64 sum is exact in
-any order; a one-term root takes the corner value that the full evaluation's
-code computed.  A model with any other node above a decision (a non-integral
+2**53, a bound taken from its terms' values, so every float64 sum, a field
+included, is exact in any order; a one-term root takes the corner value that
+the full evaluation's code computed.  A model with any other node above a decision (a non-integral
 sum, a path over an asymmetric table, any other sum over a list, an
 ``integer`` or partition decision, a sum of sums, a summand deeper than
 ``_MAX_DEPTH``, a sum whose terms read three or more distinct bits) gets no
@@ -143,17 +150,19 @@ class _FlipSumRule:
 
     On {0, 1}² a term that reads bits ``a <= b`` equals ``c + alpha*x_a +
     beta*x_b + gamma*x_a*x_b``.  Flipping bit ``p`` changes the sum by
-    ``±(h[p] + J[p] @ x[nbrs[p]])``: ``h[p]`` adds up the linear coefficients
-    of ``p`` and ``J[p]`` its couplings with the bits ``nbrs[p]``.
-    ``touched[p]`` holds ``(h[p], nbrs[p], J[p])`` for each position the terms
-    read, so the tables grow with the terms, not with the decision.
+    ``±F[p]``, where the field ``F = h + J·x`` adds up the linear coefficients
+    ``h[p]`` of ``p`` and its couplings ``J[p]`` with the bits ``nbrs[p]``.
+    The couplings are kept as ``(owner, nbrs, coupling)`` triples, sorted by
+    owner; ``touched[p]`` holds the slices ``(nbrs[p], J[p])`` for each
+    position the terms read.
     """
 
     def __init__(self, slot: int, a: np.ndarray, b: np.ndarray, values: np.ndarray, n: int):
         self.slot = slot
         v00, v10, v01, v11 = values
         alpha, beta, gamma = v10 - v00, v01 - v00, (v11 - v10) - (v01 - v00)
-        # every partial sum of the cached value plus a change stays below 2**53
+        # every partial sum of the cached value plus a change, and so every
+        # field value, stays below 2**53
         size = np.abs(values).max(0).sum() + sum(np.abs(c).sum() for c in (alpha, beta, gamma))
         if size >= _EXACT:
             raise _NotDelta("terms too large for exact sums")
@@ -162,29 +171,44 @@ class _FlipSumRule:
         order = np.argsort(key)
         key, linear = key[order], np.array([alpha, beta]).ravel()[order]
         firsts = np.flatnonzero(np.diff(key // n, prepend=-1))  # each end's first
-        pos, h = key[firsts] // n, np.add.reduceat(linear, firsts, dtype=float)
+        pos = key[firsts] // n
+        self.h = np.zeros(n)
+        self.h[pos] = np.add.reduceat(linear, firsts, dtype=float)
         firsts = np.flatnonzero(np.diff(key, prepend=-1))  # each pair's first
         key = key[firsts]
         coupling = np.add.reduceat(np.tile(gamma, 2)[order], firsts, dtype=float)
         # a term with a == b, or a pair whose couplings cancel, couples nothing
-        key, coupling = key[coupling != 0], coupling[coupling != 0]
-        owner, nbrs = key // n, key % n
-        first, stop = np.searchsorted(owner, pos), np.searchsorted(owner, pos, "right")
-        self.touched = {
-            p: (hp, nbrs[i:j], coupling[i:j])
-            for p, hp, i, j in zip(pos.tolist(), h.tolist(), first.tolist(), stop.tolist())
-        }
+        key, self.coupling = key[coupling != 0], coupling[coupling != 0]
+        self.owner, self.nbrs = key // n, key % n
+        first = np.searchsorted(self.owner, pos)
+        stop = np.searchsorted(self.owner, pos, "right")
+        self.touched = {p: (self.nbrs[i:j], self.coupling[i:j])
+                        for p, i, j in zip(pos.tolist(), first.tolist(), stop.tolist())}
 
-    def update(self, cached, old, tag):
-        """New value of the sum after the flip ``tag`` of the bits ``old``;
-        None when it reaches zero, whose sign only the full sum knows."""
-        p = tag[1]
+    def field(self, bits: np.ndarray) -> np.ndarray:
+        """The field ``h + J·x`` at the bits ``x``, from scratch."""
+        return self.h + np.bincount(self.owner, self.coupling * bits[self.nbrs], self.h.size)
+
+    def flipped(self, field: np.ndarray, p: int, bit: int) -> np.ndarray:
+        """The field after bit ``p`` flips from ``bit``; ``field`` is not written."""
         touched = self.touched.get(p)
-        if touched is None:
+        if touched is None or not touched[0].size:
+            return field
+        nbrs, coupling = touched
+        field = field.copy()
+        if bit:
+            field[nbrs] -= coupling
+        else:
+            field[nbrs] += coupling
+        return field
+
+    def value(self, cached, field: np.ndarray, p: int, bit: int):
+        """New value of the sum after bit ``p`` flips from ``bit``, at the
+        ``field`` of the bits before; None when it reaches zero, whose sign only
+        the full sum knows."""
+        if p not in self.touched:
             return cached
-        h, nbrs, coupling = touched
-        change = h + coupling @ old[nbrs]
-        value = float(cached - change if old[p] else cached + change)
+        value = cached - field.item(p) if bit else cached + field.item(p)
         return value if value != 0.0 else None
 
 
@@ -201,10 +225,8 @@ class _FlipTermRule:
         self.corners = list(values[:, 0])
 
     def update(self, cached, old, tag):
-        """New value of the term after the flip ``tag`` of the bits ``old``."""
+        """New value of the term after the flip ``tag`` of one of its bits in ``old``."""
         p, a, b = tag[1], self.a, self.b
-        if p != a and p != b:
-            return cached
         return self.corners[(old[a] ^ (p == a)) + 2 * (old[b] ^ (p == b))]
 
 
@@ -401,19 +423,34 @@ class DeltaPlan:
         self.roots = roots  # node ids, in the order of Evaluation.sums
         self.rules = rules  # decision id -> rules of the roots reading it
         self.tail = tail
+        # a flip calls the sum rules of its decision and the one-term rules that
+        # read its bit; field_rules orders the fields of Evaluation.fields
+        self.field_rules: list = []  # (decision id, _FlipSumRule)
+        self.flip_sums: dict = {}  # decision id -> [(index in fields, _FlipSumRule)]
+        self.flip_terms: dict = {}  # decision id -> {position: [_FlipTermRule]}
+        for d, decision_rules in rules.items():
+            for rule in decision_rules:
+                if isinstance(rule, _FlipSumRule):
+                    self.flip_sums.setdefault(d, []).append((len(self.field_rules), rule))
+                    self.field_rules.append((d, rule))
+                elif isinstance(rule, _FlipTermRule):
+                    at = self.flip_terms.setdefault(d, {})
+                    for p in {rule.a, rule.b}:
+                        at.setdefault(p, []).append(rule)
 
     def update(self, prev_state, prev_eval, move):
-        """The roots' values at ``prev_state`` after ``move``, from the move's tag,
-        or None when they need the full evaluation."""
+        """The roots' values at ``prev_state`` after ``move``, from the move's
+        tag, and the fields to cache with them (:meth:`fields`); None when they
+        need the full evaluation."""
         cached = prev_eval.sums
         if cached is None:
             return None
         d, tag = move
-        if tag[0] == "noop":
-            return cached
+        if tag[0] == "flip":
+            return self._flip(prev_state, prev_eval, d, tag)
         rules = self.rules.get(d)
-        if not rules:
-            return cached
+        if tag[0] == "noop" or not rules:
+            return cached, prev_eval.fields
         old = prev_state.values[d]
         sums = list(cached)
         for rule in rules:
@@ -421,7 +458,51 @@ class DeltaPlan:
             if value is None:
                 return None
             sums[rule.slot] = value
-        return sums
+        return sums, prev_eval.fields
+
+    def _flip(self, prev_state, prev_eval, d: int, tag):
+        cached = prev_eval.sums
+        old = prev_state.values[d]
+        p = tag[1]
+        sums = list(cached)
+        fields = prev_eval.fields  # the other decisions' fields stay as they are
+        sum_rules = self.flip_sums.get(d)
+        if sum_rules:
+            bit = old.item(p)
+            at = self.fields(prev_state, prev_eval)
+            for k, rule in sum_rules:
+                value = rule.value(cached[rule.slot], at[k], p, bit)
+                if value is None:
+                    return None
+                sums[rule.slot] = value
+            fields = (at, d, p, bit)
+        terms = self.flip_terms.get(d)
+        if terms:
+            for rule in terms.get(p, ()):
+                sums[rule.slot] = rule.update(cached[rule.slot], old, tag)
+        return sums, fields
+
+    def fields(self, state, ev) -> list:
+        """The field of each of ``field_rules`` at ``state``, the state of ``ev``.
+
+        ``ev.fields`` caches them: None until a flip is evaluated from ``ev``,
+        then a list of arrays.  An evaluation made from a flip's tag holds the
+        tuple ``(parent's fields, decision, position, old bit)`` instead, and
+        the list replaces it here.  Neither refers to an evaluation, and no
+        array of the list is ever written.
+        """
+        fields = ev.fields
+        if fields is None:
+            fields = [rule.field(state.values[d]) for d, rule in self.field_rules]
+        elif type(fields) is tuple:
+            parent, d, p, bit = fields
+            fields = list(parent)
+            for k, rule in self.flip_sums[d]:
+                fields[k] = rule.flipped(parent[k], p, bit)
+        else:
+            return fields
+        ev.fields = fields
+        return fields
 
 
 def compile_plan(nodes, decisions, schedule, tops) -> DeltaPlan | None:
@@ -445,5 +526,25 @@ def compile_plan(nodes, decisions, schedule, tops) -> DeltaPlan | None:
             tail_ids.add(nid)
             stack.extend(nodes[nid].operands)
         else:
-            return None
+            constant = _constant_subtree(nodes, nid)
+            if constant is None:
+                return None
+            tail_ids |= constant
+            seen |= constant
     return DeltaPlan(roots, rules, [e for e in schedule if e[0] in tail_ids])
+
+
+def _constant_subtree(nodes, nid: int) -> set | None:
+    """The nodes of the subtree at ``nid``, such as a sum of constants, or None
+    when one of them reads a decision."""
+    found: set = set()
+    stack = [nid]
+    while stack:
+        k = stack.pop()
+        if k in found:
+            continue
+        if nodes[k].op in ("decision", "part"):
+            return None
+        found.add(k)
+        stack.extend(nodes[k].operands)
+    return found

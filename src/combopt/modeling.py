@@ -130,6 +130,9 @@ class Evaluation:
     state_key: int | MoveDigest = 0
     # values of the frozen model's delta roots at this state, when it has a plan
     sums: list | None = field(default=None, compare=False, repr=False)
+    # the plan's flip fields at this state, or how to derive them
+    # (:meth:`combopt.delta.DeltaPlan.fields`)
+    fields: list | tuple | None = field(default=None, compare=False, repr=False)
     feasible: bool = field(init=False, compare=False, repr=False)
     total_violation: float = field(init=False, compare=False, repr=False)
     key: tuple = field(init=False, compare=False, repr=False)
@@ -533,16 +536,17 @@ class Model:
         evaluates it in full.
         """
         plan = self._plan
-        sums = None if plan is None else plan.update(state, ev, move)
-        if sums is None:
+        found = None if plan is None else plan.update(state, ev, move)
+        if found is None:
             return None
+        sums, fields = found
         vals: list = [None] * len(self.nodes)
         for nid, value in zip(plan.roots, sums):
             vals[nid] = value
         run_schedule(plan.tail, vals, None)  # the tail reads no decision
-        return self._evaluation(vals, sums, MoveDigest(state, move))
+        return self._evaluation(vals, sums, MoveDigest(state, move), fields)
 
-    def _evaluation(self, vals: list, sums, state_key) -> Evaluation:
+    def _evaluation(self, vals: list, sums, state_key, fields=None) -> Evaluation:
         objective = float(vals[self.objective])
         results: list[bool] = []
         violations: list[float] = []
@@ -550,7 +554,8 @@ class Model:
             v = COMPARE_OPS[self.nodes[cid].op](*vals[cid])
             violations.append(v)
             results.append(v == 0.0)
-        return Evaluation(objective, results, violations, state_key=state_key, sums=sums)
+        return Evaluation(objective, results, violations, state_key=state_key, sums=sums,
+                          fields=fields)
 
 
 def run_schedule(schedule, vals, state: State | None) -> None:

@@ -20,7 +20,8 @@ from ..modeling import Evaluation, Model
 from ..qubo.sampler import sa_sample
 from ..state import State
 from .config import SolverConfig
-from .moves import draw_state_move, initial_state, propose_state, reverse_move, tabu_key
+from .moves import (draw_state_move, draw_state_moves, initial_state, propose_state,
+                    reverse_move, tabu_key)
 from .sampleset import Sample, make_sample
 from .subproblem import qm_query
 
@@ -168,8 +169,9 @@ class Branch:
 
     def _tabu_step(self, model: Model) -> None:
         best = None  # (evaluation, move, candidate) of the best admissible candidate
-        for _ in range(self.config.tabu_candidates):
-            move = draw_state_move(model, self.current, self.rng)
+        # an evaluation draws nothing, so drawing every candidate first keeps the stream
+        for move in draw_state_moves(model, self.current, self.rng,
+                                     self.config.tabu_candidates):
             ev, cand = self._evaluate(model, move)
             blocked = self.tabu.get(tabu_key(move), -1) > self.steps
             if blocked and not ev.key < self.incumbent_eval.key:

@@ -206,6 +206,18 @@ def draw_state_move(model: Model, state: State, rng: np.random.Generator) -> Mov
     return d, draw_move(model.decisions[d], state.values[d], rng)
 
 
+def draw_state_moves(model: Model, state: State, rng: np.random.Generator,
+                     k: int) -> list[Move]:
+    """The ``k`` moves of ``k`` calls of :func:`draw_state_move`.  A model whose
+    one decision is a bit array draws them with one ``integers`` call, which
+    numpy answers with the positions of ``k`` scalar calls
+    (``test_draw_state_moves_matches_single_draws`` checks it)."""
+    decisions = model.decisions
+    if len(decisions) == 1 and decisions[0].kind == BINARY:
+        return [(0, ("flip", p)) for p in rng.integers(0, decisions[0].n, k).tolist()]
+    return [draw_state_move(model, state, rng) for _ in range(k)]
+
+
 def propose_state(model: Model, state: State, rng: np.random.Generator):
     """Neighbor of a full state: ``(new state, move)`` for one drawn move."""
     move = draw_state_move(model, state, rng)
