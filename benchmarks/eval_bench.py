@@ -67,9 +67,9 @@ def candidates(model):
 
 
 def evaluate_move(model, cand, base):
-    """The evaluation a branch makes: from the tag, else in full."""
-    ev = model.evaluate_move(*base)
-    return model.evaluate_unchecked(cand) if ev is None else ev
+    """The evaluation a branch makes.  A tree whose ``evaluate_move`` returns
+    None where its plan cannot answer evaluates ``cand`` in full there."""
+    return model.evaluate_move(*base) or model.evaluate_unchecked(cand)
 
 
 def check(model, group) -> None:

@@ -16,7 +16,8 @@ sample-set JSON of the perfbench fixed-work configurations plus a kp50 SA solve
 (set moves, the set delta rule and the kp window), each with one branch and,
 through the forked portfolio, with two or three; the two-branch kp50 solve runs
 once more without ``qm_inline``; an SA maxcut solve whose last step has a query
-due runs with one branch and with two.  Each solve
+due runs with one branch and with two; an SA and a tabu solve of ``float9``,
+whose model has no delta plan, evaluate every candidate in full.  Each solve
 gives two lines, ``samples`` (the JSON without its ``config`` block) and
 ``config``, so a change to the config echo alone shows up as such.
 """
@@ -207,14 +208,18 @@ def report_cases(tmp: Path) -> None:
             emit(f"report {name} {key}", path.read_bytes())
 
 
-def window_cases() -> None:
-    rng = np.random.default_rng(11)
-    c = rng.uniform(0.5, 30.0, (9, 9))
+def float9() -> TspInstance:
+    """Nine cities with asymmetric float distances: a model with no delta plan."""
+    c = np.random.default_rng(11).uniform(0.5, 30.0, (9, 9))
     np.fill_diagonal(c, 0.0)
+    return TspInstance("float9", 9, c)
+
+
+def window_cases() -> None:
     instances = [
         parse_tsplib((DATA / "tsp9.tsp").read_text(), "tsp9"),
         parse_tsplib((DATA / "disc52.tsp").read_text(), "disc52"),
-        TspInstance("float9", 9, c),
+        float9(),
     ]
     for inst in instances:
         model = BUILDERS["tsp"](inst)
@@ -316,6 +321,14 @@ def solver_cases() -> None:
     for n_branches in (1, 2):
         cfg = SolverConfig(seed=3, n_branches=n_branches, max_steps=2_001, time_limit=600.0)
         emit_solve(f"mc200-sa max_steps=2001 branches={n_branches}", mc, cfg)
+    # every candidate of a model without a delta plan is evaluated in full
+    model = BUILDERS["tsp"](float9())
+    if model.freeze()._plan is not None:
+        raise SystemExit("float9 has a delta plan: its solves no longer evaluate in full")
+    for kind in ("sa", "tabu"):
+        cfg = SolverConfig(seed=2, n_branches=1, max_steps=2_000, time_limit=600.0,
+                           cm_kind=kind)
+        emit_solve(f"float9-{kind} no plan", model, cfg)
 
 
 if __name__ == "__main__":

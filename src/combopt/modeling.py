@@ -79,19 +79,21 @@ def order_key(feasible: bool, violation: float, objective: float, digest: int) -
 class MoveDigest:
     """The digest of ``state`` after ``move``, computed the first time it is compared.
 
-    It is the ``state_key`` of an evaluation made from a move's tag
-    (:meth:`Model.evaluate_move`).  Keys compare their digests only when their
-    first three entries tie, so the moved state is built only then, or when the
-    caller keeps it (:meth:`moved`).
+    It is the ``state_key`` of an evaluation from :meth:`Model.evaluate_move`
+    until :meth:`Evaluation.keep`.  Keys compare their digests only when their
+    first three entries tie, so a candidate evaluated from its tag is built only
+    then, or when it is kept.  A candidate evaluated in full comes with its
+    ``moved`` state and its digest ``value``.
     """
 
     __slots__ = ("state", "move", "_moved", "_value")
 
-    def __init__(self, state: State, move):
+    def __init__(self, state: State, move, moved: State | None = None,
+                 value: int | None = None):
         self.state = state
         self.move = move
-        self._moved = None
-        self._value = None
+        self._moved = moved
+        self._value = value
 
     def moved(self) -> State:
         """The moved state, built once."""
@@ -118,14 +120,14 @@ class MoveDigest:
 class Evaluation:
     """Result of evaluating a model at a state.
 
-    ``feasible``, ``total_violation`` and ``key`` are derived once: the
-    solver compares every candidate it evaluates.  ``key`` is the solution
-    order (:func:`order_key`); a lower key is a better evaluation.
-    ``state_key`` is the state's digest, or a :class:`MoveDigest` until
-    :meth:`pin` is called."""
+    ``violations`` holds each constraint's violation magnitude, 0.0 where it
+    holds.  ``feasible``, ``total_violation`` and ``key`` are derived from them
+    once: the solver compares every candidate it evaluates.  ``key`` is the
+    solution order (:func:`order_key`); a lower key is a better evaluation.
+    ``state_key`` is the state's digest; an evaluation from
+    :meth:`Model.evaluate_move` holds a :class:`MoveDigest` until :meth:`keep`."""
 
     objective: float
-    constraint_results: list[bool]
     violations: list[float]
     state_key: int | MoveDigest = 0
     # values of the frozen model's delta roots at this state, when it has a plan
@@ -138,15 +140,21 @@ class Evaluation:
     key: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        self.feasible = all(self.constraint_results)
+        self.feasible = not any(self.violations)  # -0.0 holds, NaN does not
         self.total_violation = float(sum(self.violations))
         self.key = order_key(self.feasible, self.total_violation, self.objective,
                              self.state_key)
 
-    def pin(self) -> None:
-        """Make ``state_key`` a plain int, computing a lazy digest."""
-        self.state_key = int(self.state_key)
-        self.key = (*self.key[:3], self.state_key)
+    def keep(self) -> State:
+        """The evaluated state of an evaluation from :meth:`Model.evaluate_move`,
+        built at most once; ``state_key`` becomes its int digest."""
+        moved = self.state_key.moved()
+        self._set_state_key(int(self.state_key))
+        return moved
+
+    def _set_state_key(self, state_key) -> None:
+        self.state_key = state_key
+        self.key = (*self.key[:3], state_key)
 
 
 def _is_scalar(shape) -> bool:
@@ -521,24 +529,26 @@ class Model:
         sums = None if plan is None else [vals[nid] for nid in plan.roots]
         return self._evaluation(vals, sums, state.digest())
 
-    def evaluate_move(self, state: State, ev: Evaluation, move) -> Evaluation | None:
-        """Evaluation of ``state`` after ``move`` from the move's tag, without the moved state.
+    def evaluate_move(self, state: State, ev: Evaluation, move) -> Evaluation:
+        """Evaluation of ``state`` after ``move``; equal to the full evaluation
+        of the moved state bit for bit, with a :class:`MoveDigest` as its
+        ``state_key`` (:meth:`Evaluation.keep` gives the moved state).
 
         ``ev`` is the evaluation of ``state`` and ``move`` a ``(decision,
         tag)`` pair (:func:`~combopt.solver.moves.draw_state_move`).  The delta
         plan (:mod:`combopt.delta`) evaluates again only the terms the move
-        touches; the result equals the full evaluation of the moved state bit
-        for bit, and its ``state_key`` is a :class:`MoveDigest`.
-
-        Returns None when the plan cannot answer: the model has no plan (a
-        sum over float data gets none), the plan has no rule for the tag, or
-        a sum reaches zero.  The caller then builds the moved state and
-        evaluates it in full.
+        touches, from the tag, without the moved state.  Where it cannot
+        answer (the model has no plan, as a sum over float data gets none, the
+        plan has no rule for the tag, or a sum reaches zero), the moved state
+        is built and evaluated in full.
         """
         plan = self._plan
         found = None if plan is None else plan.update(state, ev, move)
         if found is None:
-            return None
+            moved = state.moved(move)
+            full = self.evaluate_unchecked(moved)
+            full._set_state_key(MoveDigest(state, move, moved, full.state_key))
+            return full
         sums, fields = found
         vals: list = [None] * len(self.nodes)
         for nid, value in zip(plan.roots, sums):
@@ -547,15 +557,11 @@ class Model:
         return self._evaluation(vals, sums, MoveDigest(state, move), fields)
 
     def _evaluation(self, vals: list, sums, state_key, fields=None) -> Evaluation:
-        objective = float(vals[self.objective])
-        results: list[bool] = []
-        violations: list[float] = []
+        violations = []  # a loop: before Python 3.12 a comprehension is one more call
         for cid in self.constraints:
-            v = COMPARE_OPS[self.nodes[cid].op](*vals[cid])
-            violations.append(v)
-            results.append(v == 0.0)
-        return Evaluation(objective, results, violations, state_key=state_key, sums=sums,
-                          fields=fields)
+            violations.append(COMPARE_OPS[self.nodes[cid].op](*vals[cid]))
+        return Evaluation(float(vals[self.objective]), violations, state_key=state_key,
+                          sums=sums, fields=fields)
 
 
 def run_schedule(schedule, vals, state: State | None) -> None:

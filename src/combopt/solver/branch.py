@@ -82,11 +82,9 @@ class Branch:
         the step being taken, which keeps fixed-work runs deterministic.
         """
         deltas = []
-        for _ in range(100):  # off the hot loop, so each probe builds its candidate
-            cand, move = propose_state(model, self.current, self.rng)
+        for _ in range(100):
+            _, move = propose_state(model, self.current, self.rng)
             ev = model.evaluate_move(self.current, self.current_eval, move)
-            if ev is None:
-                ev = model.evaluate_unchecked(cand)
             d = abs(metropolis_delta(ev, self.current_eval))
             if d > 0:
                 deltas.append(d)
@@ -135,25 +133,9 @@ class Branch:
             self.current_eval = self.incumbent_eval
             self.stagnation = 0
 
-    def _evaluate(self, model: Model, move) -> tuple[Evaluation, State | None]:
-        """Evaluation of the current state after ``move``, and the moved state
-        when it had to be built for it (None when the tag sufficed)."""
-        ev = model.evaluate_move(self.current, self.current_eval, move)
-        if ev is not None:
-            return ev, None
-        cand = self.current.moved(move)
-        return model.evaluate_unchecked(cand), cand
-
-    @staticmethod
-    def _keep(ev: Evaluation, cand: State | None) -> State:
-        """The kept candidate, built now unless it was before; ``ev`` is pinned."""
-        if cand is None:
-            cand = ev.state_key.moved()
-            ev.pin()
-        return cand
-
     def _sa_step(self, model: Model) -> None:
-        ev, cand = self._evaluate(model, draw_state_move(model, self.current, self.rng))
+        ev = model.evaluate_move(self.current, self.current_eval,
+                                 draw_state_move(model, self.current, self.rng))
         accept = ev.key < self.current_eval.key
         if not accept:
             delta = metropolis_delta(ev, self.current_eval)
@@ -162,29 +144,29 @@ class Branch:
             elif self.temp > 0.0:
                 accept = self.rng.random() < math.exp(-delta / self.temp)
         if accept:
-            self.current = self._keep(ev, cand)
+            self.current = ev.keep()
             self.current_eval = ev
             self.offer(self.current, ev, "cm")
         self._cool()
 
     def _tabu_step(self, model: Model) -> None:
-        best = None  # (evaluation, move, candidate) of the best admissible candidate
+        best = None  # (evaluation, move) of the best admissible candidate
         # an evaluation draws nothing, so drawing every candidate first keeps the stream
         for move in draw_state_moves(model, self.current, self.rng,
                                      self.config.tabu_candidates):
-            ev, cand = self._evaluate(model, move)
+            ev = model.evaluate_move(self.current, self.current_eval, move)
             blocked = self.tabu.get(tabu_key(move), -1) > self.steps
             if blocked and not ev.key < self.incumbent_eval.key:
                 continue  # tabu unless it beats the incumbent (aspiration)
             if best is None or ev.key < best[0].key:
-                best = (ev, move, cand)
+                best = (ev, move)
         if best is None:
             return
-        ev, move, cand = best
+        ev, move = best
         self.tabu[reverse_move(move)] = self.steps + _TABU_TENURE
         if len(self.tabu) > 4 * _TABU_TENURE * self.config.tabu_candidates:
             self.tabu = {k: v for k, v in self.tabu.items() if v > self.steps}
-        self.current = self._keep(ev, cand)
+        self.current = ev.keep()
         self.current_eval = ev
         self.offer(self.current, ev, "cm")
 

@@ -55,6 +55,8 @@ class SolverConfig:
                 continue  # unset: one branch per CPU up to 8, no step stop
             if value < 1:
                 raise DomainError(f"{name} must be >= 1")
+            if type(value) is not int:  # bools too: the counts bound slices and loops
+                raise DomainError(f"{name} must be an integer")
         for name in ("qm_enabled", "qm_inline"):
             if type(getattr(self, name)) is not bool:
                 raise DomainError(f"{name} must be true or false")

@@ -169,34 +169,38 @@ def draw_move(spec: DecisionSpec, value, rng: np.random.Generator) -> Move:
     raise DomainError(f"no moves for decision kind {kind!r}")
 
 
+# how many leading entries of a partition tag name its move: the positions
+# after them are for apply_move, and tabu names leave them out
+_NAME_LENGTH = {"moveel": 4, "swapel": 3}
+
+
+def _name(tag: Move) -> Move:
+    """``tag`` as a tabu list names it."""
+    length = _NAME_LENGTH.get(tag[0])
+    return tag if length is None else tag[:length]
+
+
 def reverse_move(tag: Move) -> Move:
     """Tabu key of the move undoing ``tag``."""
-    if tag and isinstance(tag[0], int):  # (decision index, inner move)
+    if isinstance(tag[0], int):  # (decision index, inner move)
         return (tag[0], reverse_move(tag[1]))
-    if tag and tag[0] == "add":
+    tag = _name(tag)
+    kind = tag[0]
+    if kind == "add":
         return ("drop", tag[1])
-    if tag and tag[0] == "drop":
+    if kind == "drop":
         return ("add", tag[1])
-    if tag and tag[0] == "exch":
-        return ("exch", tag[2], tag[1])
-    if tag and tag[0] == "ins":
-        return ("ins", tag[2], tag[1])
-    if tag and tag[0] == "moveel":
+    if kind in ("exch", "ins"):
+        return (kind, tag[2], tag[1])
+    if kind == "moveel":
         return ("moveel", tag[1], tag[3], tag[2])
-    if tag and tag[0] == "swapel":
-        return tag[:3]
-    return tag  # swaps, 2-opt, flips, and noop are self-inverse
+    return tag  # swaps, element swaps, 2-opt, flips, and noop are self-inverse
 
 
 def tabu_key(move: Move) -> Move:
-    """The name of ``move`` in a tabu list: partition moves drop the positions
-    their tags carry for :func:`apply_move`, as :func:`reverse_move` does."""
-    kind = move[1][0]
-    if kind == "moveel":
-        return (move[0], move[1][:4])
-    if kind == "swapel":
-        return (move[0], move[1][:3])
-    return move
+    """The name of ``move`` in a tabu list, as :func:`reverse_move` names its reverse."""
+    name = _name(move[1])
+    return move if name is move[1] else (move[0], name)
 
 
 def draw_state_move(model: Model, state: State, rng: np.random.Generator) -> Move:

@@ -65,8 +65,7 @@ def random_kp(n, seed):
 
 
 def ev(objective, violations=(), key=0):
-    results = [v == 0 for v in violations]
-    return Evaluation(objective, results, list(violations), state_key=key)
+    return Evaluation(objective, list(violations), state_key=key)
 
 
 def test_feasible_beats_infeasible():
@@ -93,8 +92,7 @@ def test_sample_order_is_the_evaluation_order():
     for bits, objective, violations in [([1, 0, 1], 1.0, ()), ([0, 1, 1], 50.0, [1.0]),
                                         ([1, 1, 0], 2.0, [0.0, 3.0])]:
         state = State([bits])
-        e = Evaluation(objective, [v == 0 for v in violations], list(violations),
-                       state_key=state.digest())
+        e = Evaluation(objective, list(violations), state_key=state.digest())
         assert make_sample(state, e, 0, 0, "cm", 0.0).sort_key() == e.key
 
 
@@ -807,6 +805,16 @@ def test_config_rejects_settings_below_one(setting, value):
         SolverConfig(**{setting: value})
 
 
+@pytest.mark.parametrize("value", [2.5, 1.5, 2.0, True])
+@pytest.mark.parametrize("setting", ["qm_window", "tabu_candidates", "n_branches",
+                                     "qm_period", "max_steps"])
+def test_config_rejects_counts_that_are_not_integers(setting, value):
+    from combopt.errors import DomainError
+
+    with pytest.raises(DomainError, match=f"{setting} must be an integer"):
+        SolverConfig(**{setting: value})
+
+
 @pytest.mark.parametrize("value", ["no", 0, None])
 @pytest.mark.parametrize("setting", ["qm_enabled", "qm_inline"])
 def test_config_rejects_switches_that_are_not_bool(setting, value):
@@ -837,10 +845,10 @@ def delta_walk(model, steps: int, accept: float, seed: int,
     moved state bit for bit.
 
     Returns how many candidates the delta plan evaluated from their tags (the
-    rest fell back to the full evaluation) and the feasibility of every
+    rest ``evaluate_move`` evaluated in full) and the feasibility of every
     candidate.  ``answered``, when given, collects the tags of the former.
     """
-    rng = np.random.default_rng(seed)
+    plan, rng = model._plan, np.random.default_rng(seed)
     current = initial_state(model, rng)
     current_eval = model.evaluate_unchecked(current)
     taken, feasible = 0, []
@@ -850,26 +858,24 @@ def delta_walk(model, steps: int, accept: float, seed: int,
         cand = State([apply_move(v, move[1]) if d == move[0] else v
                        for d, v in enumerate(current.values)])
         full = model.evaluate_unchecked(cand)
-        if fast is not None:
+        if plan is not None and plan.update(current, current_eval, move) is not None:
             taken += 1
             if answered is not None:
                 answered.append(move[1])
-            # the lazy digest orders like the full one, also when it breaks a tie
-            assert (fast.key < current_eval.key) == (full.key < current_eval.key)
-            assert (current_eval.key < fast.key) == (current_eval.key < full.key)
-            assert _bits(fast.objective) == _bits(full.objective), move
-            # every root, the sign of a zero included
-            assert [_bits(v) for v in fast.sums] == [_bits(v) for v in full.sums], move
-            assert fast.constraint_results == full.constraint_results, move
-            assert [_bits(v) for v in fast.violations] == [_bits(v) for v in full.violations]
-            assert fast.key[:3] == full.key[:3]
-            assert fast.state_key == full.state_key  # forces the lazy digest
-            assert fast.state_key.moved() == cand
-            fast.pin()
-            assert type(fast.state_key) is int and fast.key == full.key
+        # the lazy digest orders like the full one, also when it breaks a tie
+        assert (fast.key < current_eval.key) == (full.key < current_eval.key)
+        assert (current_eval.key < fast.key) == (current_eval.key < full.key)
+        assert _bits(fast.objective) == _bits(full.objective), move
+        # every root, the sign of a zero included
+        assert [_bits(v) for v in fast.sums or ()] == [_bits(v) for v in full.sums or ()], move
+        assert [_bits(v) for v in fast.violations] == [_bits(v) for v in full.violations]
+        assert fast.key[:3] == full.key[:3]
+        assert fast.state_key == full.state_key  # forces the lazy digest
+        assert fast.keep() == cand
+        assert type(fast.state_key) is int and fast.key == full.key
         feasible.append(full.feasible)
         if rng.random() < accept:
-            current, current_eval = cand, full if fast is None else fast
+            current, current_eval = cand, fast
     return taken, feasible
 
 
@@ -1047,12 +1053,11 @@ def test_flip_fields_equal_the_fields_of_their_states(data_dir, name):
         for base, copies in bases[-20:]:
             assert [f.tobytes() for f in _field_arrays(base)] == [c.tobytes() for c in copies]
         cand = current.moved(move)
-        if ev is not None:
-            offered.append((cand, ev))
+        offered.append((cand, ev))
         r = rng.random()
         if r < 0.03:  # re-centre on an older candidate
             current, current_eval = offered[int(rng.integers(len(offered)))]
-        elif r < 0.1 or ev is None:  # a state offered with its full evaluation
+        elif r < 0.1:  # a state offered with its full evaluation
             current, current_eval = cand, model.evaluate_unchecked(cand)
         elif r < 0.8:
             current, current_eval = cand, ev
@@ -1089,8 +1094,7 @@ def test_no_evaluation_is_reachable_from_a_field_cache(data_dir, name):
     for _ in range(500):
         move = draw_state_move(model, current, rng)
         ev = model.evaluate_move(current, current_eval, move)
-        current = current.moved(move)
-        current_eval = model.evaluate_unchecked(current) if ev is None else ev
+        current, current_eval = ev.keep(), ev
         evaluations.append(current_eval)
     caches = [ev.fields for ev in evaluations]
     if model._plan.field_rules:
@@ -1149,11 +1153,21 @@ def _deep_summand_model():
 @pytest.mark.parametrize(
     "build", [_float_tsp_model, _asymmetric_tsp_model, _integer_model,
               _disjoint_lists_model, _three_bit_model, _deep_summand_model])
-def test_models_outside_the_delta_rules_evaluate_in_full(build):
+def test_models_outside_the_delta_rules_evaluate_in_full(build, monkeypatch):
+    """``evaluate_move`` evaluates each candidate in full, equal bit for bit to
+    the full evaluation, and builds it once: ``keep`` returns the state built
+    for the evaluation (``delta_walk`` builds its own copy without ``moved``)."""
     model = build().freeze()
     assert model._plan is None
+    built, moved = [], State.moved
+
+    def counting_moved(self, move):
+        built.append(move)
+        return moved(self, move)
+
+    monkeypatch.setattr(State, "moved", counting_moved)
     taken, _ = delta_walk(model, 500, 0.5, seed=1)
-    assert taken == 0
+    assert taken == 0 and len(built) == 500
 
 
 def test_gather_that_fails_only_for_some_sets_still_freezes():
