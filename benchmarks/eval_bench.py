@@ -3,10 +3,11 @@
 For each workload family and move kind it proposes candidates around one
 random state and times their evaluation, once in full with
 ``Model.evaluate_unchecked`` and once from the move's tag with
-``Model.evaluate_move(state, evaluation, move)``, which takes the delta path
+``Model.score_move(state, evaluation, move)``, which takes the delta path
 of the frozen model and falls back to the full evaluation where the plan
 cannot answer.  Every delta result is checked bit for bit against the full
-one before anything is timed.
+one before anything is timed.  An older tree answers a move with
+``Model.evaluate_move``, which is timed instead.
 
     PYTHONPATH=src python3 benchmarks/eval_bench.py
 
@@ -15,7 +16,7 @@ of one kind, full and delta passes alternating) and whether the frozen model
 has a delta plan at all; a model without one takes the full path on both
 sides.  It merges the numbers into ``BENCH_eval.json`` at the repository root
 under the short hash of the checked-out commit.  With the ``src`` of a commit
-that has no ``evaluate_move`` on ``PYTHONPATH``, only the full evaluation is
+that has neither on ``PYTHONPATH``, only the full evaluation is
 timed, so the same script measures such a commit too.
 """
 
@@ -42,7 +43,8 @@ BENCH_FILE = ROOT / "BENCH_eval.json"
 DATA = ROOT / "data"
 CANDIDATES = 3000
 REPEATS = 9
-HAS_DELTA = hasattr(Model, "evaluate_move")
+SCORES = hasattr(Model, "score_move")
+HAS_DELTA = SCORES or hasattr(Model, "evaluate_move")
 
 
 def models():
@@ -67,14 +69,19 @@ def candidates(model):
 
 
 def evaluate_move(model, cand, base):
-    """The evaluation a branch makes.  A tree whose ``evaluate_move`` returns
-    None where its plan cannot answer evaluates ``cand`` in full there."""
+    """What a branch asks of a candidate: its score, or in an older tree its
+    evaluation.  A tree whose ``evaluate_move`` returns None where its plan
+    cannot answer evaluates ``cand`` in full there."""
+    if SCORES:
+        return model.score_move(*base)
     return model.evaluate_move(*base) or model.evaluate_unchecked(cand)
 
 
 def check(model, group) -> None:
     for cand, base in group:
         full, delta = model.evaluate_unchecked(cand), evaluate_move(model, cand, base)
+        if SCORES:
+            delta = delta.build()[1]
         same = (struct.pack("<d", full.objective) == struct.pack("<d", delta.objective)
                 and full.violations == delta.violations and full.state_key == delta.state_key)
         if not same:
@@ -102,7 +109,7 @@ def us_per_eval(model, group) -> tuple[float, float | None]:
 
 def main():
     if not HAS_DELTA:
-        print("Model has no evaluate_move: timing the full evaluation only\n")
+        print("Model answers no move: timing the full evaluation only\n")
     header = (f"{'case':<14} {'plan':>5} {'candidates':>10} {'full us':>9} {'delta us':>9} "
               f"{'speedup':>8}")
     print(header)

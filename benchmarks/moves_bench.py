@@ -2,8 +2,9 @@
 
 On kp50, a generated 200-node maxcut and disc52 it draws candidates around one
 random state and times each draw together with its evaluation, grouped by the
-kind of move drawn.  As in a branch, ``Model.evaluate_move`` builds a
-candidate only where the model's delta plan cannot evaluate it from its tag.
+kind of move drawn.  As in a branch, ``Model.score_move`` answers it and
+builds a candidate only where the model's delta plan cannot score it from its
+tag.
 It also times the SA steps of one kp50 branch and the tabu steps (12
 candidates each) of one mc200 branch, with subproblem queries off.  Both sides
 of a comparison make the same random calls, so they time the same moves.
@@ -15,10 +16,11 @@ between that source tree and this checkout's ``src``, and the side that starts
 a pair alternates too: single runs on a shared machine are not comparable.
 The base may be older.  Before the draw/apply split of the moves, its
 candidates come from ``propose_state`` and its evaluations from
-``evaluate_unchecked(cand, base)``; where its ``evaluate_move`` returns None,
-the candidate is built and evaluated in full.  The script prints the median µs
-of each side and merges every run into ``BENCH_moves.json`` at the repository
-root under the short hash of the checked-out commit.
+``evaluate_unchecked(cand, base)``.  Before scores, ``evaluate_move`` answers
+a move; where it returns None, the candidate is built and evaluated in full.
+The script prints the median µs of each side and merges every run into
+``BENCH_moves.json`` at the repository root under the short hash of the
+checked-out commit.
 """
 
 import argparse
@@ -55,6 +57,7 @@ def draw_and_evaluate(model) -> dict[str, float]:
     from combopt.solver import initial_state, moves
 
     split = hasattr(moves, "draw_state_move")
+    answer = getattr(model, "score_move", None) or getattr(model, "evaluate_move", None)
     rng = np.random.default_rng(0)
     state = initial_state(model, rng)
     ev = model.evaluate_unchecked(state)
@@ -65,7 +68,7 @@ def draw_and_evaluate(model) -> dict[str, float]:
         if split:
             move = moves.draw_state_move(model, state, rng)
             # a base whose evaluate_move returns None leaves the fallback to its caller
-            model.evaluate_move(state, ev, move) or model.evaluate_unchecked(state.moved(move))
+            answer(state, ev, move) or model.evaluate_unchecked(state.moved(move))
         else:
             cand, move = moves.propose_state(model, state, rng)
             model.evaluate_unchecked(cand, (state, ev, move))

@@ -26,7 +26,11 @@ is cached with the evaluation (:attr:`Evaluation.fields
 made in full computes it, with one ``bincount`` over the couplings, at its
 first flip; one made from a flip's tag keeps its parent's field and the flip,
 and derives its own field (``±J[p]`` at ``nbrs[p]``) only when a move is
-evaluated from it.
+scored from it.  A tabu step's flips of one bit array are scored as a
+batch (:meth:`DeltaPlan.flips`): each sum becomes the array ``cached ±
+field[ps]`` over the drawn positions ``ps``, the same float operation as one
+flip, and the tail runs once over those arrays.  A batch in which a one-term
+root reads a drawn bit or a sum reaches zero is scored flip by flip.
 
 A list decision ``L`` has two roots, the two parts of a tour length: the path
 ``C[L[:-1], L[1:]].sum()`` over a symmetric table ``C`` and a one-term entry
@@ -58,6 +62,7 @@ from .state import BINARY, LIST, SET
 _TERM_OPS = (*ARITH_OPS, *UNARY_OPS)
 _TAIL_OPS = ("const", *_TERM_OPS, *COMPARE_OPS)
 _EXACT = 2.0**53
+_FLIP_SIGNS = np.array([1.0, -1.0])  # by the bit before a flip: what its field adds
 # deepest summand given a rule: a deeper one (a long chain of Python-level
 # additions) stays in the tail, so the walk from each node of such a chain
 # stops after this many levels and freezing stays linear in its length
@@ -482,10 +487,39 @@ class DeltaPlan:
                 sums[rule.slot] = rule.update(cached[rule.slot], old, tag)
         return sums, fields
 
+    def flips(self, prev_state, prev_eval, d: int, ps: list):
+        """The roots' values at ``prev_state`` after the flip of each bit ``ps[i]``
+        of decision ``d``, one at a time, and the fields they read (None when
+        no sum over ``d`` has a field); None when a flip needs :meth:`update`.
+
+        Each sum over ``d`` becomes an array over the flips, ``cached +
+        sign * field[ps]`` with the sign -1.0 where the bit was 1: the same
+        float operation as a single flip's ``cached - field[p]``, because
+        ``x - y`` is ``x + (-y)``.  Every other root keeps its cached value.
+        :meth:`update` answers instead when a one-term root reads a drawn bit
+        or a sum reaches zero.
+        """
+        cached = prev_eval.sums
+        terms = self.flip_terms.get(d)
+        if cached is None or terms and not terms.keys().isdisjoint(ps):
+            return None
+        sum_rules = self.flip_sums.get(d)
+        if not sum_rules:
+            return cached, None
+        ps = np.array(ps)
+        sign = _FLIP_SIGNS[prev_state.values[d][ps]]
+        at = self.fields(prev_state, prev_eval)
+        sums = list(cached)
+        for k, rule in sum_rules:
+            sums[rule.slot] = value = cached[rule.slot] + sign * at[k][ps]
+            if np.count_nonzero(value) < ps.size:  # a zero's sign only the full sum knows
+                return None
+        return sums, at
+
     def fields(self, state, ev) -> list:
         """The field of each of ``field_rules`` at ``state``, the state of ``ev``.
 
-        ``ev.fields`` caches them: None until a flip is evaluated from ``ev``,
+        ``ev.fields`` caches them: None until a flip is scored from ``ev``,
         then a list of arrays.  An evaluation made from a flip's tag holds the
         tuple ``(parent's fields, decision, position, old bit)`` instead, and
         the list replaces it here.  Neither refers to an evaluation, and no

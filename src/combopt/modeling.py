@@ -21,6 +21,7 @@ the dynamic-shape sentinel; reducing an empty one yields the identity (0).
 from __future__ import annotations
 
 import operator
+from itertools import repeat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,10 +53,19 @@ DYNAMIC = _Dynamic()
 # applies them; :mod:`combopt.delta` takes from them which ops act elementwise.
 ARITH_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 UNARY_OPS = {"neg": operator.neg, "abs": np.abs}
-# a comparison's violation magnitude at its operand values; 0.0 when it holds
+
+
+def _positive_part(x):
+    """``max(0.0, x)`` for a float, elementwise for an array.  Both give 0.0
+    for -0.0 and for NaN, where ``np.maximum(0.0, x)`` gives -0.0 and NaN."""
+    return np.where(x > 0.0, x, 0.0) if type(x) is np.ndarray else max(0.0, x)
+
+
+# a comparison's violation magnitude at its operand values, 0.0 where it holds:
+# at floats, or elementwise at arrays of the values of several candidates
 COMPARE_OPS = {
-    "le": lambda a, b: max(0.0, a - b),
-    "ge": lambda a, b: max(0.0, b - a),
+    "le": lambda a, b: _positive_part(a - b),
+    "ge": lambda a, b: _positive_part(b - a),
     "eq": lambda a, b: abs(a - b),
 }
 
@@ -69,51 +79,11 @@ class ExprNode:
     payload: object = None      # constants, decision ids, slice bounds, part index
 
 
-def order_key(feasible: bool, violation: float, objective: float, digest: int) -> tuple:
+def order_key(feasible: bool, violation: float, objective: float, *digest: int) -> tuple:
     """The solution order: feasible first, then lower total violation, then
     lower objective, and the state digest last, which makes it total and
-    reproducible."""
-    return (0 if feasible else 1, violation, objective, digest)
-
-
-class MoveDigest:
-    """The digest of ``state`` after ``move``, computed the first time it is compared.
-
-    It is the ``state_key`` of an evaluation from :meth:`Model.evaluate_move`
-    until :meth:`Evaluation.keep`.  Keys compare their digests only when their
-    first three entries tie, so a candidate evaluated from its tag is built only
-    then, or when it is kept.  A candidate evaluated in full comes with its
-    ``moved`` state and its digest ``value``.
-    """
-
-    __slots__ = ("state", "move", "_moved", "_value")
-
-    def __init__(self, state: State, move, moved: State | None = None,
-                 value: int | None = None):
-        self.state = state
-        self.move = move
-        self._moved = moved
-        self._value = value
-
-    def moved(self) -> State:
-        """The moved state, built once."""
-        if self._moved is None:
-            self._moved = self.state.moved(self.move)
-        return self._moved
-
-    def __int__(self) -> int:
-        if self._value is None:
-            self._value = self.moved().digest()
-        return self._value
-
-    def __eq__(self, other):
-        return int(self) == int(other)
-
-    def __lt__(self, other):
-        return int(self) < int(other)
-
-    def __gt__(self, other):
-        return int(self) > int(other)
+    reproducible.  Without the digest it is a :class:`Score`'s key."""
+    return (0 if feasible else 1, violation, objective, *digest)
 
 
 @dataclass
@@ -122,14 +92,14 @@ class Evaluation:
 
     ``violations`` holds each constraint's violation magnitude, 0.0 where it
     holds.  ``feasible``, ``total_violation`` and ``key`` are derived from them
-    once: the solver compares every candidate it evaluates.  ``key`` is the
-    solution order (:func:`order_key`); a lower key is a better evaluation.
-    ``state_key`` is the state's digest; an evaluation from
-    :meth:`Model.evaluate_move` holds a :class:`MoveDigest` until :meth:`keep`."""
+    once.  ``key`` is the solution order (:func:`order_key`); a lower key is a
+    better evaluation.  ``state_key`` is the state's digest.  The solver builds
+    an evaluation only for a candidate it keeps or whose digest breaks a tie;
+    it compares the others by their :class:`Score`."""
 
     objective: float
     violations: list[float]
-    state_key: int | MoveDigest = 0
+    state_key: int = 0
     # values of the frozen model's delta roots at this state, when it has a plan
     sums: list | None = field(default=None, compare=False, repr=False)
     # the plan's flip fields at this state, or how to derive them
@@ -145,16 +115,34 @@ class Evaluation:
         self.key = order_key(self.feasible, self.total_violation, self.objective,
                              self.state_key)
 
-    def keep(self) -> State:
-        """The evaluated state of an evaluation from :meth:`Model.evaluate_move`,
-        built at most once; ``state_key`` becomes its int digest."""
-        moved = self.state_key.moved()
-        self._set_state_key(int(self.state_key))
-        return moved
 
-    def _set_state_key(self, state_key) -> None:
-        self.state_key = state_key
-        self.key = (*self.key[:3], state_key)
+@dataclass(slots=True, eq=False)
+class Score:
+    """The answer to ``move`` from ``state``, before the moved state is built.
+
+    ``key`` is the first three entries of the moved state's
+    :attr:`Evaluation.key`: infeasibility, total violation and objective.
+    ``violations``, ``sums`` and ``fields`` are those of its evaluation.
+    :meth:`build` makes the moved state and its evaluation, digest included,
+    at most once; a score that needed the full evaluation holds both already.
+    """
+
+    key: tuple
+    violations: list
+    sums: list | None
+    fields: list | tuple | None
+    state: State
+    move: tuple
+    built: tuple | None = None
+
+    def build(self) -> tuple[State, Evaluation]:
+        """The moved state and its evaluation, equal bit for bit to the full
+        evaluation of that state."""
+        if self.built is None:
+            moved = self.state.moved(self.move)
+            self.built = moved, Evaluation(self.key[2], self.violations, moved.digest(),
+                                           self.sums, self.fields)
+        return self.built
 
 
 def _is_scalar(shape) -> bool:
@@ -527,12 +515,12 @@ class Model:
         run_schedule(self._schedule, vals, state)
         plan = self._plan
         sums = None if plan is None else [vals[nid] for nid in plan.roots]
-        return self._evaluation(vals, sums, state.digest())
+        return Evaluation(float(vals[self.objective]), self._violations(vals),
+                          state.digest(), sums)
 
-    def evaluate_move(self, state: State, ev: Evaluation, move) -> Evaluation:
-        """Evaluation of ``state`` after ``move``; equal to the full evaluation
-        of the moved state bit for bit, with a :class:`MoveDigest` as its
-        ``state_key`` (:meth:`Evaluation.keep` gives the moved state).
+    def score_move(self, state: State, ev: Evaluation, move) -> Score:
+        """The :class:`Score` of ``state`` after ``move``; its :meth:`Score.build`
+        equals the full evaluation of the moved state bit for bit.
 
         ``ev`` is the evaluation of ``state`` and ``move`` a ``(decision,
         tag)`` pair (:func:`~combopt.solver.moves.draw_state_move`).  The delta
@@ -540,28 +528,86 @@ class Model:
         touches, from the tag, without the moved state.  Where it cannot
         answer (the model has no plan, as a sum over float data gets none, the
         plan has no rule for the tag, or a sum reaches zero), the moved state
-        is built and evaluated in full.
+        is built and evaluated in full, and the score holds both.
         """
         plan = self._plan
         found = None if plan is None else plan.update(state, ev, move)
         if found is None:
             moved = state.moved(move)
             full = self.evaluate_unchecked(moved)
-            full._set_state_key(MoveDigest(state, move, moved, full.state_key))
-            return full
+            return Score(full.key[:3], full.violations, full.sums, full.fields, state, move,
+                         (moved, full))
         sums, fields = found
+        vals = self._tail(plan, sums)
+        violations = self._violations(vals)
+        key = order_key(not any(violations), float(sum(violations)), float(vals[self.objective]))
+        return Score(key, violations, sums, fields, state, move)
+
+    def score_moves(self, state: State, ev: Evaluation, moves: list):
+        """The scores of several moves from ``state``, as :meth:`score_move`
+        gives them: a list of their keys, and a function that makes the
+        :class:`Score` of move ``i``.
+
+        Flips of one bit array are scored together where the plan can
+        (:meth:`combopt.delta.DeltaPlan.flips`): each sum over the array is
+        ``cached ± field[ps]`` over the drawn positions ``ps``, and the tail and
+        the comparisons run once over those arrays.  Every other batch is
+        scored move by move.
+        """
+        plan = self._plan
+        d = moves[0][0]
+        ps = [tag[1] for e, tag in moves if e == d and tag[0] == "flip"]
+        found = None
+        if plan is not None and len(ps) == len(moves):
+            found = plan.flips(state, ev, d, ps)
+        if found is None:
+            scores = [self.score_move(state, ev, move) for move in moves]
+            return [score.key for score in scores], scores.__getitem__
+        sums, at = found
+        k = len(moves)
+        vals = self._tail(plan, sums)
+        objectives = _column(vals[self.objective], k)
+        if self.constraints:
+            rows = list(zip(*[_column(COMPARE_OPS[self.nodes[cid].op](*vals[cid]), k)
+                              for cid in self.constraints]))
+            keys = [order_key(not any(row), float(sum(row)), objective)
+                    for row, objective in zip(rows, objectives)]
+        else:  # every candidate is feasible
+            rows = [()] * k
+            infeasible, violation, _ = order_key(True, 0.0, None)
+            keys = list(zip(repeat(infeasible, k), repeat(violation, k), objectives))
+
+        def score(i: int) -> Score:
+            p = ps[i]
+            fields = ev.fields if at is None else (at, d, p, state.values[d].item(p))
+            return Score(keys[i], list(rows[i]),
+                         [s.item(i) if type(s) is np.ndarray else s for s in sums],
+                         fields, state, moves[i])
+
+        return keys, score
+
+    def _tail(self, plan, sums: list) -> list:
+        """Node values with the plan's roots at ``sums`` and its tail run above them."""
         vals: list = [None] * len(self.nodes)
         for nid, value in zip(plan.roots, sums):
             vals[nid] = value
         run_schedule(plan.tail, vals, None)  # the tail reads no decision
-        return self._evaluation(vals, sums, MoveDigest(state, move), fields)
+        return vals
 
-    def _evaluation(self, vals: list, sums, state_key, fields=None) -> Evaluation:
+    def _violations(self, vals: list) -> list[float]:
         violations = []  # a loop: before Python 3.12 a comprehension is one more call
         for cid in self.constraints:
-            violations.append(COMPARE_OPS[self.nodes[cid].op](*vals[cid]))
-        return Evaluation(float(vals[self.objective]), violations, state_key=state_key,
-                          sums=sums, fields=fields)
+            a, b = vals[cid]
+            violations.append(COMPARE_OPS[self.nodes[cid].op](float(a), float(b)))
+        return violations
+
+
+def _column(value, k: int) -> list:
+    """The ``k`` floats of an array over candidates, or ``k`` copies of a value
+    that no candidate changes."""
+    if type(value) is np.ndarray and value.ndim:
+        return value.tolist()
+    return [float(value)] * k
 
 
 def run_schedule(schedule, vals, state: State | None) -> None:
@@ -596,8 +642,8 @@ def run_schedule(schedule, vals, state: State | None) -> None:
             vals[nid] = UNARY_OPS[op](vals[operands[0]])
         elif op == "sum":
             vals[nid] = float(np.sum(vals[operands[0]]))
-        elif op in COMPARE_OPS:
-            vals[nid] = (float(vals[operands[0]]), float(vals[operands[1]]))
+        elif op in COMPARE_OPS:  # the caller takes the violation (floats or arrays)
+            vals[nid] = (vals[operands[0]], vals[operands[1]])
         else:  # pragma: no cover - construction forbids unknown ops
             raise DomainError(f"unknown node op {op!r}")
 

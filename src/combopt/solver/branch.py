@@ -13,10 +13,11 @@ trajectory reproducible.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
-from ..modeling import Evaluation, Model
+from ..modeling import Evaluation, Model, Score
 from ..qubo.sampler import sa_sample
 from ..state import State
 from .config import SolverConfig
@@ -32,12 +33,33 @@ _QM_READS = 4  # annealing reads per subproblem query
 _QM_SWEEPS = 64  # sweeps per read
 
 
-def metropolis_delta(cand: Evaluation, cur: Evaluation) -> float:
-    """Uphill magnitude on the violation-then-objective scale."""
-    dv = cand.total_violation - cur.total_violation
+def metropolis_delta(key: tuple, cur: tuple) -> float:
+    """Uphill magnitude on the violation-then-objective scale, from the keys of
+    a candidate and of the current state (their first three entries suffice)."""
+    dv = key[1] - cur[1]
     if dv != 0.0:
         return dv
-    return cand.objective - cur.objective
+    return key[2] - cur[2]
+
+
+def _before(score: Score, ev: Evaluation) -> bool:
+    """Whether the candidate of ``score`` orders before ``ev``.  The first three
+    key entries decide unless they tie; then the digests do, and the candidate
+    is built for its digest."""
+    key, prefix = score.key, ev.key[:3]
+    if key == prefix:
+        return score.build()[1].key < ev.key
+    return key < prefix
+
+
+def _walk_order(keys: list):
+    """Candidate indices by key, ties in draw order (the sort is stable).  Keys
+    with a NaN are not ordered, so then the draw order is kept (a sum of
+    infinities of both signs keeps it too, which is slower but as right)."""
+    total = sum(chain.from_iterable(keys))
+    if total != total:
+        return range(len(keys))
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 class Branch:
@@ -84,8 +106,8 @@ class Branch:
         deltas = []
         for _ in range(100):
             _, move = propose_state(model, self.current, self.rng)
-            ev = model.evaluate_move(self.current, self.current_eval, move)
-            d = abs(metropolis_delta(ev, self.current_eval))
+            score = model.score_move(self.current, self.current_eval, move)
+            d = abs(metropolis_delta(score.key, self.current_eval.key))
             if d > 0:
                 deltas.append(d)
         self.t0 = float(np.mean(deltas)) if deltas else 1.0
@@ -134,41 +156,42 @@ class Branch:
             self.stagnation = 0
 
     def _sa_step(self, model: Model) -> None:
-        ev = model.evaluate_move(self.current, self.current_eval,
+        score = model.score_move(self.current, self.current_eval,
                                  draw_state_move(model, self.current, self.rng))
-        accept = ev.key < self.current_eval.key
+        accept = _before(score, self.current_eval)
         if not accept:
-            delta = metropolis_delta(ev, self.current_eval)
+            delta = metropolis_delta(score.key, self.current_eval.key)
             if delta <= 0.0:
                 accept = True
             elif self.temp > 0.0:
                 accept = self.rng.random() < math.exp(-delta / self.temp)
         if accept:
-            self.current = ev.keep()
-            self.current_eval = ev
-            self.offer(self.current, ev, "cm")
+            self.current, self.current_eval = score.build()
+            self.offer(self.current, self.current_eval, "cm")
         self._cool()
 
     def _tabu_step(self, model: Model) -> None:
-        best = None  # (evaluation, move) of the best admissible candidate
-        # an evaluation draws nothing, so drawing every candidate first keeps the stream
-        for move in draw_state_moves(model, self.current, self.rng,
-                                     self.config.tabu_candidates):
-            ev = model.evaluate_move(self.current, self.current_eval, move)
-            blocked = self.tabu.get(tabu_key(move), -1) > self.steps
-            if blocked and not ev.key < self.incumbent_eval.key:
+        # a score draws nothing, so drawing every candidate first keeps the stream
+        moves = draw_state_moves(model, self.current, self.rng, self.config.tabu_candidates)
+        keys, score = model.score_moves(self.current, self.current_eval, moves)
+        best = None  # the score of the best admissible candidate
+        for i in _walk_order(keys):
+            if best is not None and not keys[i] <= best.key:
+                continue  # it cannot win
+            cand = score(i)
+            if (self.tabu.get(tabu_key(cand.move), -1) > self.steps
+                    and not _before(cand, self.incumbent_eval)):
                 continue  # tabu unless it beats the incumbent (aspiration)
-            if best is None or ev.key < best[0].key:
-                best = (ev, move)
+            if best is not None and cand.key == best.key and not _before(cand, best.build()[1]):
+                continue  # a tie that the digests give to the best so far
+            best = cand
         if best is None:
             return
-        ev, move = best
-        self.tabu[reverse_move(move)] = self.steps + _TABU_TENURE
+        self.tabu[reverse_move(best.move)] = self.steps + _TABU_TENURE
         if len(self.tabu) > 4 * _TABU_TENURE * self.config.tabu_candidates:
             self.tabu = {k: v for k, v in self.tabu.items() if v > self.steps}
-        self.current = ev.keep()
-        self.current_eval = ev
-        self.offer(self.current, ev, "cm")
+        self.current, self.current_eval = best.build()
+        self.offer(self.current, self.current_eval, "cm")
 
     # -- one step -------------------------------------------------------------------
 

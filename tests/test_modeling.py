@@ -13,6 +13,7 @@ from combopt import (
     TypeErrorDomain,
     new_model,
 )
+from combopt.modeling import COMPARE_OPS
 
 
 def test_new_model_is_empty():
@@ -359,3 +360,18 @@ def test_permutation_histogram_property():
         perm = rng.permutation(8)
         assert m.validate_state(State([perm])) == []
         assert np.bincount(perm, minlength=8).tolist() == [1] * 8
+
+
+@pytest.mark.parametrize("op", ["le", "ge", "eq"])
+def test_compare_ops_give_the_same_bytes_at_floats_and_arrays(op):
+    """A tabu step takes the violations of all its candidates as arrays; each
+    must equal the violation at floats byte for byte, also where ``max``
+    and ``np.maximum`` differ (-0.0, NaN)."""
+    values = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1.5, -2.25, 3.0, 1e308]
+    a, b = (np.array(column) for column in zip(*[(x, y) for x in values for y in values]))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        at_arrays = COMPARE_OPS[op](a, b)
+    assert type(at_arrays) is np.ndarray and at_arrays.dtype == np.float64
+    at_floats = [COMPARE_OPS[op](x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert all(type(v) is float for v in at_floats)
+    assert at_arrays.tobytes() == np.array(at_floats).tobytes()

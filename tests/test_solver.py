@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from combopt import Model, State, StateError, delta
-from combopt.modeling import Evaluation, MoveDigest
+from combopt.modeling import Evaluation
 from combopt.problems import (
     KpInstance,
     TspInstance,
@@ -839,13 +839,35 @@ def _bits(x) -> bytes:
     return struct.pack("<d", x)
 
 
+def _assert_scored_as(key, score, full) -> None:
+    """The key and the score of a candidate equal the full evaluation of its
+    state bit for bit: the objective, every root (the sign of a zero
+    included), every violation and the first three key entries."""
+    assert score.key is key or score.key == key
+    assert key[0] == full.key[0]
+    assert [_bits(v) for v in key[1:]] == [_bits(v) for v in full.key[1:3]]
+    assert [_bits(v) for v in score.sums or ()] == [_bits(v) for v in full.sums or ()]
+    assert [_bits(v) for v in score.violations] == [_bits(v) for v in full.violations]
+
+
+def _assert_built_as(score, cand, full) -> Evaluation:
+    """The state and the evaluation that ``score`` builds equal ``cand`` and
+    its full evaluation ``full``; returns the evaluation."""
+    moved, fast = score.build()
+    assert moved == cand and score.build()[0] is moved  # built once
+    assert _bits(fast.objective) == _bits(full.objective)
+    assert [_bits(v) for v in fast.violations] == [_bits(v) for v in full.violations]
+    assert type(fast.state_key) is int and fast.key == full.key
+    return fast
+
+
 def delta_walk(model, steps: int, accept: float, seed: int,
                answered: list | None = None) -> tuple[int, list[bool]]:
-    """Random walk comparing ``evaluate_move`` with the full evaluation of the
-    moved state bit for bit.
+    """Random walk comparing ``score_move`` and the evaluation it builds with
+    the full evaluation of the moved state bit for bit.
 
-    Returns how many candidates the delta plan evaluated from their tags (the
-    rest ``evaluate_move`` evaluated in full) and the feasibility of every
+    Returns how many candidates the delta plan scored from their tags (the
+    rest ``score_move`` evaluated in full) and the feasibility of every
     candidate.  ``answered``, when given, collects the tags of the former.
     """
     plan, rng = model._plan, np.random.default_rng(seed)
@@ -854,7 +876,7 @@ def delta_walk(model, steps: int, accept: float, seed: int,
     taken, feasible = 0, []
     for _ in range(steps):
         move = draw_state_move(model, current, rng)
-        fast = model.evaluate_move(current, current_eval, move)
+        score = model.score_move(current, current_eval, move)
         cand = State([apply_move(v, move[1]) if d == move[0] else v
                        for d, v in enumerate(current.values)])
         full = model.evaluate_unchecked(cand)
@@ -862,21 +884,51 @@ def delta_walk(model, steps: int, accept: float, seed: int,
             taken += 1
             if answered is not None:
                 answered.append(move[1])
-        # the lazy digest orders like the full one, also when it breaks a tie
-        assert (fast.key < current_eval.key) == (full.key < current_eval.key)
-        assert (current_eval.key < fast.key) == (current_eval.key < full.key)
-        assert _bits(fast.objective) == _bits(full.objective), move
-        # every root, the sign of a zero included
-        assert [_bits(v) for v in fast.sums or ()] == [_bits(v) for v in full.sums or ()], move
-        assert [_bits(v) for v in fast.violations] == [_bits(v) for v in full.violations]
-        assert fast.key[:3] == full.key[:3]
-        assert fast.state_key == full.state_key  # forces the lazy digest
-        assert fast.keep() == cand
-        assert type(fast.state_key) is int and fast.key == full.key
+        _assert_scored_as(score.key, score, full)
+        fast = _assert_built_as(score, cand, full)
         feasible.append(full.feasible)
         if rng.random() < accept:
             current, current_eval = cand, fast
     return taken, feasible
+
+
+def score_walk(model, steps: int, k: int | None, seed: int) -> tuple[int, int]:
+    """Random walk comparing every scored candidate with the full evaluation
+    of its state bit for bit.
+
+    Each step scores ``k`` candidates with ``score_moves``, as a tabu step
+    does, or with ``k=None`` one with ``score_move``, as an SA step does.  It
+    builds every candidate and walks on to a random one, so later steps read
+    fields derived from a flip's tag.  Returns how many steps the plan scored
+    as arrays (:meth:`~combopt.delta.DeltaPlan.flips`) and how many it scored
+    move by move.
+    """
+    plan, rng = model._plan, np.random.default_rng(seed)
+    current = initial_state(model, rng)
+    current_eval = model.evaluate_unchecked(current)
+    arrays = 0
+    for _ in range(steps):
+        if k is None:
+            moves = [draw_state_move(model, current, rng)]
+            score = model.score_move(current, current_eval, moves[0])
+            keys, score_of = [score.key], [score].__getitem__
+        else:
+            moves = draw_state_moves(model, current, rng, k)
+            d = moves[0][0]
+            if all(e == d and tag[0] == "flip" for e, tag in moves):
+                ps = [tag[1] for _, tag in moves]
+                arrays += plan.flips(current, current_eval, d, ps) is not None
+            keys, score_of = model.score_moves(current, current_eval, moves)
+        built = []
+        for i, (d, tag) in enumerate(moves):
+            cand = State([apply_move(v, tag) if e == d else v
+                          for e, v in enumerate(current.values)])
+            full = model.evaluate_unchecked(cand)
+            score = score_of(i)
+            _assert_scored_as(keys[i], score, full)
+            built.append((cand, _assert_built_as(score, cand, full)))
+        current, current_eval = built[int(rng.integers(len(built)))]
+    return arrays, steps - arrays
 
 
 def _mixed_model():
@@ -949,6 +1001,38 @@ def _constsum_model():
     return m.freeze()
 
 
+def _constrained_model():
+    """One bit array under all three comparisons over its sums (a capacity, a
+    cover and an exact count, which flips take to zero often) and a
+    comparison of two constants, which no flip changes."""
+    rng = np.random.default_rng(17)
+    m = Model()
+    x = m.binary(30)
+    us, vs = (m.constant(rng.integers(0, 30, 40)) for _ in range(2))
+    m.minimize(-(x * m.constant(rng.integers(-5, 10, 30))).sum() + 2 * (x[us] * x[vs]).sum())
+    m.add_constraint((x * m.constant(rng.integers(1, 9, 30))).sum() <= 60)
+    m.add_constraint(x.sum() >= 8)
+    m.add_constraint(x[[0, 3, 5, 7]].sum() == 2)
+    m.add_constraint(m.constant(1) <= m.constant(2))
+    return m.freeze()
+
+
+def _term_model():
+    """A sum over a bit array beside the one-term root ``3 * x[2]``."""
+    m = Model()
+    x = m.binary(40)
+    m.minimize((x * m.constant(np.arange(40) % 7 + 1)).sum() - 3 * x[2])
+    return m.freeze()
+
+
+def _zero_model():
+    """A sum of signed weights over six bits, which flips take to zero often."""
+    m = Model()
+    x = m.binary(6)
+    m.minimize((x * m.constant([1, -1, 2, -2, 1, -1])).sum())
+    return m.freeze()
+
+
 def _walk_model(data_dir, name):
     files = {
         "tsp9": (parse_tsplib, build_tsp_model, "tsp9.tsp"),
@@ -969,6 +1053,12 @@ def _walk_model(data_dir, name):
         return _cast_model()
     if name == "constsum":
         return _constsum_model()
+    if name == "constrained":
+        return _constrained_model()
+    if name == "term":
+        return _term_model()
+    if name == "zero":
+        return _zero_model()
     n, density, seed = {"mc200": (200, 0.1, 11), "mc3": (3, 1.0, 2)}[name]
     return build_mcp_model(generate_random_maxcut(n, density, seed=seed)).freeze()
 
@@ -998,6 +1088,26 @@ def test_delta_evaluation_matches_full_evaluation(data_dir, name, accept):
         assert any(t[0] == "swap" and t[2] > t[1] + 1 for t in answered)
 
 
+@pytest.mark.parametrize(
+    "name, k", [("mc200", 12), ("signed", 12), ("constrained", 12), ("term", 12),
+                ("zero", 12), ("mixed", 12), ("kp50", None), ("disc52", None)])
+def test_scores_match_the_full_evaluation(data_dir, name, k):
+    """Every score equals the full evaluation, whether a tabu step's flips are
+    scored as arrays or move by move: a drawn bit that a one-term root reads
+    (``signed``, ``term``) or a sum that reaches zero (``constrained``,
+    ``zero``) sends a step move by move, as do flips of two bit arrays
+    (``mixed``).  kp50 and disc52 are scored as an SA step scores them."""
+    model = _walk_model(data_dir, name)
+    steps = 200 if name == "mc200" else 600
+    arrays, moves = score_walk(model, steps, k, seed=len(name))
+    if name == "mc200":
+        assert moves == 0
+    elif name in ("signed", "constrained", "term", "zero"):
+        assert arrays > 0 and moves > 0
+    elif name in ("kp50", "disc52"):
+        assert arrays == 0
+
+
 def test_a_flip_calls_only_the_rules_that_read_its_bit(monkeypatch):
     """On the chain of 1100 one-term roots a flip calls the one root that reads
     its bit, and the sum rules of its decision, of which there are none."""
@@ -1018,9 +1128,8 @@ def test_a_flip_calls_only_the_rules_that_read_its_bit(monkeypatch):
         reading = [r for r in plan.rules[d]
                    if isinstance(r, delta._FlipSumRule) or tag[1] in (r.a, r.b)]
         calls.clear()
-        ev = model.evaluate_move(state, ev, move)
+        state, ev = model.score_move(state, ev, move).build()
         assert 1 <= len(calls) <= len(reading), tag
-        state = state.moved(move)
     assert _bits(ev.objective) == _bits(model.evaluate_unchecked(state).objective)
 
 
@@ -1045,14 +1154,13 @@ def test_flip_fields_equal_the_fields_of_their_states(data_dir, name):
     bases, offered = [], [(current, current_eval)]  # bases: (evaluation, field copies)
     for _ in range(3000):
         move = draw_state_move(model, current, rng)
-        ev = model.evaluate_move(current, current_eval, move)
+        cand, ev = model.score_move(current, current_eval, move).build()
         fields = _field_arrays(current_eval)
         for (d, rule), f in zip(plan.field_rules, fields):
             assert f.tobytes() == rule.field(current.values[d]).tobytes()
         bases.append((current_eval, [f.copy() for f in fields]))
         for base, copies in bases[-20:]:
             assert [f.tobytes() for f in _field_arrays(base)] == [c.tobytes() for c in copies]
-        cand = current.moved(move)
         offered.append((cand, ev))
         r = rng.random()
         if r < 0.03:  # re-centre on an older candidate
@@ -1093,8 +1201,7 @@ def test_no_evaluation_is_reachable_from_a_field_cache(data_dir, name):
     evaluations = [current_eval]
     for _ in range(500):
         move = draw_state_move(model, current, rng)
-        ev = model.evaluate_move(current, current_eval, move)
-        current, current_eval = ev.keep(), ev
+        current, current_eval = model.score_move(current, current_eval, move).build()
         evaluations.append(current_eval)
     caches = [ev.fields for ev in evaluations]
     if model._plan.field_rules:
@@ -1154,8 +1261,8 @@ def _deep_summand_model():
     "build", [_float_tsp_model, _asymmetric_tsp_model, _integer_model,
               _disjoint_lists_model, _three_bit_model, _deep_summand_model])
 def test_models_outside_the_delta_rules_evaluate_in_full(build, monkeypatch):
-    """``evaluate_move`` evaluates each candidate in full, equal bit for bit to
-    the full evaluation, and builds it once: ``keep`` returns the state built
+    """``score_move`` evaluates each candidate in full, equal bit for bit to
+    the full evaluation, and builds it once: ``build`` returns the state built
     for the evaluation (``delta_walk`` builds its own copy without ``moved``)."""
     model = build().freeze()
     assert model._plan is None
@@ -1181,9 +1288,10 @@ def test_gather_that_fails_only_for_some_sets_still_freezes():
 
 @pytest.mark.parametrize("name, kind, steps", [("kp50", "sa", 4000), ("mc200", "tabu", 400)])
 def test_candidates_are_built_only_when_kept_or_tied(data_dir, monkeypatch, name, kind, steps):
-    """A branch evaluates its candidates from their tags.  It builds one only
-    for an accepted step or a tabu winner, or when a key tie forces its digest,
-    and builds each at most once."""
+    """A branch scores its candidates.  In each step it builds a state and an
+    evaluation only for an accepted step or a tabu winner, or for a candidate
+    whose first three key entries tie with a key it is compared with, and
+    builds each at most once."""
     if name == "kp50":
         model = build_kp_model(parse_kplib((data_dir / "kp50.kp").read_text(), "kp50"))
     else:
@@ -1192,29 +1300,56 @@ def test_candidates_are_built_only_when_kept_or_tied(data_dir, monkeypatch, name
     config = SolverConfig(seed=3, n_branches=1, max_steps=steps, cm_kind=kind)
     br = Branch(0, model, config, lambda: 0.0, 10.0)
     br.calibrate(model)  # each of its 100 probes builds its candidate
-    counts = {"built": 0, "kept": 0, "forced": 0}
-    moved, offer, force = State.moved, Branch.offer, MoveDigest.__int__
+    counts = {"built": 0, "evaluations": 0, "kept": 0, "tied": 0}
+    over = []  # steps that built more evaluations than they kept or tied
+    moved, offer, post_init = State.moved, Branch.offer, Evaluation.__post_init__
+    cm_step, score_move, score_moves = Branch.cm_step, Model.score_move, Model.score_moves
 
     def counting_moved(self, move):
         counts["built"] += 1
         return moved(self, move)
 
+    def counting_post_init(self):
+        counts["evaluations"] += 1
+        return post_init(self)
+
     def counting_offer(self, state, ev, source):
         counts["kept"] += source == "cm"
         return offer(self, state, ev, source)
 
-    def counting_force(self):  # a digest compared before its candidate was kept
-        counts["forced"] += self._moved is None
-        return force(self)
+    def counting_score_move(self, state, ev, move):  # an SA step compares with its state
+        score = score_move(self, state, ev, move)
+        counts["tied"] += score.key == br.current_eval.key[:3]
+        return score
+
+    def counting_score_moves(self, state, ev, moves):
+        # a tabu step compares its candidates with each other and with the incumbent
+        keys, score = score_moves(self, state, ev, moves)
+        incumbent = br.incumbent_eval.key[:3]
+        counts["tied"] += sum(keys.count(key) > 1 or key == incumbent for key in keys)
+        return keys, score
+
+    def counting_cm_step(self, model):
+        before = dict(counts)
+        cm_step(self, model)
+        new = {name: counts[name] - before[name] for name in counts}
+        if new["evaluations"] > new["kept"] + new["tied"]:
+            over.append(new)
 
     monkeypatch.setattr(State, "moved", counting_moved)
+    monkeypatch.setattr(Evaluation, "__post_init__", counting_post_init)
     monkeypatch.setattr(Branch, "offer", counting_offer)
-    monkeypatch.setattr(MoveDigest, "__int__", counting_force)
+    monkeypatch.setattr(Branch, "cm_step", counting_cm_step)
+    if kind == "sa":
+        monkeypatch.setattr(Model, "score_move", counting_score_move)
+    else:
+        monkeypatch.setattr(Model, "score_moves", counting_score_moves)
     for _ in range(steps):
         br.step(model)
     candidates = steps * (config.tabu_candidates if kind == "tabu" else 1)
     assert 0 < counts["kept"] <= steps
-    assert counts["built"] <= counts["kept"] + counts["forced"]
+    assert over == []
+    assert counts["built"] <= counts["kept"] + counts["tied"]
     assert counts["built"] < candidates / 4
 
 
