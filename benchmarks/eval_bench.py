@@ -4,9 +4,9 @@ For each workload family and move kind it proposes candidates around one
 random state and times their evaluation, once in full with
 ``Model.evaluate_unchecked`` and once from the move's tag with
 ``Model.score_move(state, evaluation, move)``, which takes the delta path
-of the frozen model and falls back to the full evaluation where the plan
-cannot answer.  Every delta result is checked bit for bit against the full
-one before anything is timed.  An older tree answers a move with
+of the frozen model, or the full evaluation when the model has no plan.
+Every delta result is checked bit for bit against the full one before
+anything is timed.  An older tree answers a move with
 ``Model.evaluate_move``, which is timed instead.
 
     PYTHONPATH=src python3 benchmarks/eval_bench.py

@@ -30,7 +30,7 @@ scored from it.  A tabu step's flips of one bit array are scored as a
 batch (:meth:`DeltaPlan.flips`): each sum becomes the array ``cached ±
 field[ps]`` over the drawn positions ``ps``, the same float operation as one
 flip, and the tail runs once over those arrays.  A batch in which a one-term
-root reads a drawn bit or a sum reaches zero is scored flip by flip.
+root reads a drawn bit is scored flip by flip.
 
 A list decision ``L`` has two roots, the two parts of a tour length: the path
 ``C[L[:-1], L[1:]].sum()`` over a symmetric table ``C`` and a one-term entry
@@ -41,15 +41,19 @@ O(1) 2-opt gain).  The rule reads those edges from the tag, at positions of
 the list before the move.  A one-term entry reads the table at the entries
 that the move brings to its positions.
 
-The result must equal the full evaluation bit for bit.  That holds because a
-sum gets a rule only when it is ``integral`` and its partial sums stay below
-2**53, a bound taken from its terms' values, so every float64 sum, a field
-included, is exact in any order; a one-term root takes the corner value that
-the full evaluation's code computed.  A model with any other node above a decision (a non-integral
-sum, a path over an asymmetric table, any other sum over a list, an
-``integer`` or partition decision, a sum of sums, a summand deeper than
-``_MAX_DEPTH``, a sum whose terms read three or more distinct bits) gets no
-plan and always evaluates in full.
+A plan answers every move, and its answer equals the full evaluation bit for
+bit.  That holds because a sum gets a rule only when it is ``integral`` and
+its partial sums stay below 2**53, a bound taken from its terms' values, so
+every float64 sum, a field included, is exact in any order; a one-term root
+takes the corner value that the full evaluation's code computed.  The sign of
+a zero holds too: a sum that comes to zero is +0.0
+(:func:`~combopt.modeling.run_schedule`), and under round-to-nearest ``x + y``
+and ``x - y`` give -0.0 only when ``x`` is -0.0 (IEEE 754, 6.3), so no rule,
+which adds to or subtracts from a cached sum, makes one.  A model with any
+other node above a decision (a non-integral sum, a path over an asymmetric
+table, any other sum over a list, an ``integer`` or partition decision, a sum
+of sums, a summand deeper than ``_MAX_DEPTH``, a sum whose terms read three
+or more distinct bits) gets no plan and always evaluates in full.
 """
 
 from __future__ import annotations
@@ -209,12 +213,10 @@ class _FlipSumRule:
 
     def value(self, cached, field: np.ndarray, p: int, bit: int):
         """New value of the sum after bit ``p`` flips from ``bit``, at the
-        ``field`` of the bits before; None when it reaches zero, whose sign only
-        the full sum knows."""
+        ``field`` of the bits before."""
         if p not in self.touched:
             return cached
-        value = cached - field.item(p) if bit else cached + field.item(p)
-        return value if value != 0.0 else None
+        return cached - field.item(p) if bit else cached + field.item(p)
 
 
 class _FlipTermRule:
@@ -246,18 +248,13 @@ class _SetRule:
         self.table = table.tolist()
 
     def update(self, cached, old, tag):
-        """New value of the sum after the set move ``tag``; None for a zero sum
-        or another tag."""
+        """New value of the sum after the set move ``tag``."""
         kind = tag[0]
         if kind == "add":
-            value = cached + self.table[tag[1]]
-        elif kind == "drop":
-            value = cached - self.table[tag[1]]
-        elif kind == "exch":
-            value = cached - self.table[tag[1]] + self.table[tag[2]]
-        else:
-            return None
-        return value if value != 0.0 else None
+            return cached + self.table[tag[1]]
+        if kind == "drop":
+            return cached - self.table[tag[1]]
+        return cached - self.table[tag[1]] + self.table[tag[2]]  # an exchange
 
 
 def _moved_from(tag, p: int) -> int:
@@ -294,24 +291,20 @@ class _PathRule:
         self.n = n
 
     def update(self, cached, old, tag):
-        """New value of the path after the list move ``tag`` of ``old``; None
-        when it reaches zero, whose sign only the full sum knows."""
+        """New value of the path after the list move ``tag`` of ``old``."""
         kind, i, j = tag
         if kind == "2opt" or kind == "swap" and j == i + 1:
             cut, join = ((i - 1, i), (j, j + 1)), ((i - 1, j), (i, j + 1))
         elif kind == "swap":
             cut = ((i - 1, i), (i, i + 1), (j - 1, j), (j, j + 1))
             join = ((i - 1, j), (j, i + 1), (j - 1, i), (i, j + 1))
-        elif kind == "ins" and i < j:
+        elif i < j:  # an insertion forward
             cut = ((i - 1, i), (i, i + 1), (j, j + 1))
             join = ((i - 1, i + 1), (j, i), (i, j + 1))
-        elif kind == "ins":
+        else:
             cut = ((j - 1, j), (i - 1, i), (i, i + 1))
             join = ((j - 1, i), (i, j), (i - 1, i + 1))
-        else:
-            return None
-        value = cached - self._length(old, cut) + self._length(old, join)
-        return value if value != 0.0 else None
+        return cached - self._length(old, cut) + self._length(old, join)
 
     def _length(self, old, edges) -> float:
         n, edge, at = self.n, self.table.item, old.item
@@ -445,24 +438,18 @@ class DeltaPlan:
 
     def update(self, prev_state, prev_eval, move):
         """The roots' values at ``prev_state`` after ``move``, from the move's
-        tag, and the fields to cache with them (:meth:`fields`); None when they
-        need the full evaluation."""
-        cached = prev_eval.sums
-        if cached is None:
-            return None
+        tag, and the fields to cache with them (:meth:`fields`)."""
         d, tag = move
         if tag[0] == "flip":
             return self._flip(prev_state, prev_eval, d, tag)
+        cached = prev_eval.sums
         rules = self.rules.get(d)
         if tag[0] == "noop" or not rules:
             return cached, prev_eval.fields
         old = prev_state.values[d]
         sums = list(cached)
         for rule in rules:
-            value = rule.update(cached[rule.slot], old, tag)
-            if value is None:
-                return None
-            sums[rule.slot] = value
+            sums[rule.slot] = rule.update(cached[rule.slot], old, tag)
         return sums, prev_eval.fields
 
     def _flip(self, prev_state, prev_eval, d: int, tag):
@@ -476,10 +463,7 @@ class DeltaPlan:
             bit = old.item(p)
             at = self.fields(prev_state, prev_eval)
             for k, rule in sum_rules:
-                value = rule.value(cached[rule.slot], at[k], p, bit)
-                if value is None:
-                    return None
-                sums[rule.slot] = value
+                sums[rule.slot] = rule.value(cached[rule.slot], at[k], p, bit)
             fields = (at, d, p, bit)
         terms = self.flip_terms.get(d)
         if terms:
@@ -490,18 +474,17 @@ class DeltaPlan:
     def flips(self, prev_state, prev_eval, d: int, ps: list):
         """The roots' values at ``prev_state`` after the flip of each bit ``ps[i]``
         of decision ``d``, one at a time, and the fields they read (None when
-        no sum over ``d`` has a field); None when a flip needs :meth:`update`.
+        no sum over ``d`` has a field); None when a one-term root reads a drawn
+        bit, whose flips :meth:`update` answers one by one.
 
         Each sum over ``d`` becomes an array over the flips, ``cached +
         sign * field[ps]`` with the sign -1.0 where the bit was 1: the same
         float operation as a single flip's ``cached - field[p]``, because
         ``x - y`` is ``x + (-y)``.  Every other root keeps its cached value.
-        :meth:`update` answers instead when a one-term root reads a drawn bit
-        or a sum reaches zero.
         """
         cached = prev_eval.sums
         terms = self.flip_terms.get(d)
-        if cached is None or terms and not terms.keys().isdisjoint(ps):
+        if terms and not terms.keys().isdisjoint(ps):
             return None
         sum_rules = self.flip_sums.get(d)
         if not sum_rules:
@@ -511,9 +494,7 @@ class DeltaPlan:
         at = self.fields(prev_state, prev_eval)
         sums = list(cached)
         for k, rule in sum_rules:
-            sums[rule.slot] = value = cached[rule.slot] + sign * at[k][ps]
-            if np.count_nonzero(value) < ps.size:  # a zero's sign only the full sum knows
-                return None
+            sums[rule.slot] = cached[rule.slot] + sign * at[k][ps]
         return sums, at
 
     def fields(self, state, ev) -> list:

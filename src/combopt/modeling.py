@@ -16,6 +16,8 @@ Expressions are built through :class:`ExprRef` operator overloading::
 
 Subset-valued expressions have a runtime-dependent length and are marked with
 the dynamic-shape sentinel; reducing an empty one yields the identity (0).
+A sum that comes to zero is +0.0, even when every term is -0.0, so a sum
+updated by adding and subtracting terms gets the same bits (:mod:`combopt.delta`).
 """
 
 from __future__ import annotations
@@ -124,7 +126,8 @@ class Score:
     :attr:`Evaluation.key`: infeasibility, total violation and objective.
     ``violations``, ``sums`` and ``fields`` are those of its evaluation.
     :meth:`build` makes the moved state and its evaluation, digest included,
-    at most once; a score that needed the full evaluation holds both already.
+    at most once; the score of a model without a delta plan, which evaluates
+    every move in full, holds both already.
     """
 
     key: tuple
@@ -525,19 +528,17 @@ class Model:
         ``ev`` is the evaluation of ``state`` and ``move`` a ``(decision,
         tag)`` pair (:func:`~combopt.solver.moves.draw_state_move`).  The delta
         plan (:mod:`combopt.delta`) evaluates again only the terms the move
-        touches, from the tag, without the moved state.  Where it cannot
-        answer (the model has no plan, as a sum over float data gets none, the
-        plan has no rule for the tag, or a sum reaches zero), the moved state
-        is built and evaluated in full, and the score holds both.
+        touches, from the tag, without the moved state.  A model without a
+        plan, as one with a sum over float data, builds the moved state and
+        evaluates it in full, and the score holds both.
         """
         plan = self._plan
-        found = None if plan is None else plan.update(state, ev, move)
-        if found is None:
+        if plan is None:
             moved = state.moved(move)
             full = self.evaluate_unchecked(moved)
             return Score(full.key[:3], full.violations, full.sums, full.fields, state, move,
                          (moved, full))
-        sums, fields = found
+        sums, fields = plan.update(state, ev, move)
         vals = self._tail(plan, sums)
         violations = self._violations(vals)
         key = order_key(not any(violations), float(sum(violations)), float(vals[self.objective]))
@@ -551,8 +552,9 @@ class Model:
         Flips of one bit array are scored together where the plan can
         (:meth:`combopt.delta.DeltaPlan.flips`): each sum over the array is
         ``cached ± field[ps]`` over the drawn positions ``ps``, and the tail and
-        the comparisons run once over those arrays.  Every other batch is
-        scored move by move.
+        the comparisons run once over those arrays.  Every other batch, as one
+        with a drawn bit that a one-term root such as ``x[2]`` reads, or one
+        of a model without a plan, is scored move by move.
         """
         plan = self._plan
         d = moves[0][0]
@@ -641,7 +643,7 @@ def run_schedule(schedule, vals, state: State | None) -> None:
         elif op in UNARY_OPS:
             vals[nid] = UNARY_OPS[op](vals[operands[0]])
         elif op == "sum":
-            vals[nid] = float(np.sum(vals[operands[0]]))
+            vals[nid] = float(np.sum(vals[operands[0]])) + 0.0  # a zero is +0.0
         elif op in COMPARE_OPS:  # the caller takes the violation (floats or arrays)
             vals[nid] = (vals[operands[0]], vals[operands[1]])
         else:  # pragma: no cover - construction forbids unknown ops

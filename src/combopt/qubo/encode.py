@@ -136,13 +136,37 @@ def kp_to_qubo(instance: KpInstance, penalty: float | None = None):
     return qubo, decode
 
 
+def mc_qubo(instance: McInstance, free: np.ndarray, bits: np.ndarray) -> Qubo:
+    """Cut maximization as minimization of -sum w * (x_u + x_v - 2 x_u x_v)
+    over the sorted nodes ``free``, bit ``k`` for node ``free[k]``, with
+    every other node fixed at its value in ``bits``.
+
+    An edge with one end free and the fixed end 1 is cut unless the free end
+    is 1, so it adds -w + w * x; a cut edge with both ends fixed adds -w to
+    the offset.  The terms go in per edge: the free end (u when both are),
+    then v and the coupling.
+    """
+    n, w = instance.n, free.size
+    pos = np.full(n, -1)
+    pos[free] = np.arange(w)
+    u, v, wt = instance.edge_arrays
+    pu, pv = pos[u], pos[v]
+    fu, fv = pu >= 0, pv >= 0
+    both, end = fu & fv, np.where(fu, pu, pv)
+    fixed_one = (fu != fv) & (np.where(fu, bits[v], bits[u]) != 0)
+    cut_fixed = ~fu & ~fv & (bits[u] != bits[v])
+    qubo = Qubo(w, offset=fold_sum(0.0, -wt[fixed_one | cut_fixed]))
+    slots = np.stack([fu | fv, both, both], axis=1)
+    qubo.add(np.stack([end, pv, pu], axis=1)[slots],
+             np.stack([end, pv, pv], axis=1)[slots],
+             np.stack([np.where(fixed_one, wt, -wt), -wt, 2.0 * wt], axis=1)[slots])
+    return qubo
+
+
 def mcp_to_qubo(instance: McInstance):
-    """Cut maximization as minimization of -sum w * (x_u + x_v - 2 x_u x_v)."""
-    qubo = Qubo(instance.n)
-    u, v, w = instance.edge_arrays
-    # per edge: the two linear terms, then the coupling
-    qubo.add(np.stack([u, v, u], axis=1), np.stack([u, v, v], axis=1),
-             np.stack([-w, -w, 2.0 * w], axis=1))
+    """Cut maximization over every node: :func:`mc_qubo` with none fixed."""
+    n = instance.n
+    qubo = mc_qubo(instance, np.arange(n), np.zeros(n, dtype=np.int64))
 
     def decode(bits) -> State:
         return State([np.asarray(bits, dtype=np.int64)])

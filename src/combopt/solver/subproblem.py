@@ -25,8 +25,8 @@ import numpy as np
 
 from ..modeling import Model
 from ..problems.instances import KpInstance
-from ..qubo.core import Qubo, fold_sum
-from ..qubo.encode import kp_to_qubo, mcp_to_qubo, tour_order, tour_qubo, tsp_to_qubo
+from ..qubo.core import Qubo
+from ..qubo.encode import kp_to_qubo, mc_qubo, mcp_to_qubo, tour_order, tour_qubo, tsp_to_qubo
 from ..state import State
 from .moves import set_complement
 
@@ -129,23 +129,7 @@ def _mc_window(instance, incumbent: State, window: int, rng) -> QmQuery:
         return QmQuery(qubo, decode, f"mc-full-{n}")
 
     free = np.sort(rng.choice(n, w, replace=False))
-    pos = np.full(n, -1)
-    pos[free] = np.arange(w)
-    u, v, wt = instance.edge_arrays
-    pu, pv = pos[u], pos[v]
-    fu, fv = pu >= 0, pv >= 0
-    both, end = fu & fv, np.where(fu, pu, pv)
-    # with one end free and the fixed end 1, the edge is cut unless the free
-    # end is 1: -wt + wt * x; every cut edge with both ends fixed adds -wt
-    fixed_one = (fu != fv) & (np.where(fu, bits_full[v], bits_full[u]) != 0)
-    cut_fixed = ~fu & ~fv & (bits_full[u] != bits_full[v])
-    qubo = Qubo(w, offset=fold_sum(0.0, -wt[fixed_one | cut_fixed]))
-    # per edge, in C order: the free end (u when both are), then v and the coupling
-    slots = np.stack([fu | fv, both, both], axis=1)
-    qubo.add(np.stack([end, pv, pu], axis=1)[slots],
-             np.stack([end, pv, pv], axis=1)[slots],
-             np.stack([np.where(fixed_one, wt, -wt), -wt, 2.0 * wt], axis=1)[slots])
-
+    qubo = mc_qubo(instance, free, bits_full)
     base = bits_full.copy()
 
     def decode(bits) -> State:

@@ -28,7 +28,7 @@ from combopt.qubo import (
     tsp_to_qubo,
 )
 from combopt.qubo import _kernels
-from combopt.qubo.encode import tour_qubo
+from combopt.qubo.encode import mc_qubo, tour_qubo
 
 
 def all_bitstrings(n):
@@ -313,6 +313,23 @@ def test_mcp_qubo_ground_state_matches_enumeration():
     energies = qubo.energies(np.array(list(all_bitstrings(12))))
     opt, _ = exact_maxcut(inst)
     assert energies.min() == pytest.approx(-opt)
+
+
+def test_mc_qubo_energy_is_the_negated_cut_with_the_fixed_nodes():
+    """A window's energy is minus the cut of the state that sets its free
+    nodes and keeps every other node at its fixed bit; with every node free
+    it is :func:`mcp_to_qubo`, whatever the fixed bits."""
+    inst = generate_random_maxcut(12, 0.5, (-4, 9), seed=8)
+    n = inst.n
+    fixed = np.random.default_rng(3).integers(0, 2, n)
+    assert mc_qubo(inst, np.arange(n), fixed) == mcp_to_qubo(inst)[0]
+    free = np.array([1, 4, 5, 9])
+    qubo = mc_qubo(inst, free, fixed)
+    u, v, w = inst.edge_arrays
+    for bits in all_bitstrings(free.size):
+        x = fixed.copy()
+        x[free] = bits
+        assert qubo.energy(bits) == pytest.approx(-w[x[u] != x[v]].sum())
 
 
 def encode_kp_state(inst, qubo, state):

@@ -1,7 +1,9 @@
+import functools
 import gc
 import itertools
 import json
 import multiprocessing
+import operator
 import os
 import pickle
 import struct
@@ -862,34 +864,33 @@ def _assert_built_as(score, cand, full) -> Evaluation:
 
 
 def delta_walk(model, steps: int, accept: float, seed: int,
-               answered: list | None = None) -> tuple[int, list[bool]]:
+               tags: list | None = None) -> list[bool]:
     """Random walk comparing ``score_move`` and the evaluation it builds with
     the full evaluation of the moved state bit for bit.
 
-    Returns how many candidates the delta plan scored from their tags (the
-    rest ``score_move`` evaluated in full) and the feasibility of every
-    candidate.  ``answered``, when given, collects the tags of the former.
+    A model with a delta plan must score every candidate from its tag, and
+    one without must evaluate every candidate in full.  Returns the
+    feasibility of every candidate; ``tags``, when given, collects their tags.
     """
     plan, rng = model._plan, np.random.default_rng(seed)
     current = initial_state(model, rng)
     current_eval = model.evaluate_unchecked(current)
-    taken, feasible = 0, []
+    feasible = []
     for _ in range(steps):
         move = draw_state_move(model, current, rng)
         score = model.score_move(current, current_eval, move)
+        assert (score.built is None) is (plan is not None), move
         cand = State([apply_move(v, move[1]) if d == move[0] else v
                        for d, v in enumerate(current.values)])
         full = model.evaluate_unchecked(cand)
-        if plan is not None and plan.update(current, current_eval, move) is not None:
-            taken += 1
-            if answered is not None:
-                answered.append(move[1])
+        if tags is not None:
+            tags.append(move[1])
         _assert_scored_as(score.key, score, full)
         fast = _assert_built_as(score, cand, full)
         feasible.append(full.feasible)
         if rng.random() < accept:
             current, current_eval = cand, fast
-    return taken, feasible
+    return feasible
 
 
 def score_walk(model, steps: int, k: int | None, seed: int) -> tuple[int, int]:
@@ -1033,6 +1034,17 @@ def _zero_model():
     return m.freeze()
 
 
+def _negzero_model():
+    """A sum of bits times negative weights under a constraint: at ``x = 0``
+    every term is -0.0."""
+    m = Model()
+    x = m.binary(4)
+    total = (x * m.constant([-1, -2, -3, -4])).sum()
+    m.minimize(total)
+    m.add_constraint(total >= -6)
+    return m.freeze()
+
+
 def _walk_model(data_dir, name):
     files = {
         "tsp9": (parse_tsplib, build_tsp_model, "tsp9.tsp"),
@@ -1059,6 +1071,8 @@ def _walk_model(data_dir, name):
         return _term_model()
     if name == "zero":
         return _zero_model()
+    if name == "negzero":
+        return _negzero_model()
     n, density, seed = {"mc200": (200, 0.1, 11), "mc3": (3, 1.0, 2)}[name]
     return build_mcp_model(generate_random_maxcut(n, density, seed=seed)).freeze()
 
@@ -1066,16 +1080,15 @@ def _walk_model(data_dir, name):
 @pytest.mark.parametrize("accept", [1.0, 0.5])
 @pytest.mark.parametrize(
     "name", ["tsp9", "disc52", "kp50", "mc10", "mc200", "mc3", "mixed", "chain", "signed",
-             "cast", "constsum"])
+             "cast", "constsum", "negzero"])
 def test_delta_evaluation_matches_full_evaluation(data_dir, name, accept):
+    """The plan answers every move (``delta_walk`` checks it), the sums of the
+    small models that reach zero often included."""
     model = _walk_model(data_dir, name)
     assert model._plan is not None
     steps = {"mc3": 400, "chain": 300}.get(name, 3000)
     answered: list = []
-    taken, feasible = delta_walk(model, steps, accept, seed=len(name), answered=answered)
-    # only a sum that reaches zero is recomputed in full, to get its sign right;
-    # the sums of the three small models are zero often
-    assert taken >= (0.5 if name in ("mc3", "mixed", "constsum") else 0.99) * steps
+    feasible = delta_walk(model, steps, accept, seed=len(name), tags=answered)
     if name == "kp50":  # the walk crosses the capacity constraint both ways
         assert any(feasible) and not all(feasible)
     if name == "tsp9":  # the tour's ends and adjacent insertions both ways
@@ -1090,22 +1103,90 @@ def test_delta_evaluation_matches_full_evaluation(data_dir, name, accept):
 
 @pytest.mark.parametrize(
     "name, k", [("mc200", 12), ("signed", 12), ("constrained", 12), ("term", 12),
-                ("zero", 12), ("mixed", 12), ("kp50", None), ("disc52", None)])
+                ("zero", 12), ("negzero", 12), ("mixed", 12), ("kp50", None),
+                ("disc52", None)])
 def test_scores_match_the_full_evaluation(data_dir, name, k):
     """Every score equals the full evaluation, whether a tabu step's flips are
     scored as arrays or move by move: a drawn bit that a one-term root reads
-    (``signed``, ``term``) or a sum that reaches zero (``constrained``,
-    ``zero``) sends a step move by move, as do flips of two bit arrays
-    (``mixed``).  kp50 and disc52 are scored as an SA step scores them."""
+    (``signed``, ``term``) sends a step move by move, as do flips of two bit
+    arrays (``mixed``); sums that flips take to zero (``constrained``,
+    ``zero``, ``negzero``) are scored as arrays.  kp50 and disc52 are scored
+    as an SA step scores them."""
     model = _walk_model(data_dir, name)
     steps = 200 if name == "mc200" else 600
     arrays, moves = score_walk(model, steps, k, seed=len(name))
-    if name == "mc200":
+    if name in ("mc200", "constrained", "zero", "negzero"):
         assert moves == 0
-    elif name in ("signed", "constrained", "term", "zero"):
+    elif name in ("signed", "term"):
         assert arrays > 0 and moves > 0
     elif name in ("kp50", "disc52"):
         assert arrays == 0
+
+
+def test_a_sum_that_comes_to_zero_is_positive_zero(monkeypatch):
+    """A sum whose terms are all -0.0 is +0.0 in the full evaluation, even
+    where numpy's reduction keeps the sign of a zero, as a left fold from the
+    first term does; the plan gives the same bits from every state and each
+    of its flips, one flip at a time and as a batch: the sum reaches zero
+    from -1.0, -2.0, -3.0 and -4.0, and leaves it."""
+    model = _negzero_model()
+    monkeypatch.setattr(np, "sum", lambda a: functools.reduce(operator.add, np.ravel(a)))
+    zero = model.evaluate(State([np.zeros(4, dtype=np.int64)]))
+    assert [_bits(v) for v in (zero.objective, *zero.sums)] == [_bits(0.0)] * 2
+    moves = [(0, ("flip", p)) for p in range(4)]
+    for bits in itertools.product((0, 1), repeat=4):
+        state = State([np.array(bits, dtype=np.int64)])
+        ev = model.evaluate(state)
+        keys, score_of = model.score_moves(state, ev, moves)
+        for i, move in enumerate(moves):
+            full = model.evaluate(state.moved(move))
+            _assert_scored_as(keys[i], score_of(i), full)
+            score = model.score_move(state, ev, move)
+            _assert_scored_as(score.key, score, full)
+
+
+@pytest.mark.parametrize(
+    "name", ["tsp9", "disc52", "kp50", "mc10", "mc200", "mc3", "mixed", "chain", "signed",
+             "cast", "constsum", "constrained", "term", "zero", "negzero"])
+def test_a_plan_answers_every_move(data_dir, name, monkeypatch):
+    """A model with a delta plan scores every candidate from its tag, as a
+    tabu step and an SA step score them: no rule and no plan update returns
+    None, and neither ``score_move`` nor ``score_moves`` evaluates a
+    candidate in full or builds its state."""
+    model = _walk_model(data_dir, name)
+    assert model._plan is not None
+    scoring = False
+
+    def outside_scoring(original):
+        def spy(*args):
+            assert not scoring, "a candidate was built or evaluated in full"
+            return original(*args)
+        return spy
+
+    def answering(original):
+        def spy(*args):
+            found = original(*args)
+            assert found is not None
+            return found
+        return spy
+
+    monkeypatch.setattr(Model, "evaluate_unchecked", outside_scoring(Model.evaluate_unchecked))
+    monkeypatch.setattr(State, "moved", outside_scoring(State.moved))
+    for cls, method in [(delta._FlipSumRule, "value"), (delta._FlipTermRule, "update"),
+                        (delta._SetRule, "update"), (delta._PathRule, "update"),
+                        (delta._EntryRule, "update"), (delta.DeltaPlan, "update")]:
+        monkeypatch.setattr(cls, method, answering(getattr(cls, method)))
+    rng = np.random.default_rng(len(name))
+    current = initial_state(model, rng)
+    current_eval = model.evaluate_unchecked(current)
+    for _ in range(100 if name == "chain" else 300):
+        moves = draw_state_moves(model, current, rng, 12)
+        scoring = True
+        keys, score_of = model.score_moves(current, current_eval, moves)
+        scores = [score_of(i) for i in range(len(moves))]
+        scores.append(model.score_move(current, current_eval, moves[0]))
+        scoring = False
+        current, current_eval = scores[int(rng.integers(len(scores)))].build()
 
 
 def test_a_flip_calls_only_the_rules_that_read_its_bit(monkeypatch):
@@ -1273,8 +1354,8 @@ def test_models_outside_the_delta_rules_evaluate_in_full(build, monkeypatch):
         return moved(self, move)
 
     monkeypatch.setattr(State, "moved", counting_moved)
-    taken, _ = delta_walk(model, 500, 0.5, seed=1)
-    assert taken == 0 and len(built) == 500
+    delta_walk(model, 500, 0.5, seed=1)
+    assert len(built) == 500
 
 
 def test_gather_that_fails_only_for_some_sets_still_freezes():
@@ -1363,5 +1444,4 @@ def test_frozen_model_pickles_with_its_delta_plan(data_dir, monkeypatch):
     for blob in data:
         model = pickle.loads(blob)
         assert model._plan is not None
-        taken, _ = delta_walk(model, 200, 0.5, seed=3)
-        assert taken == 200
+        delta_walk(model, 200, 0.5, seed=3)  # the plan answers every move
