@@ -6,8 +6,7 @@ random state and times their evaluation, once in full with
 ``Model.score_move(state, evaluation, move)``, which takes the delta path
 of the frozen model, or the full evaluation when the model has no plan.
 Every delta result is checked bit for bit against the full one before
-anything is timed.  An older tree answers a move with
-``Model.evaluate_move``, which is timed instead.
+anything is timed.
 
     PYTHONPATH=src python3 benchmarks/eval_bench.py
 
@@ -15,9 +14,7 @@ It prints µs per evaluation (the best of REPEATS passes over the candidates
 of one kind, full and delta passes alternating) and whether the frozen model
 has a delta plan at all; a model without one takes the full path on both
 sides.  It merges the numbers into ``BENCH_eval.json`` at the repository root
-under the short hash of the checked-out commit.  With the ``src`` of a commit
-that has neither on ``PYTHONPATH``, only the full evaluation is
-timed, so the same script measures such a commit too.
+under the short hash of the checked-out commit.
 """
 
 import struct
@@ -26,7 +23,6 @@ import time
 import numpy as np
 
 from benchfile import ROOT, save
-from combopt.modeling import Model
 from combopt.problems import (
     TspInstance,
     build_kp_model,
@@ -43,8 +39,6 @@ BENCH_FILE = ROOT / "BENCH_eval.json"
 DATA = ROOT / "data"
 CANDIDATES = 3000
 REPEATS = 9
-SCORES = hasattr(Model, "score_move")
-HAS_DELTA = SCORES or hasattr(Model, "evaluate_move")
 
 
 def models():
@@ -68,48 +62,34 @@ def candidates(model):
     return kinds
 
 
-def evaluate_move(model, cand, base):
-    """What a branch asks of a candidate: its score, or in an older tree its
-    evaluation.  A tree whose ``evaluate_move`` returns None where its plan
-    cannot answer evaluates ``cand`` in full there."""
-    if SCORES:
-        return model.score_move(*base)
-    return model.evaluate_move(*base) or model.evaluate_unchecked(cand)
-
-
 def check(model, group) -> None:
     for cand, base in group:
-        full, delta = model.evaluate_unchecked(cand), evaluate_move(model, cand, base)
-        if SCORES:
-            delta = delta.build()[1]
+        full, delta = model.evaluate_unchecked(cand), model.score_move(*base).build()[1]
         same = (struct.pack("<d", full.objective) == struct.pack("<d", delta.objective)
                 and full.violations == delta.violations and full.state_key == delta.state_key)
         if not same:
             raise SystemExit(f"delta evaluation differs from full at move {base[2]}")
 
 
-def us_per_eval(model, group) -> tuple[float, float | None]:
+def us_per_eval(model, group) -> tuple[float, float]:
     """Best-of-REPEATS µs per evaluation, full and delta, timed alternately
     so that a change of machine speed during the run hits both alike."""
-    evaluate = model.evaluate_unchecked
+    evaluate, score = model.evaluate_unchecked, model.score_move
     full = delta = float("inf")
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         for cand, _ in group:
             evaluate(cand)
         full = min(full, time.perf_counter() - t0)
-        if HAS_DELTA:
-            t0 = time.perf_counter()
-            for cand, base in group:
-                evaluate_move(model, cand, base)
-            delta = min(delta, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        for _, base in group:
+            score(*base)
+        delta = min(delta, time.perf_counter() - t0)
     scale = 1e6 / len(group)
-    return full * scale, delta * scale if HAS_DELTA else None
+    return full * scale, delta * scale
 
 
 def main():
-    if not HAS_DELTA:
-        print("Model answers no move: timing the full evaluation only\n")
     header = (f"{'case':<14} {'plan':>5} {'candidates':>10} {'full us':>9} {'delta us':>9} "
               f"{'speedup':>8}")
     print(header)
@@ -117,19 +97,15 @@ def main():
     results = {}
     for name, model in models():
         model.freeze()
-        plan = getattr(model, "_plan", None) is not None
+        plan = model._plan is not None
         for kind, group in sorted(candidates(model).items()):
-            if HAS_DELTA:
-                check(model, group)
+            check(model, group)
             full, delta = us_per_eval(model, group)
-            entry = {"candidates": len(group), "full": round(full, 2), "plan": plan}
-            row = f"{name + ' ' + kind:<14} {'yes' if plan else 'no':>5} {len(group):>10} "
-            if HAS_DELTA:
-                entry["delta"] = round(delta, 2)
-                print(f"{row}{entry['full']:>9.2f} {entry['delta']:>9.2f} "
-                      f"{entry['full'] / entry['delta']:>7.2f}x")
-            else:
-                print(f"{row}{entry['full']:>9.2f} {'-':>9} {'-':>8}")
+            entry = {"candidates": len(group), "full": round(full, 2), "plan": plan,
+                     "delta": round(delta, 2)}
+            print(f"{name + ' ' + kind:<14} {'yes' if plan else 'no':>5} {len(group):>10} "
+                  f"{entry['full']:>9.2f} {entry['delta']:>9.2f} "
+                  f"{entry['full'] / entry['delta']:>7.2f}x")
             results[f"{name} {kind}"] = entry
     key = save(BENCH_FILE, "us_per_eval", results)
     print(f"\nwrote {BENCH_FILE.name} entry {key}")

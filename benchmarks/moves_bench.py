@@ -5,7 +5,8 @@ random state and times each draw together with its evaluation, grouped by the
 kind of move drawn.  As in a branch, ``Model.score_move`` answers it and
 builds a candidate only where the model's delta plan cannot score it from its
 tag.
-It also times the SA steps of one kp50 branch and the tabu steps (12
+It also times the SA steps of one kp50 branch, the SA steps of one mc200
+branch (one flip scored and, when taken, built) and the tabu steps (12
 candidates each) of one mc200 branch, with subproblem queries off.  Both sides
 of a comparison make the same random calls, so they time the same moves.
 
@@ -14,10 +15,6 @@ of a comparison make the same random calls, so they time the same moves.
 Every run happens in a fresh process.  With ``--base`` the runs alternate
 between that source tree and this checkout's ``src``, and the side that starts
 a pair alternates too: single runs on a shared machine are not comparable.
-The base may be older.  Before the draw/apply split of the moves, its
-candidates come from ``propose_state`` and its evaluations from
-``evaluate_unchecked(cand, base)``.  Before scores, ``evaluate_move`` answers
-a move; where it returns None, the candidate is built and evaluated in full.
 The script prints the median µs of each side and merges every run into
 ``BENCH_moves.json`` at the repository root under the short hash of the
 checked-out commit.
@@ -54,10 +51,8 @@ def models():
 
 def draw_and_evaluate(model) -> dict[str, float]:
     """Median µs of a draw plus its evaluation, by move kind."""
-    from combopt.solver import initial_state, moves
+    from combopt.solver import draw_state_move, initial_state
 
-    split = hasattr(moves, "draw_state_move")
-    answer = getattr(model, "score_move", None) or getattr(model, "evaluate_move", None)
     rng = np.random.default_rng(0)
     state = initial_state(model, rng)
     ev = model.evaluate_unchecked(state)
@@ -65,13 +60,8 @@ def draw_and_evaluate(model) -> dict[str, float]:
     clock = time.perf_counter
     for _ in range(DRAWS):
         t0 = clock()
-        if split:
-            move = moves.draw_state_move(model, state, rng)
-            # a base whose evaluate_move returns None leaves the fallback to its caller
-            answer(state, ev, move) or model.evaluate_unchecked(state.moved(move))
-        else:
-            cand, move = moves.propose_state(model, state, rng)
-            model.evaluate_unchecked(cand, (state, ev, move))
+        move = draw_state_move(model, state, rng)
+        model.score_move(state, ev, move)
         times.setdefault(move[1][0], []).append(clock() - t0)
     return {kind: statistics.median(ts) * 1e6 for kind, ts in times.items()}
 
@@ -105,6 +95,7 @@ def measure() -> dict[str, float]:
         if name == "kp50":
             out["kp50 sa step"] = step_us(model, "sa")
         if name == "mc200":
+            out["mc200 sa step"] = step_us(model, "sa")
             out["mc200 tabu step"] = step_us(model, "tabu")
     return out
 

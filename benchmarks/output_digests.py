@@ -5,6 +5,12 @@ leaves the outputs byte-identical:
 
     PYTHONPATH=src python3 benchmarks/output_digests.py > digests.txt
 
+or let it run both: with ``--base OTHER/src`` it runs itself once more, in a
+fresh process importing ``combopt`` from that tree, prints each line that
+differs, with the base's line first, and exits 1 if any does.
+
+    PYTHONPATH=src python3 benchmarks/output_digests.py --base OTHER/src
+
 Covered: the deterministic README command lines, qubo-sa ``solve`` JSON
 (including reads that do not decode), ``export-qubo``, ``exact`` and
 ``--help`` output, qubo-sa plan records apart from ``wall_time``, every CSV of
@@ -24,12 +30,16 @@ gives two lines, ``samples`` (the JSON without its ``config`` block) and
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -331,7 +341,7 @@ def solver_cases() -> None:
         emit_solve(f"float9-{kind} no plan", model, cfg)
 
 
-if __name__ == "__main__":
+def all_cases() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         cli_cases(Path(tmp))
         plan_cases(Path(tmp))
@@ -341,3 +351,34 @@ if __name__ == "__main__":
     kp_mc_window_cases()
     sampler_cases()
     solver_cases()
+
+
+def compare(base: Path) -> int:
+    """Print the lines that differ from a run on ``base``; the exit status."""
+    env = {**os.environ, "PYTHONPATH": str(base.resolve())}
+    with subprocess.Popen([sys.executable, __file__], env=env, stdout=subprocess.PIPE,
+                          text=True) as other:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            all_cases()
+        theirs = other.communicate()[0]
+    if other.returncode:
+        raise SystemExit(f"the run on {base} failed with exit status {other.returncode}")
+    ours, theirs = out.getvalue().splitlines(), theirs.splitlines()
+    differ = 0
+    for old, new in itertools.zip_longest(theirs, ours, fillvalue="(no line)"):
+        if old != new:
+            differ += 1
+            print(f"base {old}\nthis {new}")
+    print(f"{differ} of {max(len(ours), len(theirs))} lines differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", type=Path, help="source tree to compare against")
+    args = parser.parse_args()
+    if args.base is None:
+        all_cases()
+    else:
+        sys.exit(compare(args.base))

@@ -24,12 +24,12 @@ to its value at the new corner; the other roots are not called.  The field
 is cached with the evaluation (:attr:`Evaluation.fields
 <combopt.modeling.Evaluation.fields>`), so a flip reads it.  An evaluation
 made in full computes it, with one ``bincount`` over the couplings, at its
-first flip; one made from a flip's tag keeps its parent's field and the flip,
-and derives its own field (``±J[p]`` at ``nbrs[p]``) only when a move is
-scored from it.  A tabu step's flips of one bit array are scored as a
-batch (:meth:`DeltaPlan.flips`): each sum becomes the array ``cached ±
-field[ps]`` over the drawn positions ``ps``, the same float operation as one
-flip, and the tail runs once over those arrays.  A batch in which a one-term
+first flip; one built from a flip's score derives it from its parent's
+(``±J[p]`` at ``nbrs[p]``) as it is built, and a candidate is built only
+when it is kept or its digest breaks a tie.  A tabu step's flips of one bit
+array are scored as a batch (:meth:`DeltaPlan.flips`): each sum becomes the
+array ``cached ± field[ps]`` over the drawn positions ``ps``, the same float
+operation as one flip, and the tail runs once over those arrays.  A batch in which a one-term
 root reads a drawn bit is scored flip by flip.
 
 A list decision ``L`` has two roots, the two parts of a tour length: the path
@@ -210,13 +210,6 @@ class _FlipSumRule:
         else:
             field[nbrs] += coupling
         return field
-
-    def value(self, cached, field: np.ndarray, p: int, bit: int):
-        """New value of the sum after bit ``p`` flips from ``bit``, at the
-        ``field`` of the bits before."""
-        if p not in self.touched:
-            return cached
-        return cached - field.item(p) if bit else cached + field.item(p)
 
 
 class _FlipTermRule:
@@ -436,51 +429,40 @@ class DeltaPlan:
                     for p in {rule.a, rule.b}:
                         at.setdefault(p, []).append(rule)
 
-    def update(self, prev_state, prev_eval, move):
+    def update(self, prev_state, prev_eval, move) -> list:
         """The roots' values at ``prev_state`` after ``move``, from the move's
-        tag, and the fields to cache with them (:meth:`fields`)."""
+        tag: a flip adds a sum's field at its bit, subtracted where it was 1."""
         d, tag = move
-        if tag[0] == "flip":
-            return self._flip(prev_state, prev_eval, d, tag)
         cached = prev_eval.sums
         rules = self.rules.get(d)
         if tag[0] == "noop" or not rules:
-            return cached, prev_eval.fields
+            return cached
         old = prev_state.values[d]
         sums = list(cached)
+        if tag[0] == "flip":
+            p = tag[1]
+            sum_rules = self.flip_sums.get(d)
+            if sum_rules:
+                bit = old.item(p)
+                fields = self.fields(prev_state, prev_eval)
+                for k, rule in sum_rules:
+                    f = fields[k].item(p)
+                    sums[rule.slot] = cached[rule.slot] - f if bit else cached[rule.slot] + f
+            terms = self.flip_terms.get(d)
+            rules = terms.get(p, ()) if terms else ()
         for rule in rules:
             sums[rule.slot] = rule.update(cached[rule.slot], old, tag)
-        return sums, prev_eval.fields
-
-    def _flip(self, prev_state, prev_eval, d: int, tag):
-        cached = prev_eval.sums
-        old = prev_state.values[d]
-        p = tag[1]
-        sums = list(cached)
-        fields = prev_eval.fields  # the other decisions' fields stay as they are
-        sum_rules = self.flip_sums.get(d)
-        if sum_rules:
-            bit = old.item(p)
-            at = self.fields(prev_state, prev_eval)
-            for k, rule in sum_rules:
-                sums[rule.slot] = rule.value(cached[rule.slot], at[k], p, bit)
-            fields = (at, d, p, bit)
-        terms = self.flip_terms.get(d)
-        if terms:
-            for rule in terms.get(p, ()):
-                sums[rule.slot] = rule.update(cached[rule.slot], old, tag)
-        return sums, fields
+        return sums
 
     def flips(self, prev_state, prev_eval, d: int, ps: list):
         """The roots' values at ``prev_state`` after the flip of each bit ``ps[i]``
-        of decision ``d``, one at a time, and the fields they read (None when
-        no sum over ``d`` has a field); None when a one-term root reads a drawn
-        bit, whose flips :meth:`update` answers one by one.
+        of decision ``d``, one at a time; None when a one-term root reads a
+        drawn bit, whose flips :meth:`update` answers one by one.
 
         Each sum over ``d`` becomes an array over the flips, ``cached +
         sign * field[ps]`` with the sign -1.0 where the bit was 1: the same
-        float operation as a single flip's ``cached - field[p]``, because
-        ``x - y`` is ``x + (-y)``.  Every other root keeps its cached value.
+        float operation as :meth:`update`'s ``cached - f``, because ``x - y``
+        is ``x + (-y)``.  Every other root keeps its cached value.
         """
         cached = prev_eval.sums
         terms = self.flip_terms.get(d)
@@ -488,36 +470,38 @@ class DeltaPlan:
             return None
         sum_rules = self.flip_sums.get(d)
         if not sum_rules:
-            return cached, None
+            return cached
         ps = np.array(ps)
         sign = _FLIP_SIGNS[prev_state.values[d][ps]]
-        at = self.fields(prev_state, prev_eval)
+        fields = self.fields(prev_state, prev_eval)
         sums = list(cached)
         for k, rule in sum_rules:
-            sums[rule.slot] = cached[rule.slot] + sign * at[k][ps]
-        return sums, at
+            sums[rule.slot] = cached[rule.slot] + sign * fields[k][ps]
+        return sums
 
     def fields(self, state, ev) -> list:
-        """The field of each of ``field_rules`` at ``state``, the state of ``ev``.
-
-        ``ev.fields`` caches them: None until a flip is scored from ``ev``,
-        then a list of arrays.  An evaluation made from a flip's tag holds the
-        tuple ``(parent's fields, decision, position, old bit)`` instead, and
-        the list replaces it here.  Neither refers to an evaluation, and no
-        array of the list is ever written.
-        """
+        """The field of each of ``field_rules`` at ``state``, the state of ``ev``,
+        cached in ``ev.fields``: None there until a flip is scored from an
+        evaluation made in full; one built from a score has them already."""
         fields = ev.fields
         if fields is None:
-            fields = [rule.field(state.values[d]) for d, rule in self.field_rules]
-        elif type(fields) is tuple:
-            parent, d, p, bit = fields
-            fields = list(parent)
-            for k, rule in self.flip_sums[d]:
-                fields[k] = rule.flipped(parent[k], p, bit)
-        else:
-            return fields
-        ev.fields = fields
+            fields = ev.fields = [rule.field(state.values[d]) for d, rule in self.field_rules]
         return fields
+
+    def moved_fields(self, state, fields, move):
+        """The fields after ``move`` from ``state``, whose fields are ``fields``:
+        a flip derives those of its bit array's sums as new arrays, every other
+        field is shared, and no array of ``fields`` is written."""
+        d, tag = move
+        sum_rules = self.flip_sums.get(d)
+        if tag[0] != "flip" or not sum_rules:
+            return fields
+        p = tag[1]
+        bit = state.values[d].item(p)
+        moved = list(fields)
+        for k, rule in sum_rules:
+            moved[k] = rule.flipped(fields[k], p, bit)
+        return moved
 
 
 def compile_plan(nodes, decisions, schedule, tops) -> DeltaPlan | None:

@@ -97,16 +97,16 @@ class Evaluation:
     once.  ``key`` is the solution order (:func:`order_key`); a lower key is a
     better evaluation.  ``state_key`` is the state's digest.  The solver builds
     an evaluation only for a candidate it keeps or whose digest breaks a tie;
-    it compares the others by their :class:`Score`."""
+    it compares the others by their :class:`Score`.  ``sums`` and ``fields``
+    hold the values of the model's delta roots and the flip fields of its sums
+    at this state (:mod:`combopt.delta`); an evaluation made in full has no
+    ``fields`` until a flip is scored from it."""
 
     objective: float
     violations: list[float]
     state_key: int = 0
-    # values of the frozen model's delta roots at this state, when it has a plan
     sums: list | None = field(default=None, compare=False, repr=False)
-    # the plan's flip fields at this state, or how to derive them
-    # (:meth:`combopt.delta.DeltaPlan.fields`)
-    fields: list | tuple | None = field(default=None, compare=False, repr=False)
+    fields: list | None = field(default=None, compare=False, repr=False)
     feasible: bool = field(init=False, compare=False, repr=False)
     total_violation: float = field(init=False, compare=False, repr=False)
     key: tuple = field(init=False, compare=False, repr=False)
@@ -124,18 +124,20 @@ class Score:
 
     ``key`` is the first three entries of the moved state's
     :attr:`Evaluation.key`: infeasibility, total violation and objective.
-    ``violations``, ``sums`` and ``fields`` are those of its evaluation.
-    :meth:`build` makes the moved state and its evaluation, digest included,
-    at most once; the score of a model without a delta plan, which evaluates
-    every move in full, holds both already.
+    ``violations`` and ``sums`` are those of its evaluation, ``fields`` those
+    of ``state``'s.  :meth:`build` makes the moved state and its evaluation,
+    digest included and fields derived by ``plan``, at most once; the score
+    of a model without a delta plan, which evaluates every move in full,
+    holds both already.
     """
 
     key: tuple
     violations: list
     sums: list | None
-    fields: list | tuple | None
+    fields: list | None
     state: State
     move: tuple
+    plan: "DeltaPlan | None" = None
     built: tuple | None = None
 
     def build(self) -> tuple[State, Evaluation]:
@@ -143,8 +145,9 @@ class Score:
         evaluation of that state."""
         if self.built is None:
             moved = self.state.moved(self.move)
+            fields = self.plan.moved_fields(self.state, self.fields, self.move)
             self.built = moved, Evaluation(self.key[2], self.violations, moved.digest(),
-                                           self.sums, self.fields)
+                                           self.sums, fields)
         return self.built
 
 
@@ -536,13 +539,13 @@ class Model:
         if plan is None:
             moved = state.moved(move)
             full = self.evaluate_unchecked(moved)
-            return Score(full.key[:3], full.violations, full.sums, full.fields, state, move,
-                         (moved, full))
-        sums, fields = plan.update(state, ev, move)
+            return Score(full.key[:3], full.violations, full.sums, None, state, move,
+                         built=(moved, full))
+        sums = plan.update(state, ev, move)
         vals = self._tail(plan, sums)
         violations = self._violations(vals)
         key = order_key(not any(violations), float(sum(violations)), float(vals[self.objective]))
-        return Score(key, violations, sums, fields, state, move)
+        return Score(key, violations, sums, ev.fields, state, move, plan)
 
     def score_moves(self, state: State, ev: Evaluation, moves: list):
         """The scores of several moves from ``state``, as :meth:`score_move`
@@ -559,13 +562,12 @@ class Model:
         plan = self._plan
         d = moves[0][0]
         ps = [tag[1] for e, tag in moves if e == d and tag[0] == "flip"]
-        found = None
+        sums = None
         if plan is not None and len(ps) == len(moves):
-            found = plan.flips(state, ev, d, ps)
-        if found is None:
+            sums = plan.flips(state, ev, d, ps)
+        if sums is None:
             scores = [self.score_move(state, ev, move) for move in moves]
             return [score.key for score in scores], scores.__getitem__
-        sums, at = found
         k = len(moves)
         vals = self._tail(plan, sums)
         objectives = _column(vals[self.objective], k)
@@ -580,11 +582,9 @@ class Model:
             keys = list(zip(repeat(infeasible, k), repeat(violation, k), objectives))
 
         def score(i: int) -> Score:
-            p = ps[i]
-            fields = ev.fields if at is None else (at, d, p, state.values[d].item(p))
             return Score(keys[i], list(rows[i]),
                          [s.item(i) if type(s) is np.ndarray else s for s in sums],
-                         fields, state, moves[i])
+                         ev.fields, state, moves[i], plan)
 
         return keys, score
 

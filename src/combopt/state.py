@@ -253,6 +253,9 @@ def validate_value(spec: DecisionSpec, value) -> list[str]:
                 counts = np.bincount(seen, minlength=spec.n)
                 dup = int(np.argmax(counts > 1))
                 out.append(f"partition parts not disjoint: element {dup} repeated")
+        if spec.kind == DISJOINT_BIT_SETS:
+            out.extend(f"bit-set part {k} elements must be strictly increasing (unique)"
+                       for k, p in enumerate(value) if (np.diff(_as_index_array(p)) <= 0).any())
         return out
 
     arr = np.asarray(value, dtype=np.int64).reshape(-1)

@@ -190,6 +190,16 @@ def test_validate_state_messages():
     errs = m2.validate_state(State([[[0, 1], [2, 3]]]))
     assert any("not exhaustive" in v for v in errs)
 
+    m3 = Model()
+    m3.disjoint_bit_sets(4, 2)
+    assert m3.validate_state(State([[[0, 1], [2, 3]]])) == []
+    assert m3.validate_state(State([[[1, 0], [2, 3]]])) == [
+        "decision 0: bit-set part 0 elements must be strictly increasing (unique)"]
+    m4 = Model()
+    m4.set(4)
+    assert m4.validate_state(State([[1, 0]])) == [
+        "decision 0: set elements must be strictly increasing (unique)"]
+
 
 def reference_digest(state):
     """``State.digest`` over ``tobytes()`` copies, the reference for the

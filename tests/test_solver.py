@@ -1150,9 +1150,9 @@ def test_a_sum_that_comes_to_zero_is_positive_zero(monkeypatch):
              "cast", "constsum", "constrained", "term", "zero", "negzero"])
 def test_a_plan_answers_every_move(data_dir, name, monkeypatch):
     """A model with a delta plan scores every candidate from its tag, as a
-    tabu step and an SA step score them: no rule and no plan update returns
-    None, and neither ``score_move`` nor ``score_moves`` evaluates a
-    candidate in full or builds its state."""
+    tabu step and an SA step score them: no rule, no plan update and no
+    field returns None, and neither ``score_move`` nor ``score_moves``
+    evaluates a candidate in full or builds its state."""
     model = _walk_model(data_dir, name)
     assert model._plan is not None
     scoring = False
@@ -1172,9 +1172,10 @@ def test_a_plan_answers_every_move(data_dir, name, monkeypatch):
 
     monkeypatch.setattr(Model, "evaluate_unchecked", outside_scoring(Model.evaluate_unchecked))
     monkeypatch.setattr(State, "moved", outside_scoring(State.moved))
-    for cls, method in [(delta._FlipSumRule, "value"), (delta._FlipTermRule, "update"),
+    for cls, method in [(delta._FlipSumRule, "flipped"), (delta._FlipTermRule, "update"),
                         (delta._SetRule, "update"), (delta._PathRule, "update"),
-                        (delta._EntryRule, "update"), (delta.DeltaPlan, "update")]:
+                        (delta._EntryRule, "update"), (delta.DeltaPlan, "update"),
+                        (delta.DeltaPlan, "fields")]:
         monkeypatch.setattr(cls, method, answering(getattr(cls, method)))
     rng = np.random.default_rng(len(name))
     current = initial_state(model, rng)
@@ -1191,11 +1192,12 @@ def test_a_plan_answers_every_move(data_dir, name, monkeypatch):
 
 def test_a_flip_calls_only_the_rules_that_read_its_bit(monkeypatch):
     """On the chain of 1100 one-term roots a flip calls the one root that reads
-    its bit, and the sum rules of its decision, of which there are none."""
+    its bit, and its build derives the fields of the sum rules of its
+    decision, of which there are none."""
     model = _chain_model()
     plan = model._plan
     calls = []
-    for cls, name in ((delta._FlipTermRule, "update"), (delta._FlipSumRule, "value")):
+    for cls, name in ((delta._FlipTermRule, "update"), (delta._FlipSumRule, "flipped")):
         def spy(self, *args, _original=getattr(cls, name)):
             calls.append(self)
             return _original(self, *args)
@@ -1216,16 +1218,23 @@ def test_a_flip_calls_only_the_rules_that_read_its_bit(monkeypatch):
 
 def _field_arrays(ev) -> list:
     fields = ev.fields
-    assert type(fields) is list  # a flip evaluated from ev leaves no link behind
+    assert type(fields) is list and all(type(f) is np.ndarray for f in fields)
     return fields
+
+
+def _assert_fields_of(plan, state, fields) -> None:
+    for (d, rule), f in zip(plan.field_rules, fields):
+        assert f.tobytes() == rule.field(state.values[d]).tobytes()
 
 
 @pytest.mark.parametrize("name", ["mc200", "mixed"])
 def test_flip_fields_equal_the_fields_of_their_states(data_dir, name):
-    """The field a flip reads equals its rule's field computed from scratch at
-    the state, and no field array is ever written, a parent's included.  The
-    walk takes evaluations made in full, whose fields are computed from
-    scratch, and re-centres on older candidates, taken or not."""
+    """The field a flip reads, and the one a candidate holds as soon as it is
+    built, before any move is scored from it, equal its rule's field
+    computed from scratch at the state, and no field array is ever written,
+    a parent's included.  The walk takes evaluations made in full, whose
+    fields are computed from scratch, and re-centres on older candidates,
+    taken or not."""
     model = _walk_model(data_dir, name)
     plan = model._plan
     assert len(plan.field_rules) == {"mc200": 1, "mixed": 5}[name]
@@ -1236,9 +1245,9 @@ def test_flip_fields_equal_the_fields_of_their_states(data_dir, name):
     for _ in range(3000):
         move = draw_state_move(model, current, rng)
         cand, ev = model.score_move(current, current_eval, move).build()
+        _assert_fields_of(plan, cand, _field_arrays(ev))
         fields = _field_arrays(current_eval)
-        for (d, rule), f in zip(plan.field_rules, fields):
-            assert f.tobytes() == rule.field(current.values[d]).tobytes()
+        _assert_fields_of(plan, current, fields)
         bases.append((current_eval, [f.copy() for f in fields]))
         for base, copies in bases[-20:]:
             assert [f.tobytes() for f in _field_arrays(base)] == [c.tobytes() for c in copies]
@@ -1272,9 +1281,9 @@ def _reaches_an_evaluation(root) -> bool:
 
 @pytest.mark.parametrize("name", ["mc200", "mixed", "kp50"])
 def test_no_evaluation_is_reachable_from_a_field_cache(data_dir, name):
-    """An evaluation's cache links its parent's fields, never its parent: a
-    chain of tag-made evaluations would keep every one before it alive.  A
-    model without a flip sum caches nothing."""
+    """An evaluation's cache is None or a list of arrays, never a link to
+    its parent: a chain of tag-made evaluations would keep every one before
+    it alive.  A model without a flip sum caches nothing."""
     model = _walk_model(data_dir, name)
     rng = np.random.default_rng(31)
     current = initial_state(model, rng)
@@ -1286,7 +1295,9 @@ def test_no_evaluation_is_reachable_from_a_field_cache(data_dir, name):
         evaluations.append(current_eval)
     caches = [ev.fields for ev in evaluations]
     if model._plan.field_rules:
-        assert any(type(c) is tuple for c in caches) and any(type(c) is list for c in caches)
+        assert all(c is None or type(c) is list and all(type(f) is np.ndarray for f in c)
+                   for c in caches)
+        assert any(type(c) is list for c in caches)
     else:
         assert caches == [None] * len(caches)
     assert not any(_reaches_an_evaluation(c) for c in caches)
