@@ -22,16 +22,13 @@ checked-out commit.
 
 import argparse
 import json
-import os
 import statistics
-import subprocess
-import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from benchfile import ROOT, save
+from benchfile import ROOT, compare, save
 
 BENCH_FILE = ROOT / "BENCH_moves.json"
 DATA = ROOT / "data"
@@ -100,14 +97,6 @@ def measure() -> dict[str, float]:
     return out
 
 
-def run(src: Path) -> dict[str, float]:
-    """One run in a fresh process importing ``combopt`` from ``src``."""
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, __file__, "--worker"], env=env,
-                          capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path, help="source tree to compare against")
@@ -118,33 +107,7 @@ def main():
         print(json.dumps(measure()))
         return
 
-    sides = {"this": ROOT / "src"}
-    if args.base is not None:
-        sides["base"] = args.base.resolve()
-    runs: dict[str, list[dict]] = {side: [] for side in sides}
-    for p in range(args.pairs):
-        order = list(sides) if p % 2 == 0 else list(sides)[::-1]
-        for side in order:
-            runs[side].append(run(sides[side]))
-            print(f"pair {p + 1}/{args.pairs}: {side} done", file=sys.stderr)
-
-    cases = list(runs["this"][0])
-    results = {side: {case: {"median": round(statistics.median(r[case] for r in rs), 2),
-                             "runs": [round(r[case], 2) for r in rs]}
-                      for case in cases if all(case in r for r in rs)}
-               for side, rs in runs.items()}
-    header = f"{'case':<16} {'this us':>9}"
-    if "base" in results:
-        header += f" {'base us':>9} {'base/this':>9}"
-    print(header)
-    print("-" * len(header))
-    for case in cases:
-        this = results["this"][case]["median"]
-        row = f"{case:<16} {this:>9.2f}"
-        if "base" in results and case in results["base"]:
-            base = results["base"][case]["median"]
-            row += f" {base:>9.2f} {base / this:>8.2f}x"
-        print(row)
+    results = compare(__file__, args.base, args.pairs, "us")
     key = save(BENCH_FILE, "us_per_move", {"pairs": args.pairs, **results})
     print(f"\nwrote {BENCH_FILE.name} entry {key}")
 

@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .. import forking
 from ..errors import DomainError, MetricError, ParseError
 from ..families import ENCODERS, PARSERS, family, native
 from ..problems import BUILDERS
@@ -168,26 +169,46 @@ def qubo_sa_reads(model, family: str, reads: int, sweeps: int, seed: int,
 
     Returns one entry per completed read, in read order: ``(state,
     evaluation)``, or ``None`` when the read does not decode to a state.
-    Without a time limit the reads run as one batch.  Under ``time_limit``
-    they run in batches of ``reads // 8`` (seeded ``seed + done``) until the
-    reads or the time are used up, and at least one batch always runs.
+    Without a time limit the reads run as one batch, in this process.  Under
+    ``time_limit`` they run in batches of ``reads // 8``, each seeded ``seed``
+    plus its first read, and where ``fork`` exists the batches go to one forked
+    worker per CPU (``forking.default_workers``, as the solver's branches do):
+    worker ``w`` of ``W`` runs batches ``w``, ``w + W``, ...  A batch starts
+    only while time is left, except the first, which always runs.  This process
+    decodes and evaluates the bits in read order, so unless the limit binds the
+    entries do not depend on the number of workers.
     """
     if reads < 1:
         raise DomainError(f"reads must be >= 1, got {reads}")
     t0 = time.monotonic()
     qubo, decode = ENCODERS[family](model.tags["instance"])
-    batch = reads if time_limit is None else max(1, reads // 8)
-    out = []
-    done = 0
-    while done < reads:
-        take = min(batch, reads - done)
-        for bits, _ in sa_sample(qubo, reads=take, sweeps=sweeps, seed=seed + done):
+    size = reads if time_limit is None else max(1, reads // 8)
+    firsts = range(0, reads, size)
+
+    def anneal(w: int, n_workers: int) -> list[tuple[int, list]]:
+        """``(first read, bits of each read)`` of batches ``w``, ``w + n_workers``, ..."""
+        out = []
+        for first in firsts[w::n_workers]:
+            if first and time.monotonic() - t0 >= time_limit:
+                break
+            samples = sa_sample(qubo, reads=min(size, reads - first), sweeps=sweeps,
+                                seed=seed + first)
+            out.append((first, [bits for bits, _ in samples]))
+        return out
+
+    n_workers = min(forking.default_workers(), len(firsts))
+    if n_workers > 1 and forking.fork_available():
+        per_worker = forking.run_forked(lambda w, _stop: anneal(w, n_workers), n_workers,
+                                        "qubo-sa worker")
+    else:
+        per_worker = [anneal(0, 1)]
+    batches = dict(batch for done in per_worker for batch in done)
+    entries = []
+    for first in sorted(batches):
+        for bits in batches[first]:
             state = decode(bits)
-            out.append(None if state is None else (state, model.evaluate(state)))
-        done += take
-        if time_limit is not None and time.monotonic() - t0 >= time_limit:
-            break
-    return out
+            entries.append(None if state is None else (state, model.evaluate(state)))
+    return entries
 
 
 def run_cell(model, family: str, algorithm: PlanAlgorithm, seed: int,

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
+from .. import forking
 from ..errors import DomainError
 
 
@@ -64,7 +64,7 @@ class SolverConfig:
             raise DomainError(f"unknown cm_kind {self.cm_kind!r}")
 
     def resolved_branches(self) -> int:
-        return self.n_branches or min(os.cpu_count() or 1, 8)
+        return self.n_branches or forking.default_workers()
 
     def resolved_time_limit(self, n_elements: int) -> float:
         if self.time_limit is not None:

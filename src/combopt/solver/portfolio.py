@@ -6,8 +6,11 @@ step budget) is exhausted, then merges every branch's deposited samples, in
 branch order, into one best-first :class:`SampleSet`.
 
 With more than one branch, each runs in its own forked process where ``fork``
-exists: the frozen model is inherited, not pickled, every child cools by the
-same ``time.monotonic`` clock, and a ``target`` stop is an event shared by all.
+exists, through the package's one fork helper, ``forking.run_forked``: the
+frozen model is inherited, not pickled, every child cools by the same
+``time.monotonic`` clock, a ``target`` stop is the event the helper shares
+with every child, and a child's error is re-raised in the parent with its own
+type.
 Otherwise the branches step round-robin, ``_CHUNK`` steps at a time, here.
 
 Each branch samples its subproblem queries inline, inside its own steps
@@ -20,11 +23,11 @@ by elapsed time under a wall-clock limit, by steps under ``max_steps``
 from __future__ import annotations
 
 import math
-import os
 import threading
 import time
 from dataclasses import asdict
 
+from .. import forking
 from ..errors import StateError
 from ..modeling import Model
 from .branch import Branch
@@ -32,11 +35,6 @@ from .config import SolverConfig
 from .sampleset import SampleSet
 
 _CHUNK = 32
-
-
-def fork_available() -> bool:
-    """True where branches can run in forked processes."""
-    return hasattr(os, "fork")
 
 
 def solve(model: Model, config: SolverConfig | None = None) -> SampleSet:
@@ -66,8 +64,8 @@ def solve(model: Model, config: SolverConfig | None = None) -> SampleSet:
             br.finalize()
         return [(br.samples, br.warnings) for br in branches]
 
-    if n_branches > 1 and fork_available():
-        results = _run_forked(run, n_branches)
+    if n_branches > 1 and forking.fork_available():
+        results = forking.run_forked(lambda b, stop: run([b], stop)[0], n_branches, "branch")
     else:
         results = run(range(n_branches), threading.Event())
 
@@ -77,56 +75,6 @@ def solve(model: Model, config: SolverConfig | None = None) -> SampleSet:
         wall_time=clock(),
         warnings=[w for _, warnings in results for w in warnings],
     )
-
-
-def _run_forked(run, n_branches: int) -> list:
-    """``run`` each branch in a forked daemon child; the results in branch order.
-
-    The first child failure is re-raised with its own type and the other
-    children are terminated; every child is joined before this returns.
-    """
-    # imported here, because importing multiprocessing takes about 10 ms
-    import multiprocessing
-    from multiprocessing.connection import wait
-
-    ctx = multiprocessing.get_context("fork")
-    stop = ctx.Event()
-
-    def child(b, conn):
-        try:
-            result = run([b], stop)[0]
-        except Exception as exc:  # the parent re-raises it
-            result = exc
-        conn.send(result)
-
-    procs, conns, results = [], {}, {}
-    try:
-        for b in range(n_branches):
-            recv_end, send_end = ctx.Pipe(duplex=False)
-            conns[recv_end] = b
-            proc = ctx.Process(target=child, args=(b, send_end), daemon=True)
-            proc.start()
-            procs.append(proc)
-            send_end.close()
-        while len(results) < n_branches:
-            for conn in wait([c for c, b in conns.items() if b not in results]):
-                b = conns[conn]
-                try:
-                    results[b] = conn.recv()
-                except EOFError:
-                    raise StateError(f"branch {b} process exited without a result") from None
-                if isinstance(results[b], Exception):
-                    raise results[b]
-    except BaseException:
-        for proc in procs:
-            proc.terminate()
-        raise
-    finally:
-        for conn in conns:
-            conn.close()
-        for proc in procs:
-            proc.join()
-    return [results[b] for b in range(n_branches)]
 
 
 def _interleave(branches, model: Model, config: SolverConfig, deadline: float, stop) -> None:

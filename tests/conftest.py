@@ -2,7 +2,12 @@ from pathlib import Path
 
 import pytest
 
+from combopt import forking
+
 DATA_DIR = Path(__file__).parent.parent / "data"
+
+needs_fork = pytest.mark.skipif(not forking.fork_available(),
+                                reason="jobs run in this process without fork")
 
 
 @pytest.fixture

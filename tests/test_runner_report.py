@@ -1,9 +1,13 @@
 import csv
 import json
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
 
+from combopt import StateError, forking
 from combopt.benchstats import (
     Plan,
     ResultsTable,
@@ -12,10 +16,12 @@ from combopt.benchstats import (
     load_optima,
     qubo_sa_reads,
     run_experiment,
+    runner,
 )
 from combopt.errors import MetricError, ParseError
 from combopt.problems import build_tsp_model, parse_tsplib
 from combopt.qubo import sa_sample, tsp_to_qubo
+from conftest import needs_fork
 
 
 def small_plan(tmp_path, data_dir, runs=1, instances=("tsp7",), time_limit=1.5):
@@ -173,11 +179,15 @@ def test_plan_maps_maxcut_alias_and_rejects_unknown_problem(tmp_path, data_dir):
         Plan.from_json(json.dumps(doc))
 
 
-def assert_reads_match(model, entries, reads, sweeps, seed):
-    """``entries`` are the decoded reads of one ``sa_sample`` call."""
+def assert_reads_match(model, entries, reads, sweeps, seed, batch=None):
+    """``entries`` are the decoded reads of ``sa_sample`` calls of ``batch`` reads
+    each (all ``reads`` in one call by default), seeded ``seed`` plus the
+    call's first read, in read order."""
+    batch = batch or reads
     qubo, decode = tsp_to_qubo(model.tags["instance"])
-    states = [decode(bits) for bits, _ in sa_sample(qubo, reads=reads, sweeps=sweeps,
-                                                     seed=seed)]
+    states = [decode(bits) for first in range(0, reads, batch)
+              for bits, _ in sa_sample(qubo, reads=min(batch, reads - first), sweeps=sweeps,
+                                       seed=seed + first)]
     assert len(entries) == len(states)
     for entry, state in zip(entries, states):
         if state is None:
@@ -199,3 +209,51 @@ def test_qubo_sa_reads_spent_time_limit_runs_one_batch(data_dir):
     model = build_tsp_model(parse_tsplib((data_dir / "tsp7.tsp").read_text(), "tsp7"))
     entries = qubo_sa_reads(model, "tsp", reads=16, sweeps=4, seed=1, time_limit=1e-9)
     assert_reads_match(model, entries, reads=2, sweeps=4, seed=1)
+
+
+def test_qubo_sa_reads_forked_batches_match_in_process_batches(monkeypatch, data_dir):
+    model = build_tsp_model(parse_tsplib((data_dir / "tsp7.tsp").read_text(), "tsp7"))
+    # 3 workers, whatever the CPU count, share 10 batches (the last of one read)
+    monkeypatch.setattr(forking, "default_workers", lambda: 3)
+    workers, forked_workers = [], [3] if forking.fork_available() else []
+    run_forked = forking.run_forked
+    monkeypatch.setattr(forking, "run_forked",
+                        lambda job, n, name: workers.append(n) or run_forked(job, n, name))
+    forked = qubo_sa_reads(model, "tsp", reads=19, sweeps=4, seed=1, time_limit=600.0)
+    assert workers == forked_workers
+    assert multiprocessing.active_children() == []
+    assert any(e is None for e in forked) and any(e is not None for e in forked)
+    assert_reads_match(model, forked, reads=19, sweeps=4, seed=1, batch=2)
+
+    monkeypatch.setattr(forking, "fork_available", lambda: False)
+    in_process = qubo_sa_reads(model, "tsp", reads=19, sweeps=4, seed=1, time_limit=600.0)
+    assert workers == forked_workers  # no fork this time
+    assert_reads_match(model, in_process, reads=19, sweeps=4, seed=1, batch=2)
+
+
+@needs_fork
+def test_qubo_sa_worker_error_is_reraised_and_every_worker_ends(monkeypatch, data_dir):
+    model = build_tsp_model(parse_tsplib((data_dir / "tsp7.tsp").read_text(), "tsp7"))
+    monkeypatch.setattr(forking, "default_workers", lambda: 2)
+
+    def sample(qubo, reads, sweeps, seed):
+        if seed == 1 + 2:  # batch 1, the first of worker 1
+            raise StateError("batch 1 broke")
+        time.sleep(60)  # worker 0 would sleep for the whole minute: it is terminated
+
+    monkeypatch.setattr(runner, "sa_sample", sample)
+    t0 = time.monotonic()
+    with pytest.raises(StateError, match="batch 1 broke"):
+        qubo_sa_reads(model, "tsp", reads=16, sweeps=4, seed=1, time_limit=600.0)
+    assert time.monotonic() - t0 < 30
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_qubo_sa_worker_that_dies_without_a_result_is_named(monkeypatch, data_dir):
+    model = build_tsp_model(parse_tsplib((data_dir / "tsp7.tsp").read_text(), "tsp7"))
+    monkeypatch.setattr(forking, "default_workers", lambda: 2)
+    monkeypatch.setattr(runner, "sa_sample", lambda *args, **kwargs: os._exit(1))
+    with pytest.raises(StateError, match=r"^qubo-sa worker \d process exited without a result$"):
+        qubo_sa_reads(model, "tsp", reads=16, sweeps=4, seed=1, time_limit=600.0)
+    assert multiprocessing.active_children() == []

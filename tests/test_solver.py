@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from combopt import Model, State, StateError, delta
+from combopt import Model, State, StateError, delta, forking
 from combopt.modeling import Evaluation
 from combopt.problems import (
     KpInstance,
@@ -43,10 +43,11 @@ from combopt.solver import (
     reverse_move,
     solve,
 )
-from combopt.solver import branch, portfolio
+from combopt.solver import branch
 from combopt.solver.branch import Branch
 from combopt.solver.moves import _two_distinct, set_complement, tabu_key
 from combopt.state import DecisionSpec, validate_state
+from conftest import needs_fork
 
 
 def random_tsp(n, seed):
@@ -475,10 +476,6 @@ def test_time_budget_respected():
     assert time.monotonic() - t0 < 2.5
 
 
-needs_fork = pytest.mark.skipif(not portfolio.fork_available(),
-                                reason="branches run in this process without fork")
-
-
 @needs_fork
 def test_branches_run_in_child_processes(monkeypatch):
     finalize = Branch.finalize
@@ -500,7 +497,7 @@ def test_forked_and_serial_solves_are_byte_identical(monkeypatch):
     config = SolverConfig(time_limit=60.0, n_branches=3, seed=13, max_steps=1500,
                           qm_inline=True, qm_period=100)
     forked = solve(model, config).to_json()
-    monkeypatch.setattr(portfolio, "fork_available", lambda: False)
+    monkeypatch.setattr(forking, "fork_available", lambda: False)
     assert solve(model, config).to_json() == forked
 
 
