@@ -9,6 +9,9 @@ It also times the SA steps of one kp50 branch, the SA steps of one mc200
 branch (one flip scored and, when taken, built) and the tabu steps (12
 candidates each) of one mc200 branch, with subproblem queries off.  Both sides
 of a comparison make the same random calls, so they time the same moves.
+Last, it times ``validate_state`` on one random state of each model, of
+criterion 4's six-decision model, and of a 1000-element list and a 4096-bit
+array.
 
     PYTHONPATH=src python3 benchmarks/moves_bench.py [--base OTHER/src] [--pairs 5]
 
@@ -35,6 +38,8 @@ DATA = ROOT / "data"
 DRAWS = 20_000
 STEPS = {"sa": 10_000, "tabu": 2_000}  # per timed block
 STEP_REPEATS = 3
+VALIDATES = 2_000  # per timed block
+VALIDATE_REPEATS = 5
 
 
 def models():
@@ -82,6 +87,41 @@ def step_us(model, kind: str) -> float:
     return statistics.median(blocks) * 1e6 / steps
 
 
+def validate_models():
+    """Criterion 4's six-decision model, one 1000-element list, one 4096-bit array."""
+    from combopt import Model
+
+    crit4 = Model()
+    crit4.list(12)
+    crit4.set(10)
+    crit4.binary(8)
+    crit4.disjoint_lists(9, 3)
+    crit4.disjoint_bit_sets(8, 2)
+    crit4.integer(5, lo=-2, hi=4)
+    yield "crit4", crit4
+    tour = Model()
+    tour.list(1000)
+    yield "list1000", tour
+    bits = Model()
+    bits.binary(4096)
+    yield "bits4096", bits
+
+
+def validate_us(model) -> float:
+    """Median over VALIDATE_REPEATS blocks of the µs per ``validate_state`` call."""
+    from combopt.solver import initial_state
+
+    state = initial_state(model, np.random.default_rng(0))
+    assert model.validate_state(state) == []
+    blocks = []
+    for _ in range(VALIDATE_REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(VALIDATES):
+            model.validate_state(state)
+        blocks.append(time.perf_counter() - t0)
+    return statistics.median(blocks) * 1e6 / VALIDATES
+
+
 def measure() -> dict[str, float]:
     """Every figure of one run, for the ``combopt`` on the import path."""
     out = {}
@@ -94,6 +134,9 @@ def measure() -> dict[str, float]:
         if name == "mc200":
             out["mc200 sa step"] = step_us(model, "sa")
             out["mc200 tabu step"] = step_us(model, "tabu")
+        out[f"{name} validate"] = validate_us(model)
+    for name, model in validate_models():
+        out[f"{name} validate"] = validate_us(model)
     return out
 
 

@@ -498,10 +498,6 @@ class Model:
 
     def evaluate(self, state: State) -> Evaluation:
         """Evaluate objective and constraints at a structurally valid state."""
-        if not self._frozen:
-            self.freeze()
-        if self.objective is None:
-            raise StateError("model has no objective; nothing to evaluate")
         problems = self.validate_state(state)
         if problems:
             raise StateError("; ".join(problems))

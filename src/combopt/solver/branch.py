@@ -84,7 +84,7 @@ class Branch:
 
         self.current = initial_state(model, self.rng)
         self.current_eval = model.evaluate_unchecked(self.current)
-        self.incumbent = self.current.copy()
+        self.incumbent = self.current
         self.incumbent_eval = self.current_eval
         self.record_improvement("init")
 
@@ -132,7 +132,7 @@ class Branch:
     def offer(self, state: State, ev: Evaluation, source: str) -> bool:
         """Replace the incumbent when strictly better; True when it improved."""
         if ev.key < self.incumbent_eval.key:
-            self.incumbent = state.copy()
+            self.incumbent = state
             self.incumbent_eval = ev
             self.stagnation = 0
             self.record_improvement(source)
@@ -151,7 +151,7 @@ class Branch:
         if self.stagnation >= _RESTART_AFTER:
             # re-center the walk on the incumbent; the cooling schedule keeps
             # its course (resetting it would keep the search hot forever)
-            self.current = self.incumbent.copy()
+            self.current = self.incumbent
             self.current_eval = self.incumbent_eval
             self.stagnation = 0
 
@@ -221,7 +221,7 @@ class Branch:
                 continue
             ev = model.evaluate_unchecked(state)
             if ev.feasible and self.offer(state, ev, "qm"):
-                self.current = state.copy()
+                self.current = state
                 self.current_eval = ev
 
     def finalize(self) -> None:

@@ -98,7 +98,7 @@ class SampleSet:
 def make_sample(state: State, ev: Evaluation, branch: int, step: int,
                 source: str, elapsed: float) -> Sample:
     return Sample(
-        state=state.copy(),
+        state=state,
         objective=ev.objective,
         feasible=ev.feasible,
         violation=ev.total_violation,

@@ -44,9 +44,9 @@ def qm_query(model: Model, incumbent: State, window: int,
              rng: np.random.Generator) -> QmQuery | None:
     """Subproblem around ``incumbent`` with at most ``window`` free elements.
 
-    Returns ``None`` for models without a recognized problem-family tag.
-    Windows larger than the decision are clamped by the caller's config
-    contract (the clamp itself happens here).
+    Returns ``None`` for models without a recognized problem-family tag.  A
+    window larger than the decision is clamped to the decision's size here;
+    the branch warns of the clamp when it starts.
     """
     build = _WINDOWS.get(model.tags.get("family"))
     instance = model.tags.get("instance")
@@ -69,13 +69,12 @@ def _tsp_window(instance, incumbent: State, window: int, rng) -> QmQuery:
     nxt = int(tour[(p0 + w) % n])
     c = instance.cost_matrix
     qubo = tour_qubo(c[np.ix_(cities, cities)], ends=(c[prev, cities], c[cities, nxt]))
-    base = tour.copy()
 
     def decode(bits) -> State | None:
         order = tour_order(bits, w)
         if order is None:
             return None
-        new_tour = base.copy()
+        new_tour = tour.copy()
         new_tour[p0 : p0 + w] = cities[order]
         return State([new_tour])
 
@@ -130,10 +129,9 @@ def _mc_window(instance, incumbent: State, window: int, rng) -> QmQuery:
 
     free = np.sort(rng.choice(n, w, replace=False))
     qubo = mc_qubo(instance, free, bits_full)
-    base = bits_full.copy()
 
     def decode(bits) -> State:
-        new_bits = base.copy()
+        new_bits = bits_full.copy()
         new_bits[free] = np.asarray(bits, dtype=np.int64)
         return State([new_bits])
 

@@ -18,7 +18,9 @@ than raising, so callers can decide whether a broken state is an error.
 from __future__ import annotations
 
 import zlib
+from collections import Counter
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -75,7 +77,8 @@ class State:
     """A concrete assignment: one value per decision, in declaration order.
 
     Flat kinds are stored as 1-D C-contiguous int64 arrays; partition kinds as
-    a list of such arrays (one per part).
+    a list of such arrays (one per part).  A state's arrays are never written
+    and are shared between states, so nothing copies them.
     """
 
     __slots__ = ("values",)
@@ -90,19 +93,10 @@ class State:
                 converted.append(_as_index_array(v))
         self.values = converted
 
-    def copy(self) -> "State":
-        out = State.__new__(State)
-        out.values = [
-            [p.copy() for p in v] if isinstance(v, list) else v.copy()
-            for v in self.values
-        ]
-        return out
-
     def moved(self, move) -> "State":
         """This state after ``move``, a ``(decision index, tag)`` pair.
 
-        The values the move leaves alone are shared with this state, not copied:
-        no code writes into a state's arrays.
+        The values the move leaves alone are shared with this state.
         """
         d, tag = move
         out = State.__new__(State)
@@ -234,60 +228,66 @@ def apply_move(value, tag):
     return parts
 
 
+def _smallest_repeat(xs: list) -> int:
+    return min(x for x, count in Counter(xs).items() if count > 1)
+
+
+def _increasing(xs: list) -> bool:
+    return all(a < b for a, b in pairwise(xs))
+
+
 def validate_value(spec: DecisionSpec, value) -> list[str]:
-    """Structural violations of one decision's value; empty list when valid."""
+    """Structural violations of one decision's value; empty list when valid.
+
+    The checks run on Python ints (``tolist``), which on a model's short
+    arrays costs less than numpy's overhead per call.
+    """
     out: list[str] = []
     if spec.is_partition:
         if not isinstance(value, list):
             return [f"{spec.kind} value must be a list of {spec.n_parts} parts"]
         if len(value) != spec.n_parts:
             return [f"expected {spec.n_parts} parts, got {len(value)}"]
-        seen = np.concatenate([np.asarray(p, dtype=np.int64).reshape(-1) for p in value]) \
-            if any(len(p) for p in value) else np.empty(0, dtype=np.int64)
-        if seen.size != spec.n:
-            out.append(f"partition not exhaustive: covers {seen.size} of {spec.n} elements")
-        if seen.size:
-            if seen.min() < 0 or seen.max() >= spec.n:
+        parts = [p.tolist() for p in value]
+        seen = [e for p in parts for e in p]
+        if len(seen) != spec.n:
+            out.append(f"partition not exhaustive: covers {len(seen)} of {spec.n} elements")
+        if seen:
+            if min(seen) < 0 or max(seen) >= spec.n:
                 out.append(f"partition element out of range 0..{spec.n - 1}")
-            elif np.unique(seen).size != seen.size:
-                counts = np.bincount(seen, minlength=spec.n)
-                dup = int(np.argmax(counts > 1))
+            elif len(set(seen)) != len(seen):
+                dup = _smallest_repeat(seen)
                 out.append(f"partition parts not disjoint: element {dup} repeated")
         if spec.kind == DISJOINT_BIT_SETS:
             out.extend(f"bit-set part {k} elements must be strictly increasing (unique)"
-                       for k, p in enumerate(value) if (np.diff(_as_index_array(p)) <= 0).any())
+                       for k, p in enumerate(parts) if not _increasing(p))
         return out
 
-    arr = np.asarray(value, dtype=np.int64).reshape(-1)
-    if arr.size != spec.n:
-        return [f"{spec.kind} value has length {arr.size}, expected {spec.n}"]
+    if isinstance(value, list):
+        return [f"{spec.kind} value must be one array, not a list of {len(value)} parts"]
+    xs = value.tolist()
+    if spec.kind == SET:  # any cardinality 0..n
+        if xs:
+            if min(xs) < 0 or max(xs) >= spec.n:
+                out.append(f"set element out of range 0..{spec.n - 1}")
+            elif not _increasing(xs):
+                out.append("set elements must be strictly increasing (unique)")
+        if len(xs) > spec.n:
+            out.append(f"set has {len(xs)} elements, more than n={spec.n}")
+        return out
+    if len(xs) != spec.n:
+        return [f"{spec.kind} value has length {len(xs)}, expected {spec.n}"]
     if spec.kind == LIST:
-        counts = np.bincount(arr, minlength=spec.n) if arr.size and arr.min() >= 0 and arr.max() < spec.n else None
-        if counts is None:
+        if min(xs) < 0 or max(xs) >= spec.n:
             out.append(f"index out of range 0..{spec.n - 1}")
-        elif (counts != 1).any():
-            dup = int(np.argmax(counts > 1))
-            out.append(f"duplicate index {dup}: not a permutation")
+        elif len(set(xs)) != spec.n:
+            out.append(f"duplicate index {_smallest_repeat(xs)}: not a permutation")
     elif spec.kind == BINARY:
-        if ((arr != 0) & (arr != 1)).any():
+        if not set(xs) <= {0, 1}:
             out.append("binary value outside {0, 1}")
     elif spec.kind == INTEGER:
-        if (arr < spec.lo).any() or (arr > spec.hi).any():
+        if min(xs) < spec.lo or max(xs) > spec.hi:
             out.append(f"integer value outside [{spec.lo}, {spec.hi}]")
-    return out
-
-
-def validate_set_value(spec: DecisionSpec, value) -> list[str]:
-    """Set values have their own arity: any cardinality 0..n is allowed."""
-    arr = np.asarray(value, dtype=np.int64).reshape(-1)
-    out: list[str] = []
-    if arr.size:
-        if arr.min() < 0 or arr.max() >= spec.n:
-            out.append(f"set element out of range 0..{spec.n - 1}")
-        elif (np.diff(arr) <= 0).any():
-            out.append("set elements must be strictly increasing (unique)")
-    if arr.size > spec.n:
-        out.append(f"set has {arr.size} elements, more than n={spec.n}")
     return out
 
 
@@ -297,6 +297,5 @@ def validate_state(specs: list[DecisionSpec], state: State) -> list[str]:
         return [f"state has {len(state.values)} assignments, model has {len(specs)} decisions"]
     out: list[str] = []
     for i, (spec, value) in enumerate(zip(specs, state.values)):
-        errs = validate_set_value(spec, value) if spec.kind == SET else validate_value(spec, value)
-        out.extend(f"decision {i}: {e}" for e in errs)
+        out.extend(f"decision {i}: {e}" for e in validate_value(spec, value))
     return out

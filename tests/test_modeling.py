@@ -14,6 +14,8 @@ from combopt import (
     new_model,
 )
 from combopt.modeling import COMPARE_OPS
+from combopt.state import (BINARY, DISJOINT_BIT_SETS, DISJOINT_LISTS, INTEGER, LIST, SET,
+                           _as_index_array, validate_state)
 
 
 def test_new_model_is_empty():
@@ -199,6 +201,190 @@ def test_validate_state_messages():
     m4.set(4)
     assert m4.validate_state(State([[1, 0]])) == [
         "decision 0: set elements must be strictly increasing (unique)"]
+
+    # a flat decision given a partition-shaped value, even or ragged
+    m5 = Model()
+    m5.list(4)
+    m5.set(4)
+    for value, k in [([[0, 1], [2, 3]], 2), ([[0, 1], [2]], 2), ([[0, 1, 2, 3]], 1)]:
+        assert m5.validate_state(State([value, value])) == [
+            f"decision 0: list value must be one array, not a list of {k} parts",
+            f"decision 1: set value must be one array, not a list of {k} parts"]
+
+
+@pytest.mark.parametrize("family", ["kp", "tsp"])
+def test_evaluate_rejects_a_partition_shaped_value(data_dir, family):
+    from combopt.problems import build_kp_model, build_tsp_model, parse_kplib, parse_tsplib
+
+    if family == "kp":
+        model = build_kp_model(parse_kplib((data_dir / "kp50.kp").read_text(), "kp50"))
+        value = [[0, 1], [2, 3]]
+    else:
+        model = build_tsp_model(parse_tsplib((data_dir / "tsp7.tsp").read_text(), "tsp7"))
+        value = [[0, 1, 2], [3, 4, 5, 6]]
+    with pytest.raises(StateError, match="value must be one array, not a list of 2 parts"):
+        model.evaluate(State([value]))
+
+
+# The numpy validator that the Python-int one in ``combopt.state`` replaced,
+# kept verbatim as the reference for its messages.
+
+def reference_validate_value(spec: DecisionSpec, value) -> list[str]:
+    """Structural violations of one decision's value; empty list when valid."""
+    out: list[str] = []
+    if spec.is_partition:
+        if not isinstance(value, list):
+            return [f"{spec.kind} value must be a list of {spec.n_parts} parts"]
+        if len(value) != spec.n_parts:
+            return [f"expected {spec.n_parts} parts, got {len(value)}"]
+        seen = np.concatenate([np.asarray(p, dtype=np.int64).reshape(-1) for p in value]) \
+            if any(len(p) for p in value) else np.empty(0, dtype=np.int64)
+        if seen.size != spec.n:
+            out.append(f"partition not exhaustive: covers {seen.size} of {spec.n} elements")
+        if seen.size:
+            if seen.min() < 0 or seen.max() >= spec.n:
+                out.append(f"partition element out of range 0..{spec.n - 1}")
+            elif np.unique(seen).size != seen.size:
+                counts = np.bincount(seen, minlength=spec.n)
+                dup = int(np.argmax(counts > 1))
+                out.append(f"partition parts not disjoint: element {dup} repeated")
+        if spec.kind == DISJOINT_BIT_SETS:
+            out.extend(f"bit-set part {k} elements must be strictly increasing (unique)"
+                       for k, p in enumerate(value) if (np.diff(_as_index_array(p)) <= 0).any())
+        return out
+
+    arr = np.asarray(value, dtype=np.int64).reshape(-1)
+    if arr.size != spec.n:
+        return [f"{spec.kind} value has length {arr.size}, expected {spec.n}"]
+    if spec.kind == LIST:
+        counts = np.bincount(arr, minlength=spec.n) if arr.size and arr.min() >= 0 and arr.max() < spec.n else None
+        if counts is None:
+            out.append(f"index out of range 0..{spec.n - 1}")
+        elif (counts != 1).any():
+            dup = int(np.argmax(counts > 1))
+            out.append(f"duplicate index {dup}: not a permutation")
+    elif spec.kind == BINARY:
+        if ((arr != 0) & (arr != 1)).any():
+            out.append("binary value outside {0, 1}")
+    elif spec.kind == INTEGER:
+        if (arr < spec.lo).any() or (arr > spec.hi).any():
+            out.append(f"integer value outside [{spec.lo}, {spec.hi}]")
+    return out
+
+
+def reference_validate_set_value(spec: DecisionSpec, value) -> list[str]:
+    """Set values have their own arity: any cardinality 0..n is allowed."""
+    arr = np.asarray(value, dtype=np.int64).reshape(-1)
+    out: list[str] = []
+    if arr.size:
+        if arr.min() < 0 or arr.max() >= spec.n:
+            out.append(f"set element out of range 0..{spec.n - 1}")
+        elif (np.diff(arr) <= 0).any():
+            out.append("set elements must be strictly increasing (unique)")
+    if arr.size > spec.n:
+        out.append(f"set has {arr.size} elements, more than n={spec.n}")
+    return out
+
+
+def reference_validate_state(specs: list[DecisionSpec], state: State) -> list[str]:
+    """All structural violations of ``state`` against ``specs``."""
+    if len(state.values) != len(specs):
+        return [f"state has {len(state.values)} assignments, model has {len(specs)} decisions"]
+    out: list[str] = []
+    for i, (spec, value) in enumerate(zip(specs, state.values)):
+        errs = reference_validate_set_value(spec, value) if spec.kind == SET else reference_validate_value(spec, value)
+        out.extend(f"decision {i}: {e}" for e in errs)
+    return out
+
+
+LIST4, SET4, BIN3 = DecisionSpec(LIST, 4), DecisionSpec(SET, 4), DecisionSpec(BINARY, 3)
+LISTS5, BITS5 = DecisionSpec(DISJOINT_LISTS, 5, 2), DecisionSpec(DISJOINT_BIT_SETS, 5, 2)
+INT3 = DecisionSpec(INTEGER, 3, lo=-2, hi=4)
+VALIDATE_CASES = {
+    "list": (LIST4, [3, 0, 2, 1]),
+    "list duplicate": (LIST4, [3, 0, 3, 1]),
+    "list two duplicates": (LIST4, [2, 1, 2, 1]),
+    "list out of range": (LIST4, [0, 1, 2, 4]),
+    "list negative": (LIST4, [0, -1, 2, 3]),
+    "list short": (LIST4, [0, 1, 2]),
+    "list long": (LIST4, [0, 1, 2, 3, 0]),
+    "list of one": (DecisionSpec(LIST, 1), [0]),
+    "list empty": (DecisionSpec(LIST, 1), []),
+    "set": (SET4, [0, 2, 3]),
+    "set empty": (SET4, []),
+    "set full": (SET4, [0, 1, 2, 3]),
+    "set unsorted": (SET4, [2, 0]),
+    "set repeated": (SET4, [1, 1]),
+    "set out of range": (SET4, [1, 4]),
+    "set negative": (SET4, [-1, 2]),
+    "set larger than n": (SET4, [0, 1, 2, 3, 3]),
+    "set larger and out of range": (SET4, [0, 1, 2, 3, 4]),
+    "binary": (BIN3, [1, 0, 1]),
+    "binary outside": (BIN3, [1, 2, 0]),
+    "binary negative": (BIN3, [0, -1, 0]),
+    "binary short": (BIN3, [1, 0]),
+    "integer": (INT3, [-2, 0, 4]),
+    "integer below": (INT3, [-3, 0, 0]),
+    "integer above": (INT3, [0, 0, 5]),
+    "integer long": (INT3, [0, 0, 0, 0]),
+    "lists": (LISTS5, [[4, 0], [2, 3, 1]]),
+    "lists empty part": (LISTS5, [[], [4, 0, 2, 3, 1]]),
+    "lists overlapping": (LISTS5, [[4, 0, 2], [2, 3, 1]]),
+    "lists missing": (LISTS5, [[4, 0], [3, 1]]),
+    "lists all empty": (LISTS5, [[], []]),
+    "lists out of range": (LISTS5, [[4, 0], [2, 3, 5]]),
+    "lists negative": (LISTS5, [[4, 0], [2, -1, 1]]),
+    "lists overlapping and missing": (LISTS5, [[1, 1], [2, 3]]),
+    "lists wrong part count": (LISTS5, [[0, 1], [2], [3, 4]]),
+    "lists flat value": (LISTS5, [0, 1, 2, 3, 4]),
+    "bit sets": (BITS5, [[0, 4], [1, 2, 3]]),
+    "bit sets unsorted part": (BITS5, [[4, 0], [1, 3, 2]]),
+    "bit sets repeated in a part": (BITS5, [[0, 0, 4], [1, 2, 3]]),
+    "bit sets out of range": (BITS5, [[0, 5], [1, 2, 3]]),
+    "bit sets wrong part count": (BITS5, [[0, 1, 2, 3, 4]]),
+    "bit sets flat value": (BITS5, [0, 1, 2, 3, 4]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATE_CASES))
+def test_validate_state_matches_numpy_reference(case):
+    spec, value = VALIDATE_CASES[case]
+    state = State([value])
+    assert validate_state([spec], state) == reference_validate_state([spec], state)
+    valid = case in ("list", "list of one", "set", "set empty", "set full", "binary", "integer",
+                     "lists", "lists empty part", "bit sets")
+    assert (validate_state([spec], state) == []) == valid
+
+
+def test_validate_state_matches_numpy_reference_on_a_walk():
+    """Criterion 4's six-decision model: random states and the states of a
+    walk, each also with one entry broken."""
+    from combopt.solver import initial_state, propose_state
+
+    m = Model()
+    m.list(12)
+    m.set(10)
+    m.binary(8)
+    m.disjoint_lists(9, 3)
+    m.disjoint_bit_sets(8, 2)
+    m.integer(5, lo=-2, hi=4)
+    rng = np.random.default_rng(5)
+    state = initial_state(m, rng)
+    broken = 0
+    for step in range(600):
+        state = initial_state(m, rng) if step % 3 == 0 else propose_state(m, state, rng)[0]
+        assert validate_state(m.decisions, state) == reference_validate_state(m.decisions, state) == []
+        values = [[p.copy() for p in v] if isinstance(v, list) else v.copy()
+                  for v in state.values]
+        d = int(rng.integers(len(values)))
+        target = values[d][int(rng.integers(len(values[d])))] if isinstance(values[d], list) \
+            else values[d]
+        if target.size:
+            target[int(rng.integers(target.size))] += int(rng.integers(-3, 4))
+        bad = State(values)
+        assert validate_state(m.decisions, bad) == reference_validate_state(m.decisions, bad)
+        broken += bool(validate_state(m.decisions, bad))
+    assert broken > 200
 
 
 def reference_digest(state):

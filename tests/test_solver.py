@@ -597,10 +597,45 @@ def test_restart_recentres_walk_on_incumbent(monkeypatch):
         if br.stagnation == 0:  # an improvement leaves it at 1 after the step
             restarts += 1
             moved += away
-            assert br.current is not br.incumbent
+            assert br.current is br.incumbent  # shared: no code writes a state's arrays
             assert np.array_equal(br.current.values[0], br.incumbent.values[0])
             assert br.current_eval.key == br.incumbent_eval.key
     assert restarts >= 20 and moved > 0
+
+
+def _read_only(state):
+    for v in state.values:
+        for a in v if isinstance(v, list) else [v]:
+            a.flags.writeable = False
+    return state
+
+
+@pytest.mark.parametrize("kind", ["sa", "tabu"])
+@pytest.mark.parametrize("name", ["tsp7", "kp50", "mc10"])
+def test_no_code_writes_a_state_array(monkeypatch, data_dir, name, kind):
+    """States share their arrays: a moved state shares what the move leaves
+    alone, and the incumbent, the current state and the samples are one object,
+    not copies.  So every array of every state is made read-only here, and a
+    solve with queries and restarts must not write one."""
+    init, moved = State.__init__, State.moved
+
+    def read_only_init(self, values):
+        init(self, values)
+        _read_only(self)
+
+    monkeypatch.setattr(State, "__init__", read_only_init)
+    monkeypatch.setattr(State, "moved", lambda self, move: _read_only(moved(self, move)))
+    monkeypatch.setattr(branch, "_RESTART_AFTER", 40)
+    queries = []
+    monkeypatch.setattr(branch, "qm_query",
+                        lambda *args: queries.append(1) or qm_query(*args))
+    model = _walk_model(data_dir, name)
+    config = SolverConfig(time_limit=10.0, n_branches=1, seed=4, cm_kind=kind, qm_period=5,
+                          qm_window=5, max_steps=300)
+    result = solve(model, config)
+    assert len(queries) == 59
+    assert all(not a.flags.writeable for s in result for a in s.state.values)
+    assert all(model.validate_state(s.state) == [] for s in result)
 
 
 def test_tabu_table_is_pruned_to_live_entries(monkeypatch):
@@ -1044,6 +1079,7 @@ def _negzero_model():
 
 def _walk_model(data_dir, name):
     files = {
+        "tsp7": (parse_tsplib, build_tsp_model, "tsp7.tsp"),
         "tsp9": (parse_tsplib, build_tsp_model, "tsp9.tsp"),
         "disc52": (parse_tsplib, build_tsp_model, "disc52.tsp"),
         "kp50": (parse_kplib, build_kp_model, "kp50.kp"),
