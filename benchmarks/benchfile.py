@@ -1,12 +1,23 @@
-"""Shared writer of the ``BENCH_<topic>.json`` files at the repository root,
-and the paired fresh-process runs of the scripts that compare two trees.
+"""The one harness of the benchmark scripts in this directory: paired
+fresh-process runs against another source tree, the instances they time, and
+the ``BENCH_<topic>.json`` files at the repository root.
 
-Each file maps the short hash of the commit a run measured to the run's
-environment and results, so runs at two commits sit side by side.  The
-benchmark scripts in this directory import it; run them from the repository
-root with ``PYTHONPATH=src``.
+A script defines ``measure()``, which returns every figure of one run as a
+``{case: value}`` dict for the ``combopt`` on the import path, and calls
+:func:`main`:
+
+    PYTHONPATH=src python3 benchmarks/<script>.py [--base OTHER/src] [--pairs 5]
+
+Every run happens in a fresh process.  With ``--base`` the runs alternate
+between that source tree and this checkout's ``src``, and the side that starts
+a pair alternates too: single runs on a shared machine are not comparable.
+The script prints each case's median per side, with the spread of the base's
+runs and the pairs this side won, and merges every run into its
+``BENCH_<topic>.json`` under the short hash of the checked-out commit, so
+runs at two commits sit side by side.
 """
 
+import argparse
 import json
 import os
 import platform
@@ -20,6 +31,32 @@ import numpy as np
 from combopt.qubo import NUMBA_AVAILABLE
 
 ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
+
+
+def load(name: str):
+    """The family key and model of ``name``: a file ``data/<name>.<family>``, the
+    generated 200-node maxcut ``mc200`` or the random 1000-city EUC_2D tour
+    ``tsp1000``."""
+    from combopt.problems import BUILDERS
+
+    family, instance = load_instance(name)
+    return family, BUILDERS[family](instance)
+
+
+def load_instance(name: str):
+    """The family key and instance of ``name``, as :func:`load` reads it."""
+    from combopt.families import PARSERS
+    from combopt.problems import TspInstance, euc2d_matrix, generate_random_maxcut
+
+    if name == "mc200":
+        return "mc", generate_random_maxcut(200, 0.1, seed=0, name="mc200")
+    if name == "tsp1000":  # symmetric and integral, like disc52
+        coords = np.random.default_rng(1000).uniform(0, 10_000, (1000, 2))
+        return "tsp", TspInstance("tsp1000", 1000, euc2d_matrix(coords))
+    (path,) = DATA.glob(f"{name}.*")
+    family = path.suffix[1:]
+    return family, PARSERS[family](path.read_text(), name)
 
 
 def commit() -> str:
@@ -52,18 +89,23 @@ def save(path: Path, name: str, results: dict) -> str:
 
 def fresh_run(script: str, src: Path) -> dict[str, float]:
     """One ``script --worker`` run in a fresh process importing ``combopt`` from
-    ``src``: the JSON object on the last line of its output."""
+    ``src``: the JSON object on the last line of its output.  A run that fails,
+    as one whose correctness check rejects ``src``, stops the comparison."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, script, "--worker"], env=env,
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{Path(script).name} on {src} exited {done.returncode}:\n"
+                         f"{done.stderr}")
     return json.loads(done.stdout.splitlines()[-1])
 
 
 def compare(script: str, base: Path | None, pairs: int, unit: str) -> dict:
     """``pairs`` fresh runs of ``script`` on this checkout's ``src`` and, with
-    ``base``, as many on that tree, alternating the side that starts a pair:
-    single runs on a shared machine are not comparable.  Prints each case's
-    median per side and returns the medians and runs of every case."""
+    ``base``, as many on that tree, alternating the side that starts a pair.
+    Prints each case's median per side, the distance between the quartiles of
+    the base's runs and the number of pairs in which this side read less, and
+    returns the medians and runs of every case."""
     sides = {"this": ROOT / "src"}
     if base is not None:
         sides["base"] = base.resolve()
@@ -82,15 +124,37 @@ def compare(script: str, base: Path | None, pairs: int, unit: str) -> dict:
     width = max(16, *map(len, cases))
     header = f"{'case':<{width}} {'this ' + unit:>9}"
     if "base" in results:
-        header += f" {'base ' + unit:>9} {'base/this':>9}"
+        header += f" {'base ' + unit:>9} {'base/this':>9} {'base IQR':>9} {'this less':>9}"
     print(header)
     print("-" * len(header))
     for case in cases:
         this = results["this"][case]["median"]
         row = f"{case:<{width}} {this:>9.2f}"
         if "base" in results and case in results["base"]:
-            base_median = results["base"][case]["median"]
-            ratio = f"{base_median / this:>8.2f}x" if this else f"{'-':>9}"
-            row += f" {base_median:>9.2f} {ratio}"
+            base, this_runs = results["base"][case], results["this"][case]["runs"]
+            ratio = f"{base['median'] / this:>8.2f}x" if this else f"{'-':>9}"
+            q1, q3 = np.percentile(base["runs"], [25, 75])
+            less = sum(t < b for t, b in zip(this_runs, base["runs"]))
+            row += (f" {base['median']:>9.2f} {ratio} {q3 - q1:>9.2f} "
+                    f"{f'{less}/{pairs}':>9}")
         print(row)
     return results
+
+
+def main(measure, bench_file: Path, name: str, unit: str) -> None:
+    """The command line of the script that defines ``measure``: ``--worker``
+    prints one run's figures as a JSON line; otherwise :func:`compare` runs the
+    pairs and :func:`save` merges them into ``bench_file`` as ``name``."""
+    script = sys.modules[measure.__module__]
+    parser = argparse.ArgumentParser(description=script.__doc__.splitlines()[0])
+    parser.add_argument("--base", type=Path, help="source tree to compare against")
+    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.worker:
+        print(json.dumps(measure()))
+        return
+
+    results = compare(script.__file__, args.base, args.pairs, unit)
+    key = save(bench_file, name, {"pairs": args.pairs, **results})
+    print(f"\nwrote {bench_file.name} entry {key}")

@@ -1,71 +1,111 @@
-"""Benchmark proposals: µs per draw and evaluation of each move kind, and per SA step.
+"""Benchmark moves: µs per draw, score, build and full evaluation of each move kind.
 
-On kp50, a generated 200-node maxcut and disc52 it draws candidates around one
-random state and times each draw together with its evaluation, grouped by the
-kind of move drawn.  As in a branch, ``Model.score_move`` answers it and
-builds a candidate only where the model's delta plan cannot score it from its
-tag.
+On kp50, disc52, a generated 200-node maxcut and a random 1000-city EUC_2D
+tour it draws DRAWS moves around one random state with ``draw_state_move``
+and groups them by kind.  For each kind it times the draw (the median of the
+single calls), ``Model.score_move`` ("score"), ``score_move(...).build()``
+("score+build") and ``Model.evaluate_unchecked`` of the moved state ("full"),
+the last three as the best of REPEATS passes over the kind's moves, taken in
+turn so that a change of machine speed hits them alike.  Before it times a
+score, it checks every built candidate of every model against the full
+evaluation of its state bit for bit, flip fields included, and exits
+non-zero at the first that differs.
 It also times the SA steps of one kp50 branch, the SA steps of one mc200
 branch (one flip scored and, when taken, built) and the tabu steps (12
 candidates each) of one mc200 branch, with subproblem queries off.  Both sides
 of a comparison make the same random calls, so they time the same moves.
 Last, it times ``validate_state`` on one random state of each model, of
-criterion 4's six-decision model, and of a 1000-element list and a 4096-bit
-array.
+criterion 4's six-decision model and of a 4096-bit array.
 
     PYTHONPATH=src python3 benchmarks/moves_bench.py [--base OTHER/src] [--pairs 5]
 
-Every run happens in a fresh process.  With ``--base`` the runs alternate
-between that source tree and this checkout's ``src``, and the side that starts
-a pair alternates too: single runs on a shared machine are not comparable.
-The script prints the median µs of each side and merges every run into
-``BENCH_moves.json`` at the repository root under the short hash of the
-checked-out commit.
+It merges every run into ``BENCH_moves.json`` (see ``benchfile``).
 """
 
-import argparse
-import json
 import statistics
+import struct
 import time
-from pathlib import Path
 
 import numpy as np
 
-from benchfile import ROOT, compare, save
+import benchfile
 
-BENCH_FILE = ROOT / "BENCH_moves.json"
-DATA = ROOT / "data"
-DRAWS = 20_000
+BENCH_FILE = benchfile.ROOT / "BENCH_moves.json"
+MODELS = ("kp50", "disc52", "mc200", "tsp1000")
+DRAWS = 6_000
+REPEATS = 5
 STEPS = {"sa": 10_000, "tabu": 2_000}  # per timed block
 STEP_REPEATS = 3
 VALIDATES = 2_000  # per timed block
 VALIDATE_REPEATS = 5
+clock = time.perf_counter
 
 
-def models():
-    from combopt.problems import (build_kp_model, build_mcp_model, build_tsp_model,
-                                  generate_random_maxcut, parse_kplib, parse_tsplib)
-
-    yield "kp50", build_kp_model(parse_kplib((DATA / "kp50.kp").read_text(), "kp50"))
-    yield "mc200", build_mcp_model(generate_random_maxcut(200, 0.1, seed=0, name="mc200"))
-    yield "disc52", build_tsp_model(parse_tsplib((DATA / "disc52.tsp").read_text(), "disc52"))
+def _bits(ev) -> tuple:
+    floats = [ev.objective, *ev.violations, *(ev.sums or ())]
+    return struct.pack(f"<{len(floats)}d", *floats), ev.state_key
 
 
-def draw_and_evaluate(model) -> dict[str, float]:
-    """Median µs of a draw plus its evaluation, by move kind."""
+def _field_bytes(ev) -> list:
+    return [f.tobytes() for f in ev.fields]
+
+
+def check(name: str, model, state, ev, moves) -> None:
+    """Exit at the first move whose built evaluation, flip fields included,
+    differs from the full one."""
+    for move in moves:
+        moved, built = model.score_move(state, ev, move).build()
+        full = model.evaluate_unchecked(moved)
+        # a full evaluation of a tree that made the fields at the first flip has none
+        if _bits(built) != _bits(full) or (
+                full.fields is not None and _field_bytes(built) != _field_bytes(full)):
+            raise SystemExit(f"{name}: the built evaluation of move {move} differs from "
+                             f"the full evaluation of its state")
+
+
+def kind_us(model, state, ev, moves) -> dict[str, float]:
+    """Best-of-REPEATS µs per score, score and build, and full evaluation of ``moves``."""
+    score, evaluate = model.score_move, model.evaluate_unchecked
+    candidates = [state.moved(move) for move in moves]
+
+    def scores():
+        for move in moves:
+            score(state, ev, move)
+
+    def builds():
+        for move in moves:
+            score(state, ev, move).build()
+
+    def fulls():
+        for cand in candidates:
+            evaluate(cand)
+
+    passes = {"score": scores, "score+build": builds, "full": fulls}
+    best = dict.fromkeys(passes, float("inf"))
+    for _ in range(REPEATS):
+        for case, run in passes.items():
+            t0 = clock()
+            run()
+            best[case] = min(best[case], clock() - t0)
+    return {case: t * 1e6 / len(moves) for case, t in best.items()}
+
+
+def draw(model):
+    """One random state of ``model``, its evaluation, and DRAWS moves around it
+    with the seconds each draw took, both by move kind."""
     from combopt.solver import draw_state_move, initial_state
 
     rng = np.random.default_rng(0)
     state = initial_state(model, rng)
-    ev = model.evaluate_unchecked(state)
-    times: dict[str, list[float]] = {}
-    clock = time.perf_counter
+    moves: dict[str, list] = {}
+    seconds: dict[str, list[float]] = {}
     for _ in range(DRAWS):
         t0 = clock()
         move = draw_state_move(model, state, rng)
-        model.score_move(state, ev, move)
-        times.setdefault(move[1][0], []).append(clock() - t0)
-    return {kind: statistics.median(ts) * 1e6 for kind, ts in times.items()}
+        t = clock() - t0
+        moves.setdefault(move[1][0], []).append(move)
+        seconds.setdefault(move[1][0], []).append(t)
+    return state, model.evaluate_unchecked(state), moves, seconds
 
 
 def step_us(model, kind: str) -> float:
@@ -80,15 +120,15 @@ def step_us(model, kind: str) -> float:
     br.calibrate(model)
     blocks = []
     for _ in range(STEP_REPEATS):
-        t0 = time.perf_counter()
+        t0 = clock()
         for _ in range(steps):
             br.cm_step(model)
-        blocks.append(time.perf_counter() - t0)
+        blocks.append(clock() - t0)
     return statistics.median(blocks) * 1e6 / steps
 
 
 def validate_models():
-    """Criterion 4's six-decision model, one 1000-element list, one 4096-bit array."""
+    """Criterion 4's six-decision model and one 4096-bit array."""
     from combopt import Model
 
     crit4 = Model()
@@ -99,9 +139,6 @@ def validate_models():
     crit4.disjoint_bit_sets(8, 2)
     crit4.integer(5, lo=-2, hi=4)
     yield "crit4", crit4
-    tour = Model()
-    tour.list(1000)
-    yield "list1000", tour
     bits = Model()
     bits.binary(4096)
     yield "bits4096", bits
@@ -115,20 +152,28 @@ def validate_us(model) -> float:
     assert model.validate_state(state) == []
     blocks = []
     for _ in range(VALIDATE_REPEATS):
-        t0 = time.perf_counter()
+        t0 = clock()
         for _ in range(VALIDATES):
             model.validate_state(state)
-        blocks.append(time.perf_counter() - t0)
+        blocks.append(clock() - t0)
     return statistics.median(blocks) * 1e6 / VALIDATES
 
 
 def measure() -> dict[str, float]:
     """Every figure of one run, for the ``combopt`` on the import path."""
+    drawn = {}
+    for name in MODELS:
+        model = benchfile.load(name)[1].freeze()
+        drawn[name] = model, *draw(model)
+    for name, (model, state, ev, moves, _) in drawn.items():
+        for kind_moves in moves.values():
+            check(name, model, state, ev, kind_moves)
     out = {}
-    for name, model in models():
-        model.freeze()
-        for kind, us in sorted(draw_and_evaluate(model).items()):
-            out[f"{name} {kind}"] = us
+    for name, (model, state, ev, moves, seconds) in drawn.items():
+        for kind in sorted(moves):
+            out[f"{name} {kind} draw"] = statistics.median(seconds[kind]) * 1e6
+            for case, us in kind_us(model, state, ev, moves[kind]).items():
+                out[f"{name} {kind} {case}"] = us
         if name == "kp50":
             out["kp50 sa step"] = step_us(model, "sa")
         if name == "mc200":
@@ -140,20 +185,5 @@ def measure() -> dict[str, float]:
     return out
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", type=Path, help="source tree to compare against")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args()
-    if args.worker:
-        print(json.dumps(measure()))
-        return
-
-    results = compare(__file__, args.base, args.pairs, "us")
-    key = save(BENCH_FILE, "us_per_move", {"pairs": args.pairs, **results})
-    print(f"\nwrote {BENCH_FILE.name} entry {key}")
-
-
 if __name__ == "__main__":
-    main()
+    benchfile.main(measure, BENCH_FILE, "us_per_move", "us")

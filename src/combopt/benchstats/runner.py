@@ -132,6 +132,8 @@ def load_optima(path: str | Path) -> dict[str, float]:
             out[name] = float(value)
         except ValueError:
             raise ParseError(f"bad optima line: {ln!r}") from None
+        if not math.isfinite(out[name]):
+            raise ParseError(f"non-finite optimum: {ln!r}")
     return out
 
 

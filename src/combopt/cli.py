@@ -173,12 +173,18 @@ def _read_matrix(path: str) -> tuple[list[str], list[str], np.ndarray]:
         rows = list(csv.reader(fh))
     if len(rows) < 2 or len(rows[0]) < 3:
         raise ParseError("score matrix needs a header and at least 2 algorithm columns")
+    for line, r in enumerate(rows[1:], start=2):
+        if len(r) != len(rows[0]):
+            raise ParseError(f"row {line} of {path} has {len(r)} fields, its header "
+                             f"{len(rows[0])}")
     algorithms = rows[0][1:]
     instances = [r[0] for r in rows[1:]]
     try:
         scores = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
     except ValueError as e:
         raise ParseError(f"non-numeric score in {path}") from e
+    if not np.isfinite(scores).all():
+        raise ParseError(f"non-finite score in {path}")
     return instances, algorithms, scores
 
 

@@ -21,16 +21,16 @@ find these coefficients.  It folds them into tables keyed by the positions
 the terms read.  A flip of ``p`` then changes a sum by ``±F[p]``, where ``F =
 h + J·x`` is the sum's *field*, and sets each one-term root that reads ``p``
 to its value at the new corner; the other roots are not called.  The field
-is cached with the evaluation (:attr:`Evaluation.fields
+is made with the evaluation (:attr:`Evaluation.fields
 <combopt.modeling.Evaluation.fields>`), so a flip reads it.  An evaluation
-made in full computes it, with one ``bincount`` over the couplings, at its
-first flip; one built from a flip's score derives it from its parent's
-(``±J[p]`` at ``nbrs[p]``) as it is built, and a candidate is built only
-when it is kept or its digest breaks a tie.  A tabu step's flips of one bit
-array are scored as a batch (:meth:`DeltaPlan.flips`): each sum becomes the
-array ``cached ± field[ps]`` over the drawn positions ``ps``, the same float
-operation as one flip, and the tail runs once over those arrays.  A batch in which a one-term
-root reads a drawn bit is scored flip by flip.
+made in full computes it with one ``bincount`` over the couplings; one built
+from a flip's score derives it from its parent's (``±J[p]`` at ``nbrs[p]``),
+and a candidate is built only when it is kept or its digest breaks a tie.
+A tabu step's flips of one bit array are scored as a batch
+(:meth:`DeltaPlan.flips`): each sum becomes the array ``cached ± field[ps]``
+over the drawn positions ``ps``, the same float operation as one flip, and
+the tail runs once over those arrays.  A batch in which a one-term root
+reads a drawn bit is scored flip by flip.
 
 A list decision ``L`` has two roots, the two parts of a tour length: the path
 ``C[L[:-1], L[1:]].sum()`` over a symmetric table ``C`` and a one-term entry
@@ -444,9 +444,8 @@ class DeltaPlan:
             sum_rules = self.flip_sums.get(d)
             if sum_rules:
                 bit = old.item(p)
-                fields = self.fields(prev_state, prev_eval)
                 for k, rule in sum_rules:
-                    f = fields[k].item(p)
+                    f = prev_eval.fields[k].item(p)
                     sums[rule.slot] = cached[rule.slot] - f if bit else cached[rule.slot] + f
             terms = self.flip_terms.get(d)
             rules = terms.get(p, ()) if terms else ()
@@ -473,20 +472,10 @@ class DeltaPlan:
             return cached
         ps = np.array(ps)
         sign = _FLIP_SIGNS[prev_state.values[d][ps]]
-        fields = self.fields(prev_state, prev_eval)
         sums = list(cached)
         for k, rule in sum_rules:
-            sums[rule.slot] = cached[rule.slot] + sign * fields[k][ps]
+            sums[rule.slot] = cached[rule.slot] + sign * prev_eval.fields[k][ps]
         return sums
-
-    def fields(self, state, ev) -> list:
-        """The field of each of ``field_rules`` at ``state``, the state of ``ev``,
-        cached in ``ev.fields``: None there until a flip is scored from an
-        evaluation made in full; one built from a score has them already."""
-        fields = ev.fields
-        if fields is None:
-            fields = ev.fields = [rule.field(state.values[d]) for d, rule in self.field_rules]
-        return fields
 
     def moved_fields(self, state, fields, move):
         """The fields after ``move`` from ``state``, whose fields are ``fields``:

@@ -99,8 +99,8 @@ class Evaluation:
     an evaluation only for a candidate it keeps or whose digest breaks a tie;
     it compares the others by their :class:`Score`.  ``sums`` and ``fields``
     hold the values of the model's delta roots and the flip fields of its sums
-    at this state (:mod:`combopt.delta`); an evaluation made in full has no
-    ``fields`` until a flip is scored from it."""
+    at this state (:mod:`combopt.delta`), both made with the evaluation;
+    ``fields`` is None for a model whose plan has no sum over a bit array."""
 
     objective: float
     violations: list[float]
@@ -516,9 +516,13 @@ class Model:
         vals: list = [None] * len(self.nodes)
         run_schedule(self._schedule, vals, state)
         plan = self._plan
-        sums = None if plan is None else [vals[nid] for nid in plan.roots]
+        sums = fields = None
+        if plan is not None:
+            sums = [vals[nid] for nid in plan.roots]
+            if plan.field_rules:
+                fields = [rule.field(state.values[d]) for d, rule in plan.field_rules]
         return Evaluation(float(vals[self.objective]), self._violations(vals),
-                          state.digest(), sums)
+                          state.digest(), sums, fields)
 
     def score_move(self, state: State, ev: Evaluation, move) -> Score:
         """The :class:`Score` of ``state`` after ``move``; its :meth:`Score.build`

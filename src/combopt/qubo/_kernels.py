@@ -4,7 +4,7 @@ Two interchangeable implementations of the same algorithm: a numba-compiled
 kernel for speed and a pure-numpy twin used when numba is unavailable or
 disabled via ``COMBOPT_NO_NUMBA=1``.  Both consume a counter-based splitmix64
 random stream, so for a given seed they produce bit-identical trajectories;
-``tests`` and ``benchmarks/sampler_bench.py`` rely on that equivalence.
+``tests/test_qubo.py`` and, where numba is present, ``benchmarks/sampler_bench.py`` check it.
 
 All randomness is addressed, never stateful: uniform ``u(k)`` is a pure
 function of (key, counter k), so the numba kernel computes them one at a

@@ -70,15 +70,19 @@ class DecisionSpec:
 
 
 def _as_index_array(value) -> np.ndarray:
-    return np.ascontiguousarray(value, dtype=np.int64).reshape(-1)
+    """A read-only 1-D int64 copy of ``value``."""
+    a = np.array(value, dtype=np.int64).reshape(-1)
+    a.setflags(False)  # write=False
+    return a
 
 
 class State:
     """A concrete assignment: one value per decision, in declaration order.
 
     Flat kinds are stored as 1-D C-contiguous int64 arrays; partition kinds as
-    a list of such arrays (one per part).  A state's arrays are never written
-    and are shared between states, so nothing copies them.
+    a list of such arrays (one per part).  A state's arrays are read-only: the
+    constructor copies what it is given, so no caller can write a state, and
+    states share their arrays instead of copying them.
     """
 
     __slots__ = ("values",)
@@ -96,12 +100,20 @@ class State:
     def moved(self, move) -> "State":
         """This state after ``move``, a ``(decision index, tag)`` pair.
 
-        The values the move leaves alone are shared with this state.
+        The values the move leaves alone are shared with this state, and the
+        arrays it makes are read-only too.
         """
         d, tag = move
+        value = apply_move(self.values[d], tag)
+        # write=False, by position: the keyword, or a loop over (value,), costs more
+        if type(value) is list:
+            for a in value:
+                a.setflags(False)
+        else:
+            value.setflags(False)
         out = State.__new__(State)
         out.values = self.values.copy()
-        out.values[d] = apply_move(self.values[d], tag)
+        out.values[d] = value
         return out
 
     def digest(self) -> int:

@@ -140,6 +140,18 @@ def test_exact_kp(data_dir, capsys):
     assert "optimum=15858" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_optimum_exit_2(data_dir, tmp_path, capsys, value):
+    optima = tmp_path / "optima.txt"
+    optima.write_text(f"tsp7 {value}\n")
+    code = run_cli(
+        "solve", "--problem", "tsp", "--instance", str(data_dir / "tsp7.tsp"),
+        "--solver", "qubo-sa", "--reads", "2", "--sweeps", "8", "--optima", str(optima),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: non-finite optimum: 'tsp7 {value}'\n"
+
+
 def test_stats_friedman_pinned(data_dir, capsys):
     assert run_cli(
         "stats", "--results", str(data_dir / "fixtures" / "scores_case2.csv"),
@@ -159,6 +171,24 @@ def test_stats_friedman_no_differences(tmp_path, capsys):
             w.writerow([f"i{i}", 0.5, 0.5, 0.5])
     assert run_cli("stats", "--results", str(path), "--test", "friedman") == 0
     assert "no significant differences" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("row, error", [
+    (["i1", "nan", "2"], "non-finite score"),
+    (["i1", "1", "inf"], "non-finite score"),
+    (["i1", "2"], "row 3 of {path} has 2 fields, its header 3"),
+])
+def test_stats_rejects_a_non_finite_score_or_a_short_row(tmp_path, capsys, row, error):
+    path = tmp_path / "bad.csv"
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["instance", "a", "b"])
+        w.writerow(["i0", 1, 2])
+        w.writerow(row)
+    assert run_cli("stats", "--results", str(path), "--test", "friedman") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert error.format(path=path) in captured.err
 
 
 def test_stats_holm_pinned(data_dir, capsys, tmp_path):

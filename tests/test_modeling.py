@@ -418,6 +418,24 @@ def test_digest_matches_tobytes_reference():
     assert len({state.digest() for state in states}) == len(states)
 
 
+def test_a_state_keeps_its_own_read_only_arrays():
+    """The constructor copies what it is given, so a caller that writes its
+    own array afterwards leaves the state as it was, and no one can write a
+    state's arrays, those a move makes included."""
+    a = np.arange(3)
+    parts = [np.array([0, 2]), np.array([1])]
+    s = State([a, parts])
+    a[0] = 5
+    parts[0][0] = 7
+    assert s.values[0].tolist() == [0, 1, 2]
+    assert s.values[1][0].tolist() == [0, 2]
+    t = s.moved((0, ("swap", 0, 1))).moved((1, ("p2opt", 0, 0, 1)))
+    assert t.values[0].tolist() == [1, 0, 2] and t.values[1][0].tolist() == [2, 0]
+    for v in (*s.values[:1], *s.values[1], *t.values[:1], *t.values[1]):
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 9
+
+
 def test_model_frozen_after_freeze():
     m = Model()
     x = m.binary(1)

@@ -603,28 +603,14 @@ def test_restart_recentres_walk_on_incumbent(monkeypatch):
     assert restarts >= 20 and moved > 0
 
 
-def _read_only(state):
-    for v in state.values:
-        for a in v if isinstance(v, list) else [v]:
-            a.flags.writeable = False
-    return state
-
-
 @pytest.mark.parametrize("kind", ["sa", "tabu"])
 @pytest.mark.parametrize("name", ["tsp7", "kp50", "mc10"])
 def test_no_code_writes_a_state_array(monkeypatch, data_dir, name, kind):
     """States share their arrays: a moved state shares what the move leaves
     alone, and the incumbent, the current state and the samples are one object,
-    not copies.  So every array of every state is made read-only here, and a
-    solve with queries and restarts must not write one."""
-    init, moved = State.__init__, State.moved
-
-    def read_only_init(self, values):
-        init(self, values)
-        _read_only(self)
-
-    monkeypatch.setattr(State, "__init__", read_only_init)
-    monkeypatch.setattr(State, "moved", lambda self, move: _read_only(moved(self, move)))
+    not copies.  Every array of a state is read-only, as the constructor and
+    ``State.moved`` make it, so a solve with queries and restarts that wrote
+    one would raise."""
     monkeypatch.setattr(branch, "_RESTART_AFTER", 40)
     queries = []
     monkeypatch.setattr(branch, "qm_query",
@@ -1208,7 +1194,7 @@ def test_a_plan_answers_every_move(data_dir, name, monkeypatch):
     for cls, method in [(delta._FlipSumRule, "flipped"), (delta._FlipTermRule, "update"),
                         (delta._SetRule, "update"), (delta._PathRule, "update"),
                         (delta._EntryRule, "update"), (delta.DeltaPlan, "update"),
-                        (delta.DeltaPlan, "fields")]:
+                        (delta._FlipSumRule, "field")]:
         monkeypatch.setattr(cls, method, answering(getattr(cls, method)))
     rng = np.random.default_rng(len(name))
     current = initial_state(model, rng)
