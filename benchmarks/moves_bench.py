@@ -10,10 +10,14 @@ turn so that a change of machine speed hits them alike.  Before it times a
 score, it checks every built candidate of every model against the full
 evaluation of its state bit for bit, flip fields included, and exits
 non-zero at the first that differs.
-It also times the SA steps of one kp50 branch, the SA steps of one mc200
-branch (one flip scored and, when taken, built) and the tabu steps (12
-candidates each) of one mc200 branch, with subproblem queries off.  Both sides
-of a comparison make the same random calls, so they time the same moves.
+On a set it also times ``Model.score_block`` of each move alone ("block1"),
+where the tree has it, against its ``score_move``.
+It times the SA steps of one branch of kp50, mc200 and disc52 from 25%, 50%
+and 75% of a 30000-step ``max_steps`` anneal on, through the solver's own
+step loop (``portfolio._interleave``), and the tabu steps (12 candidates
+each) of one mc200 branch, with subproblem queries off.  On disc52, a list,
+both trees take the same steps; on kp50 and mc200 a tree that steps in blocks
+takes other ones, from the same stream.
 Last, it times ``validate_state`` on one random state of each model, of
 criterion 4's six-decision model and of a 4096-bit array.
 
@@ -22,8 +26,12 @@ criterion 4's six-decision model and of a 4096-bit array.
 It merges every run into ``BENCH_moves.json`` (see ``benchfile``).
 """
 
+import copy
+import dataclasses
+import math
 import statistics
 import struct
+import threading
 import time
 
 import numpy as np
@@ -34,8 +42,12 @@ BENCH_FILE = benchfile.ROOT / "BENCH_moves.json"
 MODELS = ("kp50", "disc52", "mc200", "tsp1000")
 DRAWS = 6_000
 REPEATS = 5
-STEPS = {"sa": 10_000, "tabu": 2_000}  # per timed block
+TABU_STEPS = 2_000  # per timed block
 STEP_REPEATS = 3
+ANNEAL = 30_000  # the max_steps of the timed SA branches
+SA_STEPS = 2_000  # per timed block, from each percent of the anneal in SA_AT
+SA_AT = (25, 50, 75)
+SA_MODELS = ("kp50", "mc200", "disc52")
 VALIDATES = 2_000  # per timed block
 VALIDATE_REPEATS = 5
 clock = time.perf_counter
@@ -81,6 +93,17 @@ def kind_us(model, state, ev, moves) -> dict[str, float]:
             evaluate(cand)
 
     passes = {"score": scores, "score+build": builds, "full": fulls}
+    if hasattr(model, "score_block") and moves[0][1][0] in ("add", "drop", "exch"):
+        from combopt.state import MoveBlock, move_arrays
+
+        n = model.decisions[0].n
+        blocks = [MoveBlock(0, *move_arrays([move], n), n) for move in moves]
+
+        def block1():
+            for block in blocks:
+                model.score_block(state, ev, block)
+
+        passes["block1"] = block1
     best = dict.fromkeys(passes, float("inf"))
     for _ in range(REPEATS):
         for case, run in passes.items():
@@ -108,23 +131,53 @@ def draw(model):
     return state, model.evaluate_unchecked(state), moves, seconds
 
 
-def step_us(model, kind: str) -> float:
-    """Median over STEP_REPEATS blocks of the µs per ``kind`` step of one branch."""
+def tabu_step_us(model) -> float:
+    """Median over STEP_REPEATS blocks of the µs per tabu step of one branch."""
     from combopt.solver import SolverConfig
     from combopt.solver.branch import Branch
 
-    steps = STEPS[kind]
-    config = SolverConfig(seed=0, n_branches=1, max_steps=STEP_REPEATS * steps,
-                          qm_enabled=False, cm_kind=kind, tabu_candidates=12)
+    config = SolverConfig(seed=0, n_branches=1, max_steps=STEP_REPEATS * TABU_STEPS,
+                          qm_enabled=False, cm_kind="tabu", tabu_candidates=12)
     br = Branch(0, model, config, lambda: 0.0, 1.0)
     br.calibrate(model)
     blocks = []
     for _ in range(STEP_REPEATS):
         t0 = clock()
-        for _ in range(steps):
+        for _ in range(TABU_STEPS):
             br.cm_step(model)
         blocks.append(clock() - t0)
-    return statistics.median(blocks) * 1e6 / steps
+    return statistics.median(blocks) * 1e6 / TABU_STEPS
+
+
+def sa_step_us(model) -> dict[int, float]:
+    """By percent in SA_AT, the median over STEP_REPEATS copies of one SA
+    branch of the µs per step of its next SA_STEPS steps from that percent of
+    an ANNEAL-step anneal on, taken by ``portfolio._interleave``."""
+    from combopt.solver import SolverConfig
+    from combopt.solver.branch import Branch
+    from combopt.solver.portfolio import _interleave
+
+    config = SolverConfig(seed=0, n_branches=1, max_steps=ANNEAL, qm_enabled=False)
+    br = Branch(0, model, config, lambda: 0.0, 1.0)
+    br.calibrate(model)
+
+    def run_to(branch, step: int) -> None:
+        # the branch cools over ANNEAL steps; the loop stops at `step`
+        _interleave([branch], model, dataclasses.replace(config, max_steps=step), math.inf,
+                    threading.Event())
+
+    out = {}
+    for percent in SA_AT:
+        start = ANNEAL * percent // 100
+        run_to(br, start)
+        blocks = []
+        for _ in range(STEP_REPEATS):
+            timed = copy.deepcopy(br)
+            t0 = clock()
+            run_to(timed, start + SA_STEPS)
+            blocks.append(clock() - t0)
+        out[percent] = statistics.median(blocks) * 1e6 / SA_STEPS
+    return out
 
 
 def validate_models():
@@ -174,11 +227,11 @@ def measure() -> dict[str, float]:
             out[f"{name} {kind} draw"] = statistics.median(seconds[kind]) * 1e6
             for case, us in kind_us(model, state, ev, moves[kind]).items():
                 out[f"{name} {kind} {case}"] = us
-        if name == "kp50":
-            out["kp50 sa step"] = step_us(model, "sa")
+        if name in SA_MODELS:
+            for percent, us in sa_step_us(model).items():
+                out[f"{name} sa step {percent}%"] = us
         if name == "mc200":
-            out["mc200 sa step"] = step_us(model, "sa")
-            out["mc200 tabu step"] = step_us(model, "tabu")
+            out["mc200 tabu step"] = tabu_step_us(model)
         out[f"{name} validate"] = validate_us(model)
     for name, model in validate_models():
         out[f"{name} validate"] = validate_us(model)

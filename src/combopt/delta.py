@@ -26,11 +26,17 @@ is made with the evaluation (:attr:`Evaluation.fields
 made in full computes it with one ``bincount`` over the couplings; one built
 from a flip's score derives it from its parent's (``±J[p]`` at ``nbrs[p]``),
 and a candidate is built only when it is kept or its digest breaks a tie.
-A tabu step's flips of one bit array are scored as a batch
-(:meth:`DeltaPlan.flips`): each sum becomes the array ``cached ± field[ps]``
-over the drawn positions ``ps``, the same float operation as one flip, and
-the tail runs once over those arrays.  A batch in which a one-term root
-reads a drawn bit is scored flip by flip.
+Moves of one decision drawn against one state, a tabu step's candidates or
+an SA block (:class:`~combopt.state.MoveBlock`), are scored together
+(:meth:`DeltaPlan.block`), and the tail runs once over the arrays it gives.
+For flips of a bit array each sum becomes ``cached ± field[ps]`` over the
+drawn positions ``ps``, the same float operation as one flip; a block in
+which a one-term root reads a drawn bit is scored flip by flip.  For moves of
+a set each sum becomes ``cached - table[drop] + table[add]``, a gather of
+the dropped and the added elements' terms, where an add drops and a drop
+adds the entry ``table[n]``, 0.0, the term of no element: the operations of
+one move, as ``x - 0.0`` is ``x`` and ``x + 0.0`` is ``x`` for every ``x``
+but -0.0, which no rule makes.
 
 A list decision ``L`` has two roots, the two parts of a tour length: the path
 ``C[L[:-1], L[1:]].sum()`` over a symmetric table ``C`` and a one-term entry
@@ -231,23 +237,28 @@ class _FlipTermRule:
 
 
 class _SetRule:
-    """Delta rule of a sum over a set: ``table[e]`` is element ``e``'s term."""
+    """Delta rule of a sum over a set of size ``n``: ``table[e]`` is element
+    ``e``'s term, and ``table[n]``, 0.0, the term of no element."""
 
     def __init__(self, slot: int, table: np.ndarray):
         self.slot = slot
         # every partial sum of the cached value plus a change stays below 2**53
         if np.abs(table).sum() >= _EXACT:
             raise _NotDelta("terms too large for exact sums")
-        self.table = table.tolist()
+        self.table = np.append(table, 0.0)
 
     def update(self, cached, old, tag):
         """New value of the sum after the set move ``tag``."""
-        kind = tag[0]
+        kind, term = tag[0], self.table.item
         if kind == "add":
-            return cached + self.table[tag[1]]
+            return cached + term(tag[1])
         if kind == "drop":
-            return cached - self.table[tag[1]]
-        return cached - self.table[tag[1]] + self.table[tag[2]]  # an exchange
+            return cached - term(tag[1])
+        return cached - term(tag[1]) + term(tag[2])  # an exchange
+
+    def gather(self, cached, drop: np.ndarray, add: np.ndarray) -> np.ndarray:
+        """The sum after each move that drops ``drop[i]`` and adds ``add[i]``."""
+        return cached - self.table[drop] + self.table[add]
 
 
 def _moved_from(tag, p: int) -> int:
@@ -453,28 +464,40 @@ class DeltaPlan:
             sums[rule.slot] = rule.update(cached[rule.slot], old, tag)
         return sums
 
-    def flips(self, prev_state, prev_eval, d: int, ps: list):
-        """The roots' values at ``prev_state`` after the flip of each bit ``ps[i]``
-        of decision ``d``, one at a time; None when a one-term root reads a
-        drawn bit, whose flips :meth:`update` answers one by one.
+    def block(self, prev_state, prev_eval, d: int, add: np.ndarray, drop=None):
+        """The roots' values at ``prev_state`` after each move of decision
+        ``d`` that the arrays ``add`` and ``drop`` of a
+        :class:`~combopt.state.MoveBlock` hold, one at a time, as arrays over
+        the moves; None when a one-term root reads a drawn bit, whose flips
+        :meth:`update` answers one by one.
 
-        Each sum over ``d`` becomes an array over the flips, ``cached +
-        sign * field[ps]`` with the sign -1.0 where the bit was 1: the same
-        float operation as :meth:`update`'s ``cached - f``, because ``x - y``
-        is ``x + (-y)``.  Every other root keeps its cached value.
+        A sum over the flipped bit array becomes ``cached + sign * field[ps]``
+        with the sign -1.0 where the bit was 1: the same float operation as
+        :meth:`update`'s ``cached - f``, because ``x - y`` is ``x + (-y)``.  A
+        sum over the set becomes ``cached - table[drop] + table[add]``, where
+        the term of no element is 0.0: ``x - 0.0`` is ``x``, and ``x + 0.0`` is
+        ``x`` unless ``x`` is -0.0, which no rule makes.  Every other root
+        keeps its cached value.
         """
         cached = prev_eval.sums
+        if drop is not None:
+            rules = self.rules.get(d)
+            if not rules:
+                return cached
+            sums = list(cached)
+            for rule in rules:
+                sums[rule.slot] = rule.gather(cached[rule.slot], drop, add)
+            return sums
         terms = self.flip_terms.get(d)
-        if terms and not terms.keys().isdisjoint(ps):
+        if terms and not terms.keys().isdisjoint(add.tolist()):
             return None
         sum_rules = self.flip_sums.get(d)
         if not sum_rules:
             return cached
-        ps = np.array(ps)
-        sign = _FLIP_SIGNS[prev_state.values[d][ps]]
+        sign = _FLIP_SIGNS[prev_state.values[d][add]]
         sums = list(cached)
         for k, rule in sum_rules:
-            sums[rule.slot] = cached[rule.slot] + sign * prev_eval.fields[k][ps]
+            sums[rule.slot] = cached[rule.slot] + sign * prev_eval.fields[k][add]
         return sums
 
     def moved_fields(self, state, fields, move):

@@ -37,7 +37,9 @@ from .state import (
     LIST,
     SET,
     DecisionSpec,
+    MoveBlock,
     State,
+    move_arrays,
     validate_state,
 )
 
@@ -552,28 +554,24 @@ class Model:
         gives them: a list of their keys, and a function that makes the
         :class:`Score` of move ``i``.
 
-        Flips of one bit array are scored together where the plan can
-        (:meth:`combopt.delta.DeltaPlan.flips`): each sum over the array is
-        ``cached ± field[ps]`` over the drawn positions ``ps``, and the tail and
-        the comparisons run once over those arrays.  Every other batch, as one
-        with a drawn bit that a one-term root such as ``x[2]`` reads, or one
-        of a model without a plan, is scored move by move.
+        Flips of one bit array, or moves of one set, are scored together
+        where the plan can (:meth:`combopt.delta.DeltaPlan.block`): each sum
+        is an array over the moves, and the tail and the comparisons run once
+        over those arrays.  Every other batch, as one with a drawn bit that a
+        one-term root such as ``x[2]`` reads, or one of a model without a
+        plan, is scored move by move.
         """
-        plan = self._plan
-        d = moves[0][0]
-        ps = [tag[1] for e, tag in moves if e == d and tag[0] == "flip"]
-        sums = None
-        if plan is not None and len(ps) == len(moves):
-            sums = plan.flips(state, ev, d, ps)
+        plan, d = self._plan, moves[0][0]
+        arrays = None if plan is None else move_arrays(moves, self.decisions[d].n)
+        sums = None if arrays is None else plan.block(state, ev, d, arrays[0], arrays[1])
         if sums is None:
             scores = [self.score_move(state, ev, move) for move in moves]
             return [score.key for score in scores], scores.__getitem__
         k = len(moves)
-        vals = self._tail(plan, sums)
-        objectives = _column(vals[self.objective], k)
-        if self.constraints:
-            rows = list(zip(*[_column(COMPARE_OPS[self.nodes[cid].op](*vals[cid]), k)
-                              for cid in self.constraints]))
+        objectives, columns = self._columns(plan, sums, k)
+        objectives = objectives.tolist()
+        if columns:
+            rows = list(zip(*[column.tolist() for column in columns]))
             keys = [order_key(not any(row), float(sum(row)), objective)
                     for row, objective in zip(rows, objectives)]
         else:  # every candidate is feasible
@@ -587,6 +585,48 @@ class Model:
                          ev.fields, state, moves[i], plan)
 
         return keys, score
+
+    def scores_blocks(self, d: int) -> bool:
+        """Whether :meth:`score_block` answers every block of moves of decision
+        ``d``: a set, or a bit array that no one-term root reads, of a model
+        with a delta plan."""
+        plan, kind = self._plan, self.decisions[d].kind
+        return plan is not None and (kind == SET or kind == BINARY and d not in plan.flip_terms)
+
+    def score_block(self, state: State, ev: Evaluation, block: MoveBlock):
+        """The scores of the moves of ``block`` from ``state``, for a decision
+        that :meth:`scores_blocks`, as arrays over the moves: their total
+        violations and objectives, and a function that makes the
+        :class:`Score` of move ``i``.
+
+        The arrays hold the floats that :meth:`score_move` gives each move:
+        the violations add up in constraint order, as ``sum`` adds a list,
+        and since none is negative a move is infeasible exactly where its
+        total is not 0.0.
+        """
+        plan = self._plan
+        sums = plan.block(state, ev, block.d, block.add, block.drop)
+        k = len(block)
+        objective, columns = self._columns(plan, sums, k)
+        violation = sum(columns, np.zeros(k))
+
+        def score(i: int) -> Score:
+            total = violation.item(i)
+            return Score((0 if total == 0.0 else 1, total, objective.item(i)),
+                         [column.item(i) for column in columns],
+                         [s.item(i) if type(s) is np.ndarray else s for s in sums],
+                         ev.fields, state, block.move(i), plan)
+
+        return violation, objective, score
+
+    def _columns(self, plan, sums: list, k: int) -> tuple:
+        """The objective and each constraint's violation, as arrays over ``k``
+        moves, from the roots' values ``sums`` of :meth:`DeltaPlan.block`."""
+        vals = self._tail(plan, sums)
+        columns = []  # a loop: before Python 3.12 a comprehension is one more call
+        for cid in self.constraints:
+            columns.append(_column(COMPARE_OPS[self.nodes[cid].op](*vals[cid]), k))
+        return _column(vals[self.objective], k), columns
 
     def _tail(self, plan, sums: list) -> list:
         """Node values with the plan's roots at ``sums`` and its tail run above them."""
@@ -604,12 +644,12 @@ class Model:
         return violations
 
 
-def _column(value, k: int) -> list:
+def _column(value, k: int) -> np.ndarray:
     """The ``k`` floats of an array over candidates, or ``k`` copies of a value
     that no candidate changes."""
     if type(value) is np.ndarray and value.ndim:
-        return value.tolist()
-    return [float(value)] * k
+        return value
+    return np.full(k, float(value))
 
 
 def run_schedule(schedule, vals, state: State | None) -> None:

@@ -21,8 +21,8 @@ from ..modeling import Evaluation, Model, Score
 from ..qubo.sampler import sa_sample
 from ..state import State
 from .config import SolverConfig
-from .moves import (draw_state_move, draw_state_moves, initial_state, propose_state,
-                    reverse_move, tabu_key)
+from .moves import (BLOCK_UNIFORMS, draw_block, draw_state_move, draw_state_moves, initial_state,
+                    propose_state, reverse_move, tabu_key)
 from .sampleset import Sample, make_sample
 from .subproblem import qm_query
 
@@ -31,6 +31,12 @@ _RESTART_AFTER = 10_000  # steps without improvement before re-centring on the i
 _TABU_TENURE = 32  # steps a reversed move stays tabu
 _QM_READS = 4  # annealing reads per subproblem query
 _QM_SWEEPS = 64  # sweeps per read
+_MAX_BLOCK = 64  # most SA candidates drawn and scored together
+_UNIFORMS = 4096  # uniforms per refill of a block-stepping branch's buffer
+# margin on a block's bound -log(u): a candidate whose delta exceeds T times
+# the bound fails u < math.exp(-delta / T) however the logarithm, the
+# exponential and the temperature round, as they do to a few ulps
+_EXP_SLACK = 1.0 + 1e-9
 
 
 def metropolis_delta(key: tuple, cur: tuple) -> float:
@@ -90,13 +96,25 @@ class Branch:
 
         self.t0 = 1.0
         self.temp = 1.0
+        self.budget = 1  # the steps a cm_step call may take
+        # SA on one set or bit array that the plan scores as arrays steps in
+        # blocks, from a buffer of uniforms: each step reads `_width` of them
+        self.blocks = (config.cm_kind == "sa" and len(model.decisions) == 1
+                       and model.scores_blocks(0))
+        if self.blocks:  # a move's uniforms and one for the accept test
+            self._width = BLOCK_UNIFORMS[model.decisions[0].kind] + 1
+            self._uniforms = self._accept = self._bounds = np.empty(0)
+            self._used = 0
+            self._run = 1.0  # recent steps per accepted candidate
 
     # -- schedule calibration ---------------------------------------------------
 
     def calibrate(self, model: Model) -> None:
         """Initial temperature from neighbor probes; cooling to 1e-3 * T0.
 
-        T0 is the mean uphill magnitude over 100 random neighbors.  Each SA
+        T0 is the mean of ``|delta|`` over the 100 random neighbors whose
+        violation-then-objective change ``delta`` is not zero, downhill ones
+        included (:func:`metropolis_delta`).  Each SA
         step then sets ``T = T0 * 1e-3^min(1, progress)``.  Under a wall-clock
         limit ``progress`` is ``elapsed / time_limit``, so the temperature
         reaches its floor at the deadline however many steps the branch gets.
@@ -142,7 +160,12 @@ class Branch:
     # -- the classical heuristic step ----------------------------------------------
 
     def cm_step(self, model: Model) -> None:
-        if self.config.cm_kind == "tabu":
+        """One heuristic step, or up to ``budget`` of them on a block-stepping
+        branch (:meth:`_sa_block`), short of a restart.  :meth:`step` sets the
+        budget for its call; it is 1 otherwise."""
+        if self.blocks:
+            self._sa_block(model, min(self.budget, _RESTART_AFTER - self.stagnation))
+        elif self.config.cm_kind == "tabu":
             self._tabu_step(model)
         else:
             self._sa_step(model)
@@ -170,6 +193,66 @@ class Branch:
             self.offer(self.current, self.current_eval, "cm")
         self._cool()
 
+    def _sa_block(self, model: Model, budget: int) -> None:
+        """SA steps until one is accepted, at most ``budget`` of them and none
+        at which a query is due, counting all but the last in ``steps``
+        (:meth:`cm_step` counts that one).
+
+        It draws ``k`` candidates from the current state at once, scores them
+        as arrays (:meth:`Model.score_block`) and takes the first that the
+        accept test of :meth:`_sa_step` passes; the later ones are dropped
+        unread.  Step ``s`` reads the uniforms of row ``s`` of the buffer
+        since its refill, which happens at the steps where the buffer runs
+        out, so the chain does not depend on ``k``.  Under ``max_steps`` each
+        candidate has the temperature of its own step; under a deadline all
+        have the current one, and the clock is read once, after the block.
+        ``k`` is four times the recent steps per accepted candidate, at most
+        ``_MAX_BLOCK``, so that few blocks end without one.
+        """
+        if self._used == len(self._uniforms):
+            us = self.rng.random((_UNIFORMS // self._width, self._width))
+            self._uniforms, self._accept = us[:, :-1], us[:, -1]
+            with np.errstate(divide="ignore"):
+                # a candidate whose delta is above T * bound fails the accept test
+                self._bounds = -np.log(self._accept) * _EXP_SLACK
+            self._used = 0
+        if self.config.qm_enabled and not self.qm_failed:  # stop short of the next query
+            budget = min(budget, self.config.qm_period - self.steps % self.config.qm_period)
+        used = self._used
+        k = min(budget, _MAX_BLOCK, max(1, int(4 * self._run)), len(self._uniforms) - used)
+        cur, cur_key = self.current_eval, self.current_eval.key
+        block = draw_block(model.decisions[0], self.current.values[0],
+                           self._uniforms[used:used + k])
+        violation, objective, score = model.score_block(self.current, cur, block)
+        horizon = self.config.max_steps and max(1000, self.config.max_steps)
+        # the temperature falls over a block, so the first one bounds the rest
+        top = self.t0 * _T_FLOOR ** min(1.0, self.steps / horizon) if horizon else self.temp
+        taken, accepted = k, None
+        for i, (v, o, bound) in enumerate(zip(violation.tolist(), objective.tolist(),
+                                               self._bounds[used:used + k].tolist())):
+            delta = v - cur_key[1]  # metropolis_delta
+            if delta == 0.0:
+                delta = o - cur_key[2]
+            if delta > top * bound:
+                continue  # math.exp would reject it too
+            temp = (self.t0 * _T_FLOOR ** min(1.0, (self.steps + i) / horizon) if horizon
+                    else top)
+            cand = score(i)
+            if (delta <= 0.0 or _before(cand, cur)
+                    or temp > 0.0 and self._accept.item(used + i) < math.exp(-delta / temp)):
+                taken, accepted = i + 1, cand
+                break
+        self._used += taken
+        self.steps += taken - 1
+        self.stagnation += taken - 1
+        if accepted is not None:
+            self._run += (taken - self._run) / 4
+            self.current, self.current_eval = accepted.build()
+            self.offer(self.current, self.current_eval, "cm")
+        else:
+            self._run = max(self._run, taken)
+        self._cool()
+
     def _tabu_step(self, model: Model) -> None:
         # a score draws nothing, so drawing every candidate first keeps the stream
         moves = draw_state_moves(model, self.current, self.rng, self.config.tabu_candidates)
@@ -195,12 +278,16 @@ class Branch:
 
     # -- one step -------------------------------------------------------------------
 
-    def step(self, model: Model) -> None:
-        """One heuristic step.  When a query is due, its window is sampled before
-        the step and its decoded, feasible samples are offered after it."""
+    def step(self, model: Model, budget: int = 1) -> int:
+        """Up to ``budget`` heuristic steps, one unless the branch steps in
+        blocks; returns how many it took.  When a query is due, its window is
+        sampled before the step, the call takes that one step, and the
+        decoded, feasible samples are offered after it.  No call passes a
+        step at which a query is due."""
         reads = ()
         if (self.config.qm_enabled and not self.qm_failed and self.steps > 0
                 and self.steps % self.config.qm_period == 0):
+            budget = 1
             query = qm_query(model, self.incumbent, self.config.qm_window, self.rng)
             if query is None:
                 self.qm_failed = True
@@ -214,7 +301,10 @@ class Branch:
                     self.qm_failed = True
                     self.warnings.append(
                         f"branch {self.index}: subproblem sampling failed: {exc}")
+        start = self.steps
+        self.budget = budget
         self.cm_step(model)
+        self.budget = 1
         for bits, _ in reads:
             state = query.decode(bits)
             if state is None:
@@ -223,6 +313,7 @@ class Branch:
             if ev.feasible and self.offer(state, ev, "qm"):
                 self.current = state
                 self.current_eval = ev
+        return self.steps - start
 
     def finalize(self) -> None:
         self.record_improvement("final")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .. import forking
@@ -18,8 +19,9 @@ class SolverConfig:
     optionally adds a deterministic per-branch iteration stop: wall-clock
     cutoffs cannot be byte-reproducible, so reproducibility-sensitive runs set
     ``max_steps`` (see README), with any ``n_branches``.  ``target`` stops the
-    whole solve once a feasible incumbent reaches the given objective value;
-    with forked branches, the step at which the others stop depends on timing.
+    whole solve once a feasible incumbent reaches the given objective value, a
+    finite int or float; with forked branches, the step at which the others
+    stop depends on timing.  ``seed`` is an int.
     ``qm_enabled`` and ``qm_inline`` must be bools.  ``qm_inline`` selects
     nothing, as every query runs inline; it stays while the perfbench workloads
     pass it and goes with perfbench's Housekeeping change (ROADMAP).
@@ -53,10 +55,16 @@ class SolverConfig:
             value = getattr(self, name)
             if value is None and name in ("n_branches", "max_steps"):
                 continue  # unset: one branch per CPU up to 8, no step stop
-            if value < 1:
-                raise DomainError(f"{name} must be >= 1")
             if type(value) is not int:  # bools too: the counts bound slices and loops
                 raise DomainError(f"{name} must be an integer")
+            if value < 1:
+                raise DomainError(f"{name} must be >= 1")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise DomainError("seed must be an integer")
+        if self.target is not None and (
+                not isinstance(self.target, numbers.Real) or isinstance(self.target, bool)
+                or not math.isfinite(self.target)):
+            raise DomainError("target must be a finite number")
         for name in ("qm_enabled", "qm_inline"):
             if type(getattr(self, name)) is not bool:
                 raise DomainError(f"{name} must be true or false")

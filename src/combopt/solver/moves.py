@@ -23,6 +23,7 @@ from ..state import (
     LIST,
     SET,
     DecisionSpec,
+    MoveBlock,
     State,
 )
 
@@ -84,9 +85,9 @@ def _list_draw(n: int, rng: np.random.Generator) -> Move:
 
 def set_complement(inside: np.ndarray, n: int) -> np.ndarray:
     """The elements of ``range(n)`` missing from the set ``inside``, sorted, as int64."""
-    mask = np.ones(n, dtype=bool)
-    mask[inside] = False
-    return np.flatnonzero(mask)
+    mask = np.zeros(n, dtype=bool)
+    mask[inside] = True
+    return (~mask).nonzero()[0]
 
 
 def _missing(inside: np.ndarray, k: int) -> int:
@@ -220,6 +221,39 @@ def draw_state_moves(model: Model, state: State, rng: np.random.Generator,
     if len(decisions) == 1 and decisions[0].kind == BINARY:
         return [(0, ("flip", p)) for p in rng.integers(0, decisions[0].n, k).tolist()]
     return [draw_state_move(model, state, rng) for _ in range(k)]
+
+
+# the uniforms that draw_block reads per move, by decision kind
+BLOCK_UNIFORMS = {BINARY: 1, SET: 3}
+_SET_KIND_AT = np.array([0.34, 0.67])  # r below each picks add, then drop, as in _set_draw
+
+
+def draw_block(spec: DecisionSpec, value: np.ndarray, us: np.ndarray) -> MoveBlock:
+    """The moves of decision 0, a bit array or a set, that the rows of the
+    uniforms ``us`` name, all from ``value``: row ``i`` names move ``i``.
+
+    An integer below ``m`` is ``int(u * m)``, which is below ``m`` for every
+    ``u < 1``.  A flip reads one uniform, its bit.  A set move reads three,
+    ``(r, a, b)``, and picks its kind by ``r`` as :func:`draw_move` does: it
+    drops the element ``a`` names, adds the missing element ``b`` names, or
+    does both, an exchange.
+    """
+    n = spec.n
+    if spec.kind == BINARY:
+        return MoveBlock(0, (us[:, 0] * float(n)).astype(np.int64))
+    m = value.size
+    r, a, b = us.T
+    if 0 < m < n:
+        kinds = _SET_KIND_AT.searchsorted(r, "right")  # 0 add, 1 drop, 2 exchange
+    else:
+        kinds = np.full(r.size, 0 if m == 0 else 1)
+    # the elements inside, then the missing ones, then n: no element
+    pool = np.concatenate((value, set_complement(value, n), [n]))
+    drop = (a * float(m)).astype(np.int64)
+    drop[kinds == 0] = n
+    add = (b * float(n - m)).astype(np.int64) + m
+    add[kinds == 1] = n
+    return MoveBlock(0, pool[add], pool[drop], n)
 
 
 def propose_state(model: Model, state: State, rng: np.random.Generator):

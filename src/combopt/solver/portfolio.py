@@ -11,7 +11,7 @@ frozen model is inherited, not pickled, every child cools by the same
 ``time.monotonic`` clock, a ``target`` stop is the event the helper shares
 with every child, and a child's error is re-raised in the parent with its own
 type.
-Otherwise the branches step round-robin, ``_CHUNK`` steps at a time, here.
+Otherwise the branches step round-robin, ``_CHUNK`` step calls at a time, here.
 
 Each branch samples its subproblem queries inline, inside its own steps
 (``Branch.step``), so ``max_steps`` alone makes a solve byte-reproducible.
@@ -78,20 +78,24 @@ def solve(model: Model, config: SolverConfig | None = None) -> SampleSet:
 
 
 def _interleave(branches, model: Model, config: SolverConfig, deadline: float, stop) -> None:
-    """Step the branches round-robin, ``_CHUNK`` steps at a time, until one
-    stop condition holds: every branch has taken ``max_steps`` steps, the
-    deadline has passed, or an incumbent has reached ``target``.  The branch
-    that reaches it sets ``stop``, which every branch checks between chunks."""
+    """Step the branches round-robin, ``_CHUNK`` step calls at a time, until
+    one stop condition holds: every branch has taken ``max_steps`` steps, the
+    deadline has passed, or an incumbent has reached ``target``.  A call may
+    take several steps (:meth:`Branch.step`), up to the branch's last.  The
+    branch that reaches the target sets ``stop``, which every branch checks
+    between chunks."""
     max_steps = math.inf if config.max_steps is None else config.max_steps
     goal = None if config.target is None else config.target + 1e-9
     while any(br.steps < max_steps for br in branches):
         for br in branches:
             if stop.is_set():
                 return
-            for _ in range(min(_CHUNK, max_steps - br.steps)):
+            for _ in range(_CHUNK):
+                if br.steps >= max_steps:
+                    break
                 if time.monotonic() >= deadline:
                     return
-                br.step(model)
+                br.step(model, max_steps - br.steps)
                 if (goal is not None and br.incumbent_eval.feasible
                         and br.incumbent_eval.objective <= goal):
                     stop.set()

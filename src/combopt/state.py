@@ -240,6 +240,54 @@ def apply_move(value, tag):
     return parts
 
 
+_SET_KINDS = ("add", "drop", "exch")
+
+
+class MoveBlock:
+    """Moves of decision ``d`` drawn against one state, as arrays.
+
+    A block of flips holds their bits in ``add``, and ``drop`` is None.  A
+    block of set moves drops ``drop[i]`` and adds ``add[i]``, where ``n``, the
+    set's size, stands for no element: an add drops ``n`` and a drop adds it.
+    """
+
+    __slots__ = ("d", "add", "drop", "n")
+
+    def __init__(self, d: int, add: np.ndarray, drop: np.ndarray | None = None, n: int = 0):
+        self.d, self.add, self.drop, self.n = d, add, drop, n
+
+    def __len__(self) -> int:
+        return self.add.size
+
+    def move(self, i: int) -> tuple:
+        """Move ``i`` as a ``(decision, tag)`` pair."""
+        a = self.add.item(i)
+        if self.drop is None:
+            return self.d, ("flip", a)
+        e = self.drop.item(i)
+        if e == self.n:
+            return self.d, ("add", a)
+        if a == self.n:
+            return self.d, ("drop", e)
+        return self.d, ("exch", e, a)
+
+
+def move_arrays(moves: list, n: int) -> tuple | None:
+    """``(add, drop)``, the arrays of a :class:`MoveBlock`, when ``moves`` are
+    flips, or set moves, of the decision of the first, of size ``n``; None
+    otherwise.  It makes no block: a tabu step scores its moves from these."""
+    d = moves[0][0]
+    ps = [tag[1] for e, tag in moves if e == d and tag[0] == "flip"]
+    if len(ps) == len(moves):
+        return np.array(ps), None
+    tags = [tag for e, tag in moves if e == d and tag[0] in _SET_KINDS]
+    if len(tags) < len(moves):
+        return None
+    drop = [n if tag[0] == "add" else tag[1] for tag in tags]
+    add = [n if tag[0] == "drop" else tag[-1] for tag in tags]
+    return np.array(add), np.array(drop)
+
+
 def _smallest_repeat(xs: list) -> int:
     return min(x for x, count in Counter(xs).items() if count > 1)
 

@@ -304,7 +304,7 @@ NL, QUBO_SA = ("algorithms", 1, "config"), ("algorithms", 2, "config")
     (_set((*NL, "time_limit"), 1), 2),
     (_set((*NL, "threads"), 2), 2),
     (_set((*NL, "restart_after"), 50), 2),
-    (_set((*NL, "qm_period"), "often"), 2),
+    (_set((*NL, "qm_period"), "often"), 3),
     (_set((*QUBO_SA, "reads"), 0), 2),
     (_set((*QUBO_SA, "sweeps"), 1.5), 2),
     (_set((*QUBO_SA, "seed"), 4), 2),
@@ -325,13 +325,15 @@ NL, QUBO_SA = ("algorithms", 1, "config"), ("algorithms", 2, "config")
     (_set((*NL, "cm_kind"), "walk"), 3),
     (_set((*NL, "qm_inline"), "no"), 3),
     (_set((*NL, "qm_window"), 2.5), 3),
+    (_set((*NL, "target"), "3"), 3),
+    (_set((*NL, "target"), float("nan")), 3),
 ], ids=["nl-unknown-key", "nl-time_limit", "nl-threads", "nl-restart_after",
         "nl-str-value", "sa-reads-0", "sa-float-sweeps", "sa-seed", "sa-nl-key",
         "sa-config-list", "time_limit-0", "time_limit-inf", "time_limit-bool",
         "time_limit-str", "runs-0", "runs-float",
         "master_seed-float", "master_seed-bool",
         "instance-no-id", "no-algorithms", "bad-json", "nl-qm_period-0", "nl-cm_kind",
-        "nl-str-qm_inline", "nl-qm_window-float"])
+        "nl-str-qm_inline", "nl-qm_window-float", "nl-str-target", "nl-nan-target"])
 def test_bench_rejects_malformed_plan_before_any_cell(data_dir, tmp_path, capsys,
                                                       change, code):
     doc = json.loads((data_dir / "plan_smoke.json").read_text())

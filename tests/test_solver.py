@@ -45,8 +45,9 @@ from combopt.solver import (
 )
 from combopt.solver import branch
 from combopt.solver.branch import Branch
-from combopt.solver.moves import _two_distinct, set_complement, tabu_key
-from combopt.state import DecisionSpec, validate_state
+from combopt.solver.moves import (BLOCK_UNIFORMS, _two_distinct, draw_block, set_complement,
+                                  tabu_key)
+from combopt.state import DecisionSpec, move_arrays, validate_state, validate_value
 from conftest import needs_fork
 
 
@@ -302,6 +303,32 @@ def test_draw_state_moves_matches_single_draws(decisions):
         batch = draw_state_moves(m, state, batch_rng, k)
         assert batch == [draw_state_move(m, state, single_rng) for _ in range(k)]
         assert batch_rng.bit_generator.state == single_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("spec, value", [
+    (DecisionSpec("binary", 7), [0, 1, 1, 0, 0, 1, 0]), (DecisionSpec("set", 9), [1, 4, 5]),
+    (DecisionSpec("set", 5), []), (DecisionSpec("set", 5), [0, 1, 2, 3, 4]),
+], ids=["binary", "set", "set-empty", "set-full"])
+def test_block_draw_names_each_move_by_its_own_row(spec, value):
+    """Row ``i`` of the uniforms names move ``i`` whatever the other rows, the
+    ends of [0, 1) included, so a block draws the moves its rows would draw
+    one at a time.  Every move is a possible move of the value: an empty set
+    only adds and a full one only drops."""
+    value = np.array(value, dtype=np.int64)
+    us = np.random.default_rng(3).random((300, BLOCK_UNIFORMS[spec.kind]))
+    us[:3], us[3:6] = 0.0, np.nextafter(1.0, 0.0)
+    block = draw_block(spec, value, us)
+    assert len(block) == len(us)
+    kinds = set()
+    for i in range(len(us)):
+        d, tag = block.move(i)
+        assert d == 0 and draw_block(spec, value, us[i:i + 1]).move(0) == (d, tag)
+        moved = apply_move(value, tag)
+        assert validate_value(spec, moved) == [] and not np.array_equal(moved, value)
+        kinds.add(tag[0])
+    m = value.size
+    assert kinds == ({"flip"} if spec.kind == "binary" else {"add"} if m == 0
+                     else {"drop"} if m == spec.n else {"add", "drop", "exch"})
 
 
 def test_reverse_move_round_trip():
@@ -603,6 +630,58 @@ def test_restart_recentres_walk_on_incumbent(monkeypatch):
     assert restarts >= 20 and moved > 0
 
 
+@pytest.mark.parametrize("n_branches", [1, pytest.param(2, marks=needs_fork)])
+@pytest.mark.parametrize("name", ["kp50", "mc200"])
+def test_sa_trajectory_does_not_depend_on_the_block_size(monkeypatch, data_dir, name,
+                                                         n_branches):
+    """An SA branch on one set or bit array steps in blocks, and takes the
+    same steps whatever their size: blocks of one candidate give the sample
+    set of blocks of up to 64 byte for byte, with queries, restarts and
+    refills of the uniform buffer inside the run."""
+    monkeypatch.setattr(branch, "_RESTART_AFTER", 400)
+    model = _walk_model(data_dir, name)
+    config = SolverConfig(time_limit=600.0, n_branches=n_branches, seed=5, max_steps=3000,
+                          qm_period=700)
+    assert Branch(0, model, config, lambda: 0.0, 600.0).blocks
+    sizes, queries = [], []
+    draw = branch.draw_block
+    monkeypatch.setattr(branch, "draw_block",
+                        lambda spec, value, us: sizes.append(len(us)) or draw(spec, value, us))
+    monkeypatch.setattr(branch, "qm_query", lambda *args: queries.append(1) or qm_query(*args))
+    texts = {}
+    for size in (64, 1):
+        monkeypatch.setattr(branch, "_MAX_BLOCK", size)
+        sizes.clear()
+        queries.clear()
+        texts[size] = solve(model, config).to_json()
+        if n_branches == 1:  # forked branches draw in their own processes
+            assert max(sizes) == size and len(queries) == 4
+    assert texts[64] == texts[1]
+
+
+def test_a_step_call_takes_up_to_its_budget_and_stops_at_a_due_query(data_dir):
+    """``step(model)`` and ``cm_step(model)`` take one step; ``step(model,
+    budget)`` takes at most ``budget``, returns how many, and a call that
+    samples a query takes that step alone, so no call passes a due query."""
+    model = _walk_model(data_dir, "mc200")
+    config = SolverConfig(time_limit=600.0, n_branches=1, seed=2, max_steps=5000,
+                          qm_period=300)
+    br = Branch(0, model, config, lambda: 0.0, 600.0)
+    br.calibrate(model)
+    assert br.blocks and br.step(model) == 1 and br.steps == 1
+    br.cm_step(model)
+    assert br.steps == 2
+    taken = []
+    while br.steps < 3000:
+        start = br.steps
+        taken.append(br.step(model, 50))
+        assert 1 <= taken[-1] == br.steps - start <= 50
+        if start % 300 == 0:
+            assert taken[-1] == 1
+        assert all(s % 300 for s in range(start + 1, br.steps))
+    assert max(taken) == 50
+
+
 @pytest.mark.parametrize("kind", ["sa", "tabu"])
 @pytest.mark.parametrize("name", ["tsp7", "kp50", "mc10"])
 def test_no_code_writes_a_state_array(monkeypatch, data_dir, name, kind):
@@ -844,6 +923,26 @@ def test_config_rejects_switches_that_are_not_bool(setting, value):
         SolverConfig(**{setting: value})
 
 
+@pytest.mark.parametrize("setting, value, message", [
+    ("seed", "x", "seed must be an integer"), ("seed", 1.5, "seed must be an integer"),
+    ("seed", True, "seed must be an integer"), ("target", True, "target must be a finite number"),
+    ("target", "3", "target must be a finite number"),
+    ("target", float("nan"), "target must be a finite number"),
+    ("target", float("-inf"), "target must be a finite number"),
+    ("qm_period", "often", "qm_period must be an integer"),
+])
+def test_config_rejects_a_bad_seed_or_target(setting, value, message):
+    from combopt.errors import DomainError
+
+    with pytest.raises(DomainError, match=message):
+        SolverConfig(**{setting: value})
+
+
+def test_config_takes_numpy_numbers_as_target():
+    assert SolverConfig(target=np.float64(-3.5)).target == -3.5
+    assert SolverConfig(target=np.int64(7), seed=2**70).target == 7
+
+
 @pytest.mark.parametrize("time_limit", [float("inf"), float("-inf"), float("nan"), 0])
 def test_config_rejects_time_limit_that_is_not_finite_and_positive(time_limit):
     from combopt.errors import DomainError
@@ -916,11 +1015,12 @@ def score_walk(model, steps: int, k: int | None, seed: int) -> tuple[int, int]:
     of its state bit for bit.
 
     Each step scores ``k`` candidates with ``score_moves``, as a tabu step
-    does, or with ``k=None`` one with ``score_move``, as an SA step does.  It
-    builds every candidate and walks on to a random one, so later steps read
-    fields derived from a flip's tag.  Returns how many steps the plan scored
-    as arrays (:meth:`~combopt.delta.DeltaPlan.flips`) and how many it scored
-    move by move.
+    or an SA block does, or with ``k=None`` one with ``score_move``, as a
+    per-move SA step does.  It builds every candidate and walks on to a
+    random one, so later steps read fields derived from a flip's tag.
+    Returns how many steps the plan scored as arrays
+    (:meth:`~combopt.delta.DeltaPlan.block`) and how many it scored move by
+    move.
     """
     plan, rng = model._plan, np.random.default_rng(seed)
     current = initial_state(model, rng)
@@ -934,9 +1034,9 @@ def score_walk(model, steps: int, k: int | None, seed: int) -> tuple[int, int]:
         else:
             moves = draw_state_moves(model, current, rng, k)
             d = moves[0][0]
-            if all(e == d and tag[0] == "flip" for e, tag in moves):
-                ps = [tag[1] for _, tag in moves]
-                arrays += plan.flips(current, current_eval, d, ps) is not None
+            block = move_arrays(moves, model.decisions[d].n)
+            if block is not None:
+                arrays += plan.block(current, current_eval, d, *block) is not None
             keys, score_of = model.score_moves(current, current_eval, moves)
         built = []
         for i, (d, tag) in enumerate(moves):
@@ -1063,6 +1163,16 @@ def _negzero_model():
     return m.freeze()
 
 
+def _setzero_model():
+    """A set under sums of signed terms that adds, drops and exchanges take
+    to zero often, one of them with -0.0 terms (the negated zero weights)."""
+    m = Model()
+    s = m.set(6)
+    m.minimize((m.constant([1, -1, 2, -2, 1, -1])[s]).sum())
+    m.add_constraint((-m.constant([0, 1, 0, 2, -1, -2])[s]).sum() <= 1)
+    return m.freeze()
+
+
 def _walk_model(data_dir, name):
     files = {
         "tsp7": (parse_tsplib, build_tsp_model, "tsp7.tsp"),
@@ -1092,6 +1202,8 @@ def _walk_model(data_dir, name):
         return _zero_model()
     if name == "negzero":
         return _negzero_model()
+    if name == "setzero":
+        return _setzero_model()
     n, density, seed = {"mc200": (200, 0.1, 11), "mc3": (3, 1.0, 2)}[name]
     return build_mcp_model(generate_random_maxcut(n, density, seed=seed)).freeze()
 
@@ -1099,7 +1211,7 @@ def _walk_model(data_dir, name):
 @pytest.mark.parametrize("accept", [1.0, 0.5])
 @pytest.mark.parametrize(
     "name", ["tsp9", "disc52", "kp50", "mc10", "mc200", "mc3", "mixed", "chain", "signed",
-             "cast", "constsum", "negzero"])
+             "cast", "constsum", "negzero", "setzero"])
 def test_delta_evaluation_matches_full_evaluation(data_dir, name, accept):
     """The plan answers every move (``delta_walk`` checks it), the sums of the
     small models that reach zero often included."""
@@ -1122,24 +1234,25 @@ def test_delta_evaluation_matches_full_evaluation(data_dir, name, accept):
 
 @pytest.mark.parametrize(
     "name, k", [("mc200", 12), ("signed", 12), ("constrained", 12), ("term", 12),
-                ("zero", 12), ("negzero", 12), ("mixed", 12), ("kp50", None),
-                ("disc52", None)])
+                ("zero", 12), ("negzero", 12), ("mixed", 12), ("kp50", 12),
+                ("setzero", 12), ("kp50", None), ("disc52", None)])
 def test_scores_match_the_full_evaluation(data_dir, name, k):
-    """Every score equals the full evaluation, whether a tabu step's flips are
-    scored as arrays or move by move: a drawn bit that a one-term root reads
-    (``signed``, ``term``) sends a step move by move, as do flips of two bit
-    arrays (``mixed``); sums that flips take to zero (``constrained``,
-    ``zero``, ``negzero``) are scored as arrays.  kp50 and disc52 are scored
-    as an SA step scores them."""
+    """Every score equals the full evaluation, whether a block of flips or set
+    moves is scored as arrays or move by move: a drawn bit that a one-term
+    root reads (``signed``, ``term``) sends a step move by move, as do flips
+    of two bit arrays (``mixed``); sums that flips or set moves take to zero
+    (``constrained``, ``zero``, ``negzero``, ``setzero``) are scored as
+    arrays, and so are kp50's set moves.  kp50 and disc52 are scored one move
+    at a time too, as a per-move SA step scores them."""
     model = _walk_model(data_dir, name)
     steps = 200 if name == "mc200" else 600
     arrays, moves = score_walk(model, steps, k, seed=len(name))
-    if name in ("mc200", "constrained", "zero", "negzero"):
-        assert moves == 0
+    if k is None:
+        assert arrays == 0
     elif name in ("signed", "term"):
         assert arrays > 0 and moves > 0
-    elif name in ("kp50", "disc52"):
-        assert arrays == 0
+    elif name != "mixed":
+        assert moves == 0
 
 
 def test_a_sum_that_comes_to_zero_is_positive_zero(monkeypatch):
@@ -1166,7 +1279,7 @@ def test_a_sum_that_comes_to_zero_is_positive_zero(monkeypatch):
 
 @pytest.mark.parametrize(
     "name", ["tsp9", "disc52", "kp50", "mc10", "mc200", "mc3", "mixed", "chain", "signed",
-             "cast", "constsum", "constrained", "term", "zero", "negzero"])
+             "cast", "constsum", "constrained", "term", "zero", "negzero", "setzero"])
 def test_a_plan_answers_every_move(data_dir, name, monkeypatch):
     """A model with a delta plan scores every candidate from its tag, as a
     tabu step and an SA step score them: no rule, no plan update and no
