@@ -14,10 +14,14 @@ On a set it also times ``Model.score_block`` of each move alone ("block1"),
 where the tree has it, against its ``score_move``.
 It times the SA steps of one branch of kp50, mc200 and disc52 from 25%, 50%
 and 75% of a 30000-step ``max_steps`` anneal on, through the solver's own
-step loop (``portfolio._interleave``), and the tabu steps (12 candidates
-each) of one mc200 branch, with subproblem queries off.  On disc52, a list,
-both trees take the same steps; on kp50 and mc200 a tree that steps in blocks
-takes other ones, from the same stream.
+step loop (``portfolio._interleave``), and the tabu steps of one mc200 branch
+and one kp50 branch (``tabu_candidates=12``), with subproblem queries off.
+On disc52, a list, both trees take the same SA steps; on kp50 and mc200 a
+tree that steps in blocks takes other ones, from the same stream.  A tabu
+step on mc200 scores all 200 flips where the tree scans the whole
+neighbourhood of a bit array, and 12 drawn flips where it does not; a kp50
+tabu step draws and scores 12 set moves in every tree, a control for the
+rest of the step loop.
 Last, it times ``validate_state`` on one random state of each model, of
 criterion 4's six-decision model and of a 4096-bit array.
 
@@ -230,8 +234,8 @@ def measure() -> dict[str, float]:
         if name in SA_MODELS:
             for percent, us in sa_step_us(model).items():
                 out[f"{name} sa step {percent}%"] = us
-        if name == "mc200":
-            out["mc200 tabu step"] = tabu_step_us(model)
+        if name in ("kp50", "mc200"):
+            out[f"{name} tabu step"] = tabu_step_us(model)
         out[f"{name} validate"] = validate_us(model)
     for name, model in validate_models():
         out[f"{name} validate"] = validate_us(model)

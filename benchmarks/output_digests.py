@@ -22,8 +22,10 @@ sample-set JSON of the perfbench fixed-work configurations plus a kp50 SA solve
 (set moves, the set delta rule and the kp window), each with one branch and,
 through the forked portfolio, with two or three; the two-branch kp50 solve runs
 once more without ``qm_inline``; an SA maxcut solve whose last step has a query
-due runs with one branch and with two; an SA and a tabu solve of ``float9``,
-whose model has no delta plan, evaluate every candidate in full.  Each solve
+due runs with one branch and with two.  The mc200 tabu solves scan every flip
+of their bit array in each step, so ``tabu_candidates`` does not reach them;
+an SA and a tabu solve of ``float9``, whose model has no delta plan, draw
+their candidates and evaluate every one in full.  Each solve
 gives two lines, ``samples`` (the JSON without its ``config`` block) and
 ``config``, so a change to the config echo alone shows up as such.
 """

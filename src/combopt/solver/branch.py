@@ -19,7 +19,7 @@ import numpy as np
 
 from ..modeling import Evaluation, Model, Score
 from ..qubo.sampler import sa_sample
-from ..state import State
+from ..state import BINARY, MoveBlock, State
 from .config import SolverConfig
 from .moves import (BLOCK_UNIFORMS, draw_block, draw_state_move, draw_state_moves, initial_state,
                     propose_state, reverse_move, tabu_key)
@@ -68,6 +68,26 @@ def _walk_order(keys: list):
     return sorted(range(len(keys)), key=keys.__getitem__)
 
 
+def _least(violation: np.ndarray, objective: np.ndarray, feasible: bool, free=None):
+    """The index of the least ``(violation[i], objective[i])``, with NaN
+    after every number in each and ties to the lowest index, over the ``i``
+    where the mask ``free`` holds, or over all when it is None; None when it
+    holds nowhere.  ``feasible`` says that every violation is 0.0, as on a
+    model without constraints: then one ``argmin`` of the objectives decides,
+    unless it meets a NaN (``argmin`` returns the first) or a masked entry.
+    """
+    if feasible:
+        masked = objective if free is None else np.where(free, objective, np.inf)
+        i = int(masked.argmin())
+        least = masked.item(i)
+        if least == least and (free is None or free.item(i)):
+            return i
+    among = np.arange(violation.size) if free is None else np.flatnonzero(free)
+    if not among.size:
+        return None
+    return int(among[np.lexsort((objective[among], violation[among]))[0]])
+
+
 class Branch:
     """State of one branch; stepped by the portfolio front end."""
 
@@ -106,6 +126,13 @@ class Branch:
             self._uniforms = self._accept = self._bounds = np.empty(0)
             self._used = 0
             self._run = 1.0  # recent steps per accepted candidate
+        # tabu on one bit array that the plan scores as arrays takes each step
+        # over all its flips, with a tabu list of expiry steps per bit
+        self.flips = None
+        if (config.cm_kind == "tabu" and len(model.decisions) == 1
+                and model.decisions[0].kind == BINARY and model.scores_blocks(0)):
+            self.flips = MoveBlock(0, np.arange(model.decisions[0].n))
+            self.expiry = np.zeros(model.decisions[0].n, dtype=np.int64)
 
     # -- schedule calibration ---------------------------------------------------
 
@@ -165,6 +192,8 @@ class Branch:
         budget for its call; it is 1 otherwise."""
         if self.blocks:
             self._sa_block(model, min(self.budget, _RESTART_AFTER - self.stagnation))
+        elif self.flips is not None:
+            self._tabu_flips(model)
         elif self.config.cm_kind == "tabu":
             self._tabu_step(model)
         else:
@@ -274,6 +303,30 @@ class Branch:
         if len(self.tabu) > 4 * _TABU_TENURE * self.config.tabu_candidates:
             self.tabu = {k: v for k, v in self.tabu.items() if v > self.steps}
         self.current, self.current_eval = best.build()
+        self.offer(self.current, self.current_eval, "cm")
+
+    def _tabu_flips(self, model: Model) -> None:
+        """One tabu step over every flip of the bit array, which it scores as
+        one block (:meth:`Model.score_block`) and draws nothing for.
+
+        It takes the least flip on (total violation, objective)
+        (:func:`_least`) if that is strictly below the incumbent's (the
+        aspiration), and otherwise the least flip whose bit is not tabu; when
+        every bit is tabu it takes none.  Only the flip it takes is built.  A
+        flip is its own reverse, so its bit is tabu for ``_TABU_TENURE``
+        steps: ``expiry`` holds the step at which each bit is free again.
+        """
+        violation, objective, score = model.score_block(self.current, self.current_eval,
+                                                        self.flips)
+        feasible = not model.constraints or not np.count_nonzero(violation)
+        i = _least(violation, objective, feasible)
+        if (self.expiry.item(i) > self.steps and
+                not (violation.item(i), objective.item(i)) < self.incumbent_eval.key[1:3]):
+            i = _least(violation, objective, feasible, self.expiry <= self.steps)
+            if i is None:
+                return
+        self.expiry[i] = self.steps + _TABU_TENURE
+        self.current, self.current_eval = score(i).build()
         self.offer(self.current, self.current_eval, "cm")
 
     # -- one step -------------------------------------------------------------------

@@ -30,6 +30,13 @@ class SolverConfig:
     ``time_limit`` when ``max_steps`` is None, and by steps over
     ``max(1000, max_steps)`` when it is set.
 
+    A tabu branch whose model has one decision, a bit array that the delta
+    plan scores as arrays (no one-term root such as ``x[2]`` reads it), takes
+    each step over all of its flips and draws nothing.  ``tabu_candidates`` is
+    the number of moves that every other tabu step draws: on a set, a list, a
+    partition, an integer array, a bit array that a one-term root reads, or a
+    model with more than one decision or without a plan.
+
     The restart interval, the tabu tenure and the reads and sweeps of a query
     are constants in ``solver/branch.py``: the solver keeps its search settings
     internal, and ``n_branches`` is its one parallelism setting: with more

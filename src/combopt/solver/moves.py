@@ -216,7 +216,9 @@ def draw_state_moves(model: Model, state: State, rng: np.random.Generator,
     """The ``k`` moves of ``k`` calls of :func:`draw_state_move`.  A model whose
     one decision is a bit array draws them with one ``integers`` call, which
     numpy answers with the positions of ``k`` scalar calls
-    (``test_draw_state_moves_matches_single_draws`` checks it)."""
+    (``test_draw_state_moves_matches_single_draws`` checks it).  A tabu step
+    draws such flips only when a one-term root reads the array; otherwise it
+    scores every flip and draws none."""
     decisions = model.decisions
     if len(decisions) == 1 and decisions[0].kind == BINARY:
         return [(0, ("flip", p)) for p in rng.integers(0, decisions[0].n, k).tolist()]

@@ -720,6 +720,99 @@ def test_tabu_table_is_pruned_to_live_entries(monkeypatch):
             assert br.tabu and all(until > br.steps - 1 for until in br.tabu.values())
     assert prunes >= 3
 
+
+def _overflow_model(constrained: bool):
+    """Two sums of bits scaled by 1e308 in the tail: beyond one set bit each
+    product is inf, and their difference is NaN where both are.  The
+    constrained one asks the difference to be 0, a NaN violation there."""
+    m = Model()
+    x = m.binary(16)
+    big = m.constant(1e308)
+    gap = big * (x[:8] * m.constant([1, 2, 1, 3, 1, 2, 1, 1])).sum() - big * x[8:].sum()
+    m.minimize(gap)
+    if constrained:
+        m.add_constraint(gap == 0)
+    return m.freeze()
+
+
+def _nan_last(x: float) -> tuple:
+    return (True, 0.0) if x != x else (False, x)
+
+
+def _evaluation_bits(ev) -> tuple:
+    floats = [ev.objective, *ev.violations, *ev.sums]
+    return (struct.pack(f"<{len(floats)}d", *floats), ev.state_key,
+            [f.tobytes() for f in ev.fields])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("name, steps", [("mc200", 400), ("constrained", 400), ("mc10", 300),
+                                         ("overflow", 300), ("overflow-eq", 300)])
+def test_whole_neighbourhood_tabu_matches_a_slow_reference(data_dir, name, steps):
+    """Each tabu step over every flip of a bit array takes the flip that a
+    move-by-move reference takes: the least of ``score_move``'s keys, with NaN
+    after every number in each entry and ties to the lowest bit, if it is
+    strictly below the incumbent's, and otherwise the least flip whose bit is
+    not tabu, or none when every bit is (mc10 has fewer bits than the tenure).
+    The built winner equals the full evaluation of its state bit for bit,
+    fields included.  On the overflow models ``np.argmin`` would often take a
+    NaN over a number, and the step never does."""
+    if name.startswith("overflow"):
+        model = _overflow_model(name == "overflow-eq")
+    else:
+        model = _walk_model(data_dir, name)
+    config = SolverConfig(seed=5, n_branches=1, qm_enabled=False, cm_kind="tabu",
+                          max_steps=steps)
+    br = Branch(0, model, config, lambda: 0.0, 10.0)
+    assert br.flips is not None
+    n = model.decisions[0].n
+    expiry = [0] * n
+    seen = {"aspired": 0, "tabu best": 0, "stalled": 0, "infeasible": 0, "argmin wrong": 0}
+    for step in range(steps):
+        state, ev = br.current, br.current_eval
+        keys = [model.score_move(state, ev, (0, ("flip", p))).key for p in range(n)]
+
+        def rank(p):
+            return keys[p][0], _nan_last(keys[p][1]), _nan_last(keys[p][2]), p
+
+        best = min(range(n), key=rank)
+        aspired = keys[best][1:] < br.incumbent_eval.key[1:3]
+        pool = range(n) if aspired else [p for p in range(n) if expiry[p] <= step]
+        choice = min(pool, key=rank, default=None)
+        seen["aspired"] += aspired and expiry[best] > step
+        br.cm_step(model)
+        assert br.steps == step + 1
+        if choice is None:
+            assert br.current is state and br.current_eval is ev
+            seen["stalled"] += 1
+            continue
+        expiry[choice] = step + branch._TABU_TENURE
+        assert br.expiry.tolist() == expiry
+        assert br.current == state.moved((0, ("flip", choice)))
+        assert _evaluation_bits(br.current_eval) == _evaluation_bits(
+            model.evaluate_unchecked(br.current))
+        # no flip with a number where the winner has a NaN is as good up to there
+        won = keys[choice]
+        for p in pool:
+            if won[1] != won[1]:
+                assert keys[p][1] != keys[p][1]
+            elif won[2] != won[2] and keys[p][:2] == won[:2]:
+                assert keys[p][2] != keys[p][2]
+        objectives = np.array([keys[p][2] if keys[p][:2] == won[:2] else np.inf for p in pool])
+        seen["argmin wrong"] += list(pool)[int(objectives.argmin())] != choice
+        seen["tabu best"] += choice != best
+        seen["infeasible"] += won[0]
+    assert seen["tabu best"] > 0
+    if name == "mc10":
+        assert seen["stalled"] > 0
+    if name == "mc200":
+        assert seen["aspired"] > 0
+    if name == "constrained":
+        assert seen["infeasible"] > 0
+    if name.startswith("overflow"):
+        assert seen["argmin wrong"] > 0
+
+
 # --- qm queries --------------------------------------------------------------------
 
 
@@ -1512,10 +1605,11 @@ def test_gather_that_fails_only_for_some_sets_still_freezes():
 
 @pytest.mark.parametrize("name, kind, steps", [("kp50", "sa", 4000), ("mc200", "tabu", 400)])
 def test_candidates_are_built_only_when_kept_or_tied(data_dir, monkeypatch, name, kind, steps):
-    """A branch scores its candidates.  In each step it builds a state and an
-    evaluation only for an accepted step or a tabu winner, or for a candidate
-    whose first three key entries tie with a key it is compared with, and
-    builds each at most once."""
+    """A branch scores its candidates.  In each SA step it builds a state and
+    an evaluation only for an accepted step, or for a candidate whose first
+    three key entries tie with the key it is compared with, and builds each at
+    most once.  A tabu step over every flip of a bit array builds exactly one
+    candidate, the winner, and nothing else."""
     if name == "kp50":
         model = build_kp_model(parse_kplib((data_dir / "kp50.kp").read_text(), "kp50"))
     else:
@@ -1524,14 +1618,17 @@ def test_candidates_are_built_only_when_kept_or_tied(data_dir, monkeypatch, name
     config = SolverConfig(seed=3, n_branches=1, max_steps=steps, cm_kind=kind)
     br = Branch(0, model, config, lambda: 0.0, 10.0)
     br.calibrate(model)  # each of its 100 probes builds its candidate
+    assert (br.flips is not None) is (kind == "tabu")
     counts = {"built": 0, "evaluations": 0, "kept": 0, "tied": 0}
     over = []  # steps that built more evaluations than they kept or tied
+    built = []  # the states built in the current step
     moved, offer, post_init = State.moved, Branch.offer, Evaluation.__post_init__
-    cm_step, score_move, score_moves = Branch.cm_step, Model.score_move, Model.score_moves
+    cm_step, score_move = Branch.cm_step, Model.score_move
 
     def counting_moved(self, move):
         counts["built"] += 1
-        return moved(self, move)
+        built.append(moved(self, move))
+        return built[-1]
 
     def counting_post_init(self):
         counts["evaluations"] += 1
@@ -1546,35 +1643,31 @@ def test_candidates_are_built_only_when_kept_or_tied(data_dir, monkeypatch, name
         counts["tied"] += score.key == br.current_eval.key[:3]
         return score
 
-    def counting_score_moves(self, state, ev, moves):
-        # a tabu step compares its candidates with each other and with the incumbent
-        keys, score = score_moves(self, state, ev, moves)
-        incumbent = br.incumbent_eval.key[:3]
-        counts["tied"] += sum(keys.count(key) > 1 or key == incumbent for key in keys)
-        return keys, score
-
     def counting_cm_step(self, model):
         before = dict(counts)
+        built.clear()
         cm_step(self, model)
         new = {name: counts[name] - before[name] for name in counts}
-        if new["evaluations"] > new["kept"] + new["tied"]:
+        if kind == "tabu":
+            assert new == {"built": 1, "evaluations": 1, "kept": 1, "tied": 0}
+            assert len(built) == 1 and built[0] is self.current
+        elif new["evaluations"] > new["kept"] + new["tied"]:
             over.append(new)
 
     monkeypatch.setattr(State, "moved", counting_moved)
     monkeypatch.setattr(Evaluation, "__post_init__", counting_post_init)
     monkeypatch.setattr(Branch, "offer", counting_offer)
     monkeypatch.setattr(Branch, "cm_step", counting_cm_step)
-    if kind == "sa":
-        monkeypatch.setattr(Model, "score_move", counting_score_move)
-    else:
-        monkeypatch.setattr(Model, "score_moves", counting_score_moves)
+    monkeypatch.setattr(Model, "score_move", counting_score_move)
     for _ in range(steps):
         br.step(model)
-    candidates = steps * (config.tabu_candidates if kind == "tabu" else 1)
     assert 0 < counts["kept"] <= steps
     assert over == []
     assert counts["built"] <= counts["kept"] + counts["tied"]
-    assert counts["built"] < candidates / 4
+    if kind == "sa":
+        assert counts["built"] < steps / 4
+    else:
+        assert counts["built"] == counts["kept"] == steps
 
 
 def test_frozen_model_pickles_with_its_delta_plan(data_dir, monkeypatch):
