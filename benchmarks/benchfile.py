@@ -14,7 +14,9 @@ a pair alternates too: single runs on a shared machine are not comparable.
 The script prints each case's median per side, with the spread of the base's
 runs and the pairs this side won, and merges every run into its
 ``BENCH_<topic>.json`` under the short hash of the checked-out commit, so
-runs at two commits sit side by side.
+runs at two commits sit side by side.  ``ttt_bench.py``, which runs solves
+rather than timing calls, has its own command line and uses
+:func:`fresh_run` and :func:`save` alone.
 """
 
 import argparse
@@ -87,12 +89,13 @@ def save(path: Path, name: str, results: dict) -> str:
     return key
 
 
-def fresh_run(script: str, src: Path) -> dict[str, float]:
-    """One ``script --worker`` run in a fresh process importing ``combopt`` from
-    ``src``: the JSON object on the last line of its output.  A run that fails,
-    as one whose correctness check rejects ``src``, stops the comparison."""
+def fresh_run(script: str, src: Path, *args: str) -> dict:
+    """One ``script --worker [args]`` run in a fresh process importing
+    ``combopt`` from ``src``: the JSON object on the last line of its output.
+    A run that fails, as one whose correctness check rejects ``src``, stops the
+    comparison."""
     env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, script, "--worker"], env=env,
+    done = subprocess.run([sys.executable, script, "--worker", *args], env=env,
                           capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{Path(script).name} on {src} exited {done.returncode}:\n"

@@ -22,7 +22,10 @@ sample-set JSON of the perfbench fixed-work configurations plus a kp50 SA solve
 (set moves, the set delta rule and the kp window), each with one branch and,
 through the forked portfolio, with two or three; the two-branch kp50 solve runs
 once more without ``qm_inline``; an SA maxcut solve whose last step has a query
-due runs with one branch and with two.  The mc200 tabu solves scan every flip
+due runs with one branch and with two.  That branch steps in blocks, so it
+queries every ``qm_period * 8`` steps: its ``qm_period`` of 2 makes one due at
+step 2000 of 2001, as at every 16th step, and that last query improves the
+incumbent.  The mc200 tabu solves scan every flip
 of their bit array in each step, so ``tabu_candidates`` does not reach them;
 an SA and a tabu solve of ``float9``, whose model has no delta plan, draw
 their candidates and evaluate every one in full.  Each solve
@@ -328,10 +331,12 @@ def solver_cases() -> None:
                        time_limit=600.0, cm_kind="tabu", tabu_candidates=12)
     emit_solve("mc200-tabu branches=2", mc, cfg)
     # a query is due before the last step, so its samples are offered after it,
-    # just before the branch finalizes
+    # just before the branch finalizes: a block-stepping branch queries every
+    # qm_period * 8 = 16 steps, step 2000 among them
     mc = BUILDERS["mc"](generate_random_maxcut(200, 0.2, (1, 10), seed=7, name="mc200"))
     for n_branches in (1, 2):
-        cfg = SolverConfig(seed=3, n_branches=n_branches, max_steps=2_001, time_limit=600.0)
+        cfg = SolverConfig(seed=3, n_branches=n_branches, max_steps=2_001, time_limit=600.0,
+                           qm_period=2)
         emit_solve(f"mc200-sa max_steps=2001 branches={n_branches}", mc, cfg)
     # every candidate of a model without a delta plan is evaluated in full
     model = BUILDERS["tsp"](float9())

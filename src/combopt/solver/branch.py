@@ -2,8 +2,20 @@
 
 Each branch owns an independent RNG stream and an incumbent; the heuristic
 loop (simulated annealing by default, tabu search optionally) explores the
-encoding-feasible neighborhood, while every ``qm_period`` steps a QUBO window
-subproblem is sampled and its decoded solutions compete with the incumbent.
+encoding-feasible neighborhood, while a QUBO window subproblem is sampled
+every ``qm_period`` units of local-search work and its decoded solutions
+compete with the incumbent.  The unit is one per-step step: a list SA step,
+or a tabu step.  An SA branch that steps in blocks (``Branch.blocks``) takes
+``_BLOCK_STEPS_PER_STEP`` = 8 steps for the cost of one per-step step, so it
+queries every ``8 * qm_period`` steps.  The 8 is measured against the
+per-step SA that blocks replaced.  ``moves_bench.py`` read a block step, from
+25, 50 and 75% of a 30000-step anneal on, at 0.47-0.71x, 0.12-0.20x and
+0.07-0.12x a per-step one on kp50, and at 0.16x, 0.08-0.11x and 0.08-0.09x on
+the generated 200-node maxcut: 5 to 14 block steps per step from half the
+anneal on, where most steps fall.  One kp50 branch with queries off took about
+9x the steps in a 1 s deadline (426-680k against 64-75k).  8 sits at the low
+end of both, so a block-stepping branch does not query less than its work
+says.
 A query runs inline, on the stepping thread, within one ``Branch.step``: the
 window is sampled before the heuristic step and its decoded samples are offered
 after it, so a fixed step budget (``max_steps``) alone makes a branch's
@@ -21,8 +33,8 @@ from ..modeling import Evaluation, Model, Score
 from ..qubo.sampler import sa_sample
 from ..state import BINARY, MoveBlock, State
 from .config import SolverConfig
-from .moves import (BLOCK_UNIFORMS, draw_block, draw_state_move, draw_state_moves, initial_state,
-                    propose_state, reverse_move, tabu_key)
+from .moves import (BLOCK_UNIFORMS, block_pool, draw_block, draw_state_move, draw_state_moves,
+                    initial_state, propose_state, reverse_move, tabu_key)
 from .sampleset import Sample, make_sample
 from .subproblem import qm_query
 
@@ -32,6 +44,7 @@ _TABU_TENURE = 32  # steps a reversed move stays tabu
 _QM_READS = 4  # annealing reads per subproblem query
 _QM_SWEEPS = 64  # sweeps per read
 _MAX_BLOCK = 64  # most SA candidates drawn and scored together
+_BLOCK_STEPS_PER_STEP = 8  # block SA steps that cost one per-step step (module docstring)
 _UNIFORMS = 4096  # uniforms per refill of a block-stepping branch's buffer
 # margin on a block's bound -log(u): a candidate whose delta exceeds T times
 # the bound fails u < math.exp(-delta / T) however the logarithm, the
@@ -126,6 +139,9 @@ class Branch:
             self._uniforms = self._accept = self._bounds = np.empty(0)
             self._used = 0
             self._run = 1.0  # recent steps per accepted candidate
+            self._pool_of = self._pool = None  # a state and its draw_block pool
+        # the steps between queries: qm_period units of local-search work
+        self.qm_period = config.qm_period * (_BLOCK_STEPS_PER_STEP if self.blocks else 1)
         # tabu on one bit array that the plan scores as arrays takes each step
         # over all its flips, with a tabu list of expiry steps per bit
         self.flips = None
@@ -246,12 +262,14 @@ class Branch:
                 self._bounds = -np.log(self._accept) * _EXP_SLACK
             self._used = 0
         if self.config.qm_enabled and not self.qm_failed:  # stop short of the next query
-            budget = min(budget, self.config.qm_period - self.steps % self.config.qm_period)
+            budget = min(budget, self.qm_period - self.steps % self.qm_period)
         used = self._used
         k = min(budget, _MAX_BLOCK, max(1, int(4 * self._run)), len(self._uniforms) - used)
         cur, cur_key = self.current_eval, self.current_eval.key
-        block = draw_block(model.decisions[0], self.current.values[0],
-                           self._uniforms[used:used + k])
+        spec, value = model.decisions[0], self.current.values[0]
+        if self._pool_of is not self.current:  # states are read-only: one pool each
+            self._pool_of, self._pool = self.current, block_pool(spec, value)
+        block = draw_block(spec, value, self._uniforms[used:used + k], self._pool)
         violation, objective, score = model.score_block(self.current, cur, block)
         horizon = self.config.max_steps and max(1000, self.config.max_steps)
         # the temperature falls over a block, so the first one bounds the rest
@@ -339,7 +357,7 @@ class Branch:
         step at which a query is due."""
         reads = ()
         if (self.config.qm_enabled and not self.qm_failed and self.steps > 0
-                and self.steps % self.config.qm_period == 0):
+                and self.steps % self.qm_period == 0):
             budget = 1
             query = qm_query(model, self.incumbent, self.config.qm_window, self.rng)
             if query is None:

@@ -37,6 +37,14 @@ class SolverConfig:
     partition, an integer array, a bit array that a one-term root reads, or a
     model with more than one decision or without a plan.
 
+    ``qm_period`` is the local-search work between two subproblem queries,
+    counted in per-step steps: a list SA branch and every tabu branch query
+    every ``qm_period`` steps.  An SA branch that steps in blocks (one set or
+    bit array that the plan scores as arrays) takes 8 steps for the cost of
+    one, so it queries every ``8 * qm_period`` steps.  The 8 is
+    ``_BLOCK_STEPS_PER_STEP`` in ``solver/branch.py``, where its measurements
+    are given; the README's section on subproblem queries has the effect.
+
     The restart interval, the tabu tenure and the reads and sweeps of a query
     are constants in ``solver/branch.py``: the solver keeps its search settings
     internal, and ``n_branches`` is its one parallelism setting: with more

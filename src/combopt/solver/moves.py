@@ -230,7 +230,17 @@ BLOCK_UNIFORMS = {BINARY: 1, SET: 3}
 _SET_KIND_AT = np.array([0.34, 0.67])  # r below each picks add, then drop, as in _set_draw
 
 
-def draw_block(spec: DecisionSpec, value: np.ndarray, us: np.ndarray) -> MoveBlock:
+def block_pool(spec: DecisionSpec, value: np.ndarray) -> np.ndarray | None:
+    """What :func:`draw_block` gathers a set's moves from: the elements inside
+    ``value``, then the missing ones, each sorted, then ``n``, which names no
+    element.  None for a bit array, whose flips need none."""
+    if spec.kind == BINARY:
+        return None
+    return np.concatenate((value, set_complement(value, spec.n), [spec.n]))
+
+
+def draw_block(spec: DecisionSpec, value: np.ndarray, us: np.ndarray,
+               pool: np.ndarray | None) -> MoveBlock:
     """The moves of decision 0, a bit array or a set, that the rows of the
     uniforms ``us`` name, all from ``value``: row ``i`` names move ``i``.
 
@@ -238,7 +248,8 @@ def draw_block(spec: DecisionSpec, value: np.ndarray, us: np.ndarray) -> MoveBlo
     ``u < 1``.  A flip reads one uniform, its bit.  A set move reads three,
     ``(r, a, b)``, and picks its kind by ``r`` as :func:`draw_move` does: it
     drops the element ``a`` names, adds the missing element ``b`` names, or
-    does both, an exchange.
+    does both, an exchange.  ``pool`` is ``block_pool(spec, value)``, which a
+    caller that draws many blocks from one value builds once.
     """
     n = spec.n
     if spec.kind == BINARY:
@@ -249,8 +260,6 @@ def draw_block(spec: DecisionSpec, value: np.ndarray, us: np.ndarray) -> MoveBlo
         kinds = _SET_KIND_AT.searchsorted(r, "right")  # 0 add, 1 drop, 2 exchange
     else:
         kinds = np.full(r.size, 0 if m == 0 else 1)
-    # the elements inside, then the missing ones, then n: no element
-    pool = np.concatenate((value, set_complement(value, n), [n]))
     drop = (a * float(m)).astype(np.int64)
     drop[kinds == 0] = n
     add = (b * float(n - m)).astype(np.int64) + m

@@ -45,8 +45,8 @@ from combopt.solver import (
 )
 from combopt.solver import branch
 from combopt.solver.branch import Branch
-from combopt.solver.moves import (BLOCK_UNIFORMS, _two_distinct, draw_block, set_complement,
-                                  tabu_key)
+from combopt.solver.moves import (BLOCK_UNIFORMS, _two_distinct, block_pool, draw_block,
+                                  set_complement, tabu_key)
 from combopt.state import DecisionSpec, move_arrays, validate_state, validate_value
 from conftest import needs_fork
 
@@ -317,12 +317,13 @@ def test_block_draw_names_each_move_by_its_own_row(spec, value):
     value = np.array(value, dtype=np.int64)
     us = np.random.default_rng(3).random((300, BLOCK_UNIFORMS[spec.kind]))
     us[:3], us[3:6] = 0.0, np.nextafter(1.0, 0.0)
-    block = draw_block(spec, value, us)
+    pool = block_pool(spec, value)
+    block = draw_block(spec, value, us, pool)
     assert len(block) == len(us)
     kinds = set()
     for i in range(len(us)):
         d, tag = block.move(i)
-        assert d == 0 and draw_block(spec, value, us[i:i + 1]).move(0) == (d, tag)
+        assert d == 0 and draw_block(spec, value, us[i:i + 1], pool).move(0) == (d, tag)
         moved = apply_move(value, tag)
         assert validate_value(spec, moved) == [] and not np.array_equal(moved, value)
         kinds.add(tag[0])
@@ -637,16 +638,17 @@ def test_sa_trajectory_does_not_depend_on_the_block_size(monkeypatch, data_dir, 
     """An SA branch on one set or bit array steps in blocks, and takes the
     same steps whatever their size: blocks of one candidate give the sample
     set of blocks of up to 64 byte for byte, with queries, restarts and
-    refills of the uniform buffer inside the run."""
+    refills of the uniform buffer inside the run.  Queries come every
+    ``qm_period * _BLOCK_STEPS_PER_STEP`` = 704 steps."""
     monkeypatch.setattr(branch, "_RESTART_AFTER", 400)
     model = _walk_model(data_dir, name)
     config = SolverConfig(time_limit=600.0, n_branches=n_branches, seed=5, max_steps=3000,
-                          qm_period=700)
-    assert Branch(0, model, config, lambda: 0.0, 600.0).blocks
+                          qm_period=88)
+    assert Branch(0, model, config, lambda: 0.0, 600.0).qm_period == 704
     sizes, queries = [], []
     draw = branch.draw_block
-    monkeypatch.setattr(branch, "draw_block",
-                        lambda spec, value, us: sizes.append(len(us)) or draw(spec, value, us))
+    monkeypatch.setattr(branch, "draw_block", lambda spec, value, us, pool:
+                        sizes.append(len(us)) or draw(spec, value, us, pool))
     monkeypatch.setattr(branch, "qm_query", lambda *args: queries.append(1) or qm_query(*args))
     texts = {}
     for size in (64, 1):
@@ -662,13 +664,15 @@ def test_sa_trajectory_does_not_depend_on_the_block_size(monkeypatch, data_dir, 
 def test_a_step_call_takes_up_to_its_budget_and_stops_at_a_due_query(data_dir):
     """``step(model)`` and ``cm_step(model)`` take one step; ``step(model,
     budget)`` takes at most ``budget``, returns how many, and a call that
-    samples a query takes that step alone, so no call passes a due query."""
+    samples a query takes that step alone, so no call passes a due query.
+    A block-stepping branch queries every ``qm_period * 8`` = 320 steps."""
     model = _walk_model(data_dir, "mc200")
     config = SolverConfig(time_limit=600.0, n_branches=1, seed=2, max_steps=5000,
-                          qm_period=300)
+                          qm_period=40)
     br = Branch(0, model, config, lambda: 0.0, 600.0)
     br.calibrate(model)
-    assert br.blocks and br.step(model) == 1 and br.steps == 1
+    assert br.blocks and br.qm_period == 320
+    assert br.step(model) == 1 and br.steps == 1
     br.cm_step(model)
     assert br.steps == 2
     taken = []
@@ -676,9 +680,9 @@ def test_a_step_call_takes_up_to_its_budget_and_stops_at_a_due_query(data_dir):
         start = br.steps
         taken.append(br.step(model, 50))
         assert 1 <= taken[-1] == br.steps - start <= 50
-        if start % 300 == 0:
+        if start % 320 == 0:
             assert taken[-1] == 1
-        assert all(s % 300 for s in range(start + 1, br.steps))
+        assert all(s % 320 for s in range(start + 1, br.steps))
     assert max(taken) == 50
 
 
@@ -689,14 +693,18 @@ def test_no_code_writes_a_state_array(monkeypatch, data_dir, name, kind):
     alone, and the incumbent, the current state and the samples are one object,
     not copies.  Every array of a state is read-only, as the constructor and
     ``State.moved`` make it, so a solve with queries and restarts that wrote
-    one would raise."""
+    one would raise.  An SA branch on kp50's set or mc10's bit array steps in
+    blocks and queries every ``5 * 8`` steps, so it runs 8 times the steps
+    for the same queries."""
     monkeypatch.setattr(branch, "_RESTART_AFTER", 40)
     queries = []
     monkeypatch.setattr(branch, "qm_query",
                         lambda *args: queries.append(1) or qm_query(*args))
     model = _walk_model(data_dir, name)
+    blocks = kind == "sa" and name != "tsp7"
     config = SolverConfig(time_limit=10.0, n_branches=1, seed=4, cm_kind=kind, qm_period=5,
-                          qm_window=5, max_steps=300)
+                          qm_window=5, max_steps=300 * (8 if blocks else 1))
+    assert Branch(0, model, config, lambda: 0.0, 10.0).blocks == blocks
     result = solve(model, config)
     assert len(queries) == 59
     assert all(not a.flags.writeable for s in result for a in s.state.values)
@@ -933,16 +941,47 @@ def _mc200_query_solve(**overrides):
 
 
 def test_qm_samples_carry_the_step_after_their_query():
-    # a query is sampled before step k * qm_period + 1 and offered after it
-    for period in (500, 120):
+    # a query is sampled before step k * every + 1 and offered after it; this SA
+    # branch steps in blocks, so it queries every qm_period * 8 steps
+    for period, every in ((62, 496), (15, 120)):
         steps = {s.step for s in _mc200_query_solve(qm_period=period) if s.source == "qm"}
-        assert steps and all(step % period == 1 for step in steps)
+        assert steps and all(step % every == 1 for step in steps)
 
 
 def test_query_due_at_the_last_step_is_offered_before_finalize():
-    # the query sampled before step 2001, the last one, still competes
-    doc = json.loads(_mc200_query_solve().to_json())
+    # the query sampled before step 2001, the last one, still competes: the
+    # branch steps in blocks, so a qm_period of 2 makes a query due every 16
+    # steps, 2000 included
+    doc = json.loads(_mc200_query_solve(qm_period=2).to_json())
     assert ("qm", 2001) in {(s["source"], s["step"]) for s in doc["samples"]}
+
+
+@pytest.mark.parametrize("name, kind, blocks", [
+    ("tsp7", "sa", False), ("mc10", "tabu", False), ("kp50", "tabu", False),
+    ("kp50", "sa", True), ("mc10", "sa", True),
+])
+def test_qm_period_counts_per_step_work(monkeypatch, data_dir, name, kind, blocks):
+    """``qm_period`` counts one unit per per-step step: a list SA branch, a
+    tabu branch over every flip (mc10) and a sampled tabu branch (kp50) query
+    every ``qm_period`` steps, a branch that steps in blocks every
+    ``qm_period * _BLOCK_STEPS_PER_STEP``."""
+    queries = []
+    monkeypatch.setattr(branch, "qm_query", lambda *args: queries.append(1) or qm_query(*args))
+    model = _walk_model(data_dir, name)
+    config = SolverConfig(time_limit=600.0, n_branches=1, seed=1, cm_kind=kind, qm_period=10,
+                          qm_window=5, max_steps=1000)
+    br = Branch(0, model, config, lambda: 0.0, 600.0)
+    br.calibrate(model)
+    assert br.blocks == blocks and (br.flips is not None) == (name == "mc10" and kind == "tabu")
+    every = 10 * branch._BLOCK_STEPS_PER_STEP if blocks else 10
+    assert br.qm_period == every
+    due = []
+    while br.steps < 1000:
+        start, asked = br.steps, len(queries)
+        br.step(model, 1000 - start)
+        if len(queries) > asked:
+            due.append(start)
+    assert due == list(range(every, 1000, every))
 
 
 def test_window_clamp_warns_once_per_branch():
