@@ -98,10 +98,12 @@ def kind_us(model, state, ev, moves) -> dict[str, float]:
 
     passes = {"score": scores, "score+build": builds, "full": fulls}
     if hasattr(model, "score_block") and moves[0][1][0] in ("add", "drop", "exch"):
-        from combopt.state import MoveBlock, move_arrays
+        from combopt.state import MoveBlock
 
-        n = model.decisions[0].n
-        blocks = [MoveBlock(0, *move_arrays([move], n), n) for move in moves]
+        n = model.decisions[0].n  # names no element: an add drops it, a drop adds it
+        blocks = [MoveBlock(0, np.array([n if tag[0] == "drop" else tag[-1]]),
+                            np.array([n if tag[0] == "add" else tag[1]]), n)
+                  for _, tag in moves]
 
         def block1():
             for block in blocks:

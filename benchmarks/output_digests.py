@@ -27,8 +27,14 @@ queries every ``qm_period * 8`` steps: its ``qm_period`` of 2 makes one due at
 step 2000 of 2001, as at every 16th step, and that last query improves the
 incumbent.  The mc200 tabu solves scan every flip
 of their bit array in each step, so ``tabu_candidates`` does not reach them;
-an SA and a tabu solve of ``float9``, whose model has no delta plan, draw
-their candidates and evaluate every one in full.  Each solve
+two kp50 tabu solves draw ``tabu_candidates`` set moves per step and score
+them as one block; an SA and a tabu solve of ``term40``, a bit array under
+a sum, two one-term roots and a constraint, step in blocks and over every
+flip; an SA and a tabu solve of ``float9``, whose model has no delta plan,
+draw their candidates and evaluate every one in full.  The script exits if
+the float9 model has a plan, or if a kp50 tabu or term40 solve does not take
+its step path, unless ``--no-path-checks`` is given; ``--base`` gives it to
+the base's run, which may predate those paths.  Each solve
 gives two lines, ``samples`` (the JSON without its ``config`` block) and
 ``config``, so a change to the config echo alone shows up as such.
 """
@@ -50,6 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
+from combopt import Model
 from combopt.benchstats import ResultsTable, emit_report
 from combopt.cli import main as cli
 from combopt.problems import (
@@ -63,10 +70,12 @@ from combopt.problems import (
 )
 from combopt.qubo import kp_to_qubo, mcp_to_qubo, sa_sample, tsp_to_qubo
 from combopt.solver import SolverConfig, solve
+from combopt.solver.branch import Branch
 from combopt.solver.subproblem import qm_query
 from combopt.state import State
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+STEP_METHODS = ("_sa_step", "_sa_block", "_tabu_step", "_tabu_flips")  # of Branch
 
 
 def emit(name: str, payload) -> None:
@@ -295,15 +304,43 @@ def sampler_cases() -> None:
                  b"".join(bits.tobytes() + repr(e).encode() for bits, e in out))
 
 
-def emit_solve(name: str, model, cfg: SolverConfig) -> None:
-    """Two lines per solve: the samples and warnings, then the config echo."""
-    doc = json.loads(solve(model, cfg).to_json())
+@contextlib.contextmanager
+def step_calls():
+    """The calls of each ``Branch`` step method and of ``Model.score_block``
+    in one process, counted by name while the block runs."""
+    targets = [(Branch, name) for name in STEP_METHODS] + [(Model, "score_block")]
+    calls = dict.fromkeys((name for _, name in targets), 0)
+    originals = [(cls, name, getattr(cls, name)) for cls, name in targets]
+    for cls, name, original in originals:
+        def spy(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        setattr(cls, name, spy)
+    try:
+        yield calls
+    finally:
+        for cls, name, original in originals:
+            setattr(cls, name, original)
+
+
+def emit_solve(name: str, model, cfg: SolverConfig, path: str | None = None) -> None:
+    """Two lines per solve: the samples and warnings, then the config echo.
+
+    A one-branch solve given ``path``, a ``Branch`` step method, must take
+    every step through it and score one block (``Model.score_block``) per
+    step, or the script exits; ``path`` None checks nothing.
+    """
+    with step_calls() as calls:
+        doc = json.loads(solve(model, cfg).to_json())
+    taken = {step for step in STEP_METHODS if calls[step]}
+    if path is not None and (taken != {path} or calls["score_block"] != calls[path]):
+        raise SystemExit(f"{name} does not step through {path} with one block a step: {calls}")
     config = doc.pop("config")
     emit(f"{name} samples", json.dumps(doc, sort_keys=True))
     emit(f"{name} config", json.dumps(config, sort_keys=True))
 
 
-def solver_cases() -> None:
+def solver_cases(check_paths: bool) -> None:
     disc52 = BUILDERS["tsp"](parse_tsplib((DATA / "disc52.tsp").read_text(), "disc52"))
     kp50 = BUILDERS["kp"](parse_kplib((DATA / "kp50.kp").read_text(), "kp50"))
     for seed in (0, 1):
@@ -346,9 +383,30 @@ def solver_cases() -> None:
         cfg = SolverConfig(seed=2, n_branches=1, max_steps=2_000, time_limit=600.0,
                            cm_kind=kind)
         emit_solve(f"float9-{kind} no plan", model, cfg)
+    # sampled tabu on a set: its drawn moves are scored as one block
+    for seed in (0, 1):
+        cfg = SolverConfig(seed=seed, n_branches=1, max_steps=2_000, time_limit=600.0,
+                           cm_kind="tabu")
+        emit_solve(f"kp50-tabu seed={seed}", kp50, cfg, "_tabu_step" if check_paths else None)
+    # one-term roots over a bit array: flips that read them are scored in blocks
+    model = term40()
+    for kind, path in (("sa", "_sa_block"), ("tabu", "_tabu_flips")):
+        cfg = SolverConfig(seed=4, n_branches=1, max_steps=2_000, time_limit=600.0,
+                           cm_kind=kind, qm_enabled=False)
+        emit_solve(f"term40-{kind}", model, cfg, path if check_paths else None)
 
 
-def all_cases() -> None:
+def term40() -> Model:
+    """Forty bits under a weighted sum beside the one-term roots ``3 * x[2]``
+    and ``-2 * x[7]``, with at most twelve bits set."""
+    m = Model()
+    x = m.binary(40)
+    m.minimize((x * m.constant(np.arange(40) % 7 - 5)).sum() + 3 * x[2] - 2 * x[7])
+    m.add_constraint(x.sum() <= 12)
+    return m
+
+
+def all_cases(check_paths: bool = True) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         cli_cases(Path(tmp))
         plan_cases(Path(tmp))
@@ -357,14 +415,14 @@ def all_cases() -> None:
     window_cases()
     kp_mc_window_cases()
     sampler_cases()
-    solver_cases()
+    solver_cases(check_paths)
 
 
 def compare(base: Path) -> int:
     """Print the lines that differ from a run on ``base``; the exit status."""
     env = {**os.environ, "PYTHONPATH": str(base.resolve())}
-    with subprocess.Popen([sys.executable, __file__], env=env, stdout=subprocess.PIPE,
-                          text=True) as other:
+    with subprocess.Popen([sys.executable, __file__, "--no-path-checks"], env=env,
+                          stdout=subprocess.PIPE, text=True) as other:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             all_cases()
@@ -384,8 +442,10 @@ def compare(base: Path) -> int:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path, help="source tree to compare against")
+    parser.add_argument("--no-path-checks", action="store_true",
+                        help="do not exit when a solve leaves its step path")
     args = parser.parse_args()
     if args.base is None:
-        all_cases()
+        all_cases(not args.no_path_checks)
     else:
         sys.exit(compare(args.base))

@@ -30,13 +30,13 @@ Moves of one decision drawn against one state, a tabu step's candidates or
 an SA block (:class:`~combopt.state.MoveBlock`), are scored together
 (:meth:`DeltaPlan.block`), and the tail runs once over the arrays it gives.
 For flips of a bit array each sum becomes ``cached ± field[ps]`` over the
-drawn positions ``ps``, the same float operation as one flip; a block in
-which a one-term root reads a drawn bit is scored flip by flip.  For moves of
-a set each sum becomes ``cached - table[drop] + table[add]``, a gather of
-the dropped and the added elements' terms, where an add drops and a drop
-adds the entry ``table[n]``, 0.0, the term of no element: the operations of
-one move, as ``x - 0.0`` is ``x`` and ``x + 0.0`` is ``x`` for every ``x``
-but -0.0, which no rule makes.
+drawn positions ``ps``, the same float operation as one flip, and each
+one-term root gathers its corner values at the bits after each flip.  For
+moves of a set each sum becomes ``cached - table[drop] + table[add]``, a
+gather of the dropped and the added elements' terms, where an add drops and
+a drop adds the entry ``table[n]``, 0.0, the term of no element: the
+operations of one move, as ``x - 0.0`` is ``x`` and ``x + 0.0`` is ``x`` for
+every ``x`` but -0.0, which no rule makes.
 
 A list decision ``L`` has two roots, the two parts of a tour length: the path
 ``C[L[:-1], L[1:]].sum()`` over a symmetric table ``C`` and a one-term entry
@@ -228,12 +228,17 @@ class _FlipTermRule:
     def __init__(self, slot: int, a: np.ndarray, b: np.ndarray, values: np.ndarray):
         self.slot = slot
         self.a, self.b = int(a[0]), int(b[0])
-        self.corners = list(values[:, 0])
+        self.corners = values[:, 0]
 
     def update(self, cached, old, tag):
         """New value of the term after the flip ``tag`` of one of its bits in ``old``."""
-        p, a, b = tag[1], self.a, self.b
-        return self.corners[(old[a] ^ (p == a)) + 2 * (old[b] ^ (p == b))]
+        return self.gather(old, tag[1])
+
+    def gather(self, old, ps):
+        """The term after the flip of each bit ``ps`` of ``old``: one value, or
+        an array over the flips when ``ps`` is one."""
+        a, b = self.a, self.b
+        return self.corners[(old[a] ^ (ps == a)) + 2 * (old[b] ^ (ps == b))]
 
 
 class _SetRule:
@@ -464,40 +469,38 @@ class DeltaPlan:
             sums[rule.slot] = rule.update(cached[rule.slot], old, tag)
         return sums
 
-    def block(self, prev_state, prev_eval, d: int, add: np.ndarray, drop=None):
+    def block(self, prev_state, prev_eval, d: int, add: np.ndarray, drop=None) -> list:
         """The roots' values at ``prev_state`` after each move of decision
         ``d`` that the arrays ``add`` and ``drop`` of a
         :class:`~combopt.state.MoveBlock` hold, one at a time, as arrays over
-        the moves; None when a one-term root reads a drawn bit, whose flips
-        :meth:`update` answers one by one.
+        the moves.
 
         A sum over the flipped bit array becomes ``cached + sign * field[ps]``
         with the sign -1.0 where the bit was 1: the same float operation as
         :meth:`update`'s ``cached - f``, because ``x - y`` is ``x + (-y)``.  A
-        sum over the set becomes ``cached - table[drop] + table[add]``, where
-        the term of no element is 0.0: ``x - 0.0`` is ``x``, and ``x + 0.0`` is
-        ``x`` unless ``x`` is -0.0, which no rule makes.  Every other root
-        keeps its cached value.
+        one-term root that reads a flipped bit takes its corner value after
+        each flip (:meth:`_FlipTermRule.gather`).  A sum over the set becomes
+        ``cached - table[drop] + table[add]``, where the term of no element
+        is 0.0: ``x - 0.0`` is ``x``, and ``x + 0.0`` is ``x`` unless ``x`` is
+        -0.0, which no rule makes.  Every other root keeps its cached value.
         """
         cached = prev_eval.sums
+        rules = self.rules.get(d)
+        if not rules:
+            return cached
+        sums = list(cached)
         if drop is not None:
-            rules = self.rules.get(d)
-            if not rules:
-                return cached
-            sums = list(cached)
             for rule in rules:
                 sums[rule.slot] = rule.gather(cached[rule.slot], drop, add)
             return sums
-        terms = self.flip_terms.get(d)
-        if terms and not terms.keys().isdisjoint(add.tolist()):
-            return None
-        sum_rules = self.flip_sums.get(d)
-        if not sum_rules:
-            return cached
-        sign = _FLIP_SIGNS[prev_state.values[d][add]]
-        sums = list(cached)
-        for k, rule in sum_rules:
+        old = prev_state.values[d]
+        sign = _FLIP_SIGNS[old[add]]
+        for k, rule in self.flip_sums.get(d, ()):
             sums[rule.slot] = cached[rule.slot] + sign * prev_eval.fields[k][add]
+        terms = self.flip_terms.get(d)
+        for p in terms.keys() & add.tolist() if terms else ():  # roots of drawn bits only
+            for rule in terms[p]:
+                sums[rule.slot] = rule.gather(old, add)
         return sums
 
     def moved_fields(self, state, fields, move):

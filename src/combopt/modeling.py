@@ -23,7 +23,6 @@ updated by adding and subtracting terms gets the same bits (:mod:`combopt.delta`
 from __future__ import annotations
 
 import operator
-from itertools import repeat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +38,6 @@ from .state import (
     DecisionSpec,
     MoveBlock,
     State,
-    move_arrays,
     validate_state,
 )
 
@@ -549,55 +547,17 @@ class Model:
         key = order_key(not any(violations), float(sum(violations)), float(vals[self.objective]))
         return Score(key, violations, sums, ev.fields, state, move, plan)
 
-    def score_moves(self, state: State, ev: Evaluation, moves: list):
-        """The scores of several moves from ``state``, as :meth:`score_move`
-        gives them: a list of their keys, and a function that makes the
-        :class:`Score` of move ``i``.
-
-        Flips of one bit array, or moves of one set, are scored together
-        where the plan can (:meth:`combopt.delta.DeltaPlan.block`): each sum
-        is an array over the moves, and the tail and the comparisons run once
-        over those arrays.  Every other batch, as one with a drawn bit that a
-        one-term root such as ``x[2]`` reads, or one of a model without a
-        plan, is scored move by move.
-        """
-        plan, d = self._plan, moves[0][0]
-        arrays = None if plan is None else move_arrays(moves, self.decisions[d].n)
-        sums = None if arrays is None else plan.block(state, ev, d, arrays[0], arrays[1])
-        if sums is None:
-            scores = [self.score_move(state, ev, move) for move in moves]
-            return [score.key for score in scores], scores.__getitem__
-        k = len(moves)
-        objectives, columns = self._columns(plan, sums, k)
-        objectives = objectives.tolist()
-        if columns:
-            rows = list(zip(*[column.tolist() for column in columns]))
-            keys = [order_key(not any(row), float(sum(row)), objective)
-                    for row, objective in zip(rows, objectives)]
-        else:  # every candidate is feasible
-            rows = [()] * k
-            infeasible, violation, _ = order_key(True, 0.0, None)
-            keys = list(zip(repeat(infeasible, k), repeat(violation, k), objectives))
-
-        def score(i: int) -> Score:
-            return Score(keys[i], list(rows[i]),
-                         [s.item(i) if type(s) is np.ndarray else s for s in sums],
-                         ev.fields, state, moves[i], plan)
-
-        return keys, score
-
     def scores_blocks(self, d: int) -> bool:
-        """Whether :meth:`score_block` answers every block of moves of decision
-        ``d``: a set, or a bit array that no one-term root reads, of a model
-        with a delta plan."""
-        plan, kind = self._plan, self.decisions[d].kind
-        return plan is not None and (kind == SET or kind == BINARY and d not in plan.flip_terms)
+        """Whether :meth:`score_block` answers the blocks of moves of decision
+        ``d``: a set or a bit array of a model with a delta plan."""
+        return self._plan is not None and self.decisions[d].kind in (SET, BINARY)
 
     def score_block(self, state: State, ev: Evaluation, block: MoveBlock):
         """The scores of the moves of ``block`` from ``state``, for a decision
         that :meth:`scores_blocks`, as arrays over the moves: their total
         violations and objectives, and a function that makes the
-        :class:`Score` of move ``i``.
+        :class:`Score` of move ``i``.  This is the one way a batch of moves
+        is scored; :meth:`score_move` scores one.
 
         The arrays hold the floats that :meth:`score_move` gives each move:
         the violations add up in constraint order, as ``sum`` adds a list,
@@ -607,7 +567,11 @@ class Model:
         plan = self._plan
         sums = plan.block(state, ev, block.d, block.add, block.drop)
         k = len(block)
-        objective, columns = self._columns(plan, sums, k)
+        vals = self._tail(plan, sums)
+        columns = []  # a loop: before Python 3.12 a comprehension is one more call
+        for cid in self.constraints:
+            columns.append(_column(COMPARE_OPS[self.nodes[cid].op](*vals[cid]), k))
+        objective = _column(vals[self.objective], k)
         violation = sum(columns, np.zeros(k))
 
         def score(i: int) -> Score:
@@ -618,15 +582,6 @@ class Model:
                          ev.fields, state, block.move(i), plan)
 
         return violation, objective, score
-
-    def _columns(self, plan, sums: list, k: int) -> tuple:
-        """The objective and each constraint's violation, as arrays over ``k``
-        moves, from the roots' values ``sums`` of :meth:`DeltaPlan.block`."""
-        vals = self._tail(plan, sums)
-        columns = []  # a loop: before Python 3.12 a comprehension is one more call
-        for cid in self.constraints:
-            columns.append(_column(COMPARE_OPS[self.nodes[cid].op](*vals[cid]), k))
-        return _column(vals[self.objective], k), columns
 
     def _tail(self, plan, sums: list) -> list:
         """Node values with the plan's roots at ``sums`` and its tail run above them."""
@@ -645,10 +600,11 @@ class Model:
 
 
 def _column(value, k: int) -> np.ndarray:
-    """The ``k`` floats of an array over candidates, or ``k`` copies of a value
-    that no candidate changes."""
+    """The ``k`` floats of an array over candidates, such as the integers of a
+    one-term root's corners, or ``k`` copies of a value that no candidate
+    changes."""
     if type(value) is np.ndarray and value.ndim:
-        return value
+        return value.astype(float, copy=False)
     return np.full(k, float(value))
 
 

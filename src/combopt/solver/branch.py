@@ -33,8 +33,8 @@ from ..modeling import Evaluation, Model, Score
 from ..qubo.sampler import sa_sample
 from ..state import BINARY, MoveBlock, State
 from .config import SolverConfig
-from .moves import (BLOCK_UNIFORMS, block_pool, draw_block, draw_state_move, draw_state_moves,
-                    initial_state, propose_state, reverse_move, tabu_key)
+from .moves import (BLOCK_UNIFORMS, block_pool, draw_block, draw_state_move, initial_state,
+                    propose_state, reverse_move, set_block, tabu_key)
 from .sampleset import Sample, make_sample
 from .subproblem import qm_query
 
@@ -130,10 +130,11 @@ class Branch:
         self.t0 = 1.0
         self.temp = 1.0
         self.budget = 1  # the steps a cm_step call may take
-        # SA on one set or bit array that the plan scores as arrays steps in
-        # blocks, from a buffer of uniforms: each step reads `_width` of them
-        self.blocks = (config.cm_kind == "sa" and len(model.decisions) == 1
-                       and model.scores_blocks(0))
+        # whether the one decision is a set or bit array that the plan scores
+        # as arrays; SA on it steps in blocks, from a buffer of uniforms: each
+        # step reads `_width` of them
+        self.arrays = len(model.decisions) == 1 and model.scores_blocks(0)
+        self.blocks = config.cm_kind == "sa" and self.arrays
         if self.blocks:  # a move's uniforms and one for the accept test
             self._width = BLOCK_UNIFORMS[model.decisions[0].kind] + 1
             self._uniforms = self._accept = self._bounds = np.empty(0)
@@ -142,11 +143,10 @@ class Branch:
             self._pool_of = self._pool = None  # a state and its draw_block pool
         # the steps between queries: qm_period units of local-search work
         self.qm_period = config.qm_period * (_BLOCK_STEPS_PER_STEP if self.blocks else 1)
-        # tabu on one bit array that the plan scores as arrays takes each step
-        # over all its flips, with a tabu list of expiry steps per bit
+        # tabu on such a bit array takes each step over all its flips, with a
+        # tabu list of expiry steps per bit
         self.flips = None
-        if (config.cm_kind == "tabu" and len(model.decisions) == 1
-                and model.decisions[0].kind == BINARY and model.scores_blocks(0)):
+        if config.cm_kind == "tabu" and self.arrays and model.decisions[0].kind == BINARY:
             self.flips = MoveBlock(0, np.arange(model.decisions[0].n))
             self.expiry = np.zeros(model.decisions[0].n, dtype=np.int64)
 
@@ -301,9 +301,19 @@ class Branch:
         self._cool()
 
     def _tabu_step(self, model: Model) -> None:
+        """One tabu step over ``tabu_candidates`` drawn moves: those of a set
+        that the plan scores as arrays in one block, any others one by one."""
         # a score draws nothing, so drawing every candidate first keeps the stream
-        moves = draw_state_moves(model, self.current, self.rng, self.config.tabu_candidates)
-        keys, score = model.score_moves(self.current, self.current_eval, moves)
+        cur, cur_eval = self.current, self.current_eval
+        moves = [draw_state_move(model, cur, self.rng) for _ in range(self.config.tabu_candidates)]
+        if self.arrays:  # a set: a tabu branch on a bit array steps in _tabu_flips
+            violation, objective, score = model.score_block(
+                cur, cur_eval, set_block(moves, model.decisions[0].n))
+            keys = list(zip(np.where(violation == 0.0, 0, 1).tolist(), violation.tolist(),
+                            objective.tolist()))
+        else:
+            scores = [model.score_move(cur, cur_eval, move) for move in moves]
+            keys, score = [s.key for s in scores], scores.__getitem__
         best = None  # the score of the best admissible candidate
         for i in _walk_order(keys):
             if best is not None and not keys[i] <= best.key:

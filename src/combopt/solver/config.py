@@ -30,12 +30,11 @@ class SolverConfig:
     ``time_limit`` when ``max_steps`` is None, and by steps over
     ``max(1000, max_steps)`` when it is set.
 
-    A tabu branch whose model has one decision, a bit array that the delta
-    plan scores as arrays (no one-term root such as ``x[2]`` reads it), takes
-    each step over all of its flips and draws nothing.  ``tabu_candidates`` is
-    the number of moves that every other tabu step draws: on a set, a list, a
-    partition, an integer array, a bit array that a one-term root reads, or a
-    model with more than one decision or without a plan.
+    A tabu branch whose model has one decision, a bit array, and a delta plan
+    takes each step over all of its flips and draws nothing.
+    ``tabu_candidates`` is the number of moves that every other tabu step
+    draws: on a set, a list, a partition, an integer array, or a model with
+    more than one decision or without a plan.
 
     ``qm_period`` is the local-search work between two subproblem queries,
     counted in per-step steps: a list SA branch and every tabu branch query

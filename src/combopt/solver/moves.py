@@ -211,18 +211,12 @@ def draw_state_move(model: Model, state: State, rng: np.random.Generator) -> Mov
     return d, draw_move(model.decisions[d], state.values[d], rng)
 
 
-def draw_state_moves(model: Model, state: State, rng: np.random.Generator,
-                     k: int) -> list[Move]:
-    """The ``k`` moves of ``k`` calls of :func:`draw_state_move`.  A model whose
-    one decision is a bit array draws them with one ``integers`` call, which
-    numpy answers with the positions of ``k`` scalar calls
-    (``test_draw_state_moves_matches_single_draws`` checks it).  A tabu step
-    draws such flips only when a one-term root reads the array; otherwise it
-    scores every flip and draws none."""
-    decisions = model.decisions
-    if len(decisions) == 1 and decisions[0].kind == BINARY:
-        return [(0, ("flip", p)) for p in rng.integers(0, decisions[0].n, k).tolist()]
-    return [draw_state_move(model, state, rng) for _ in range(k)]
+def set_block(moves: list, n: int) -> MoveBlock:
+    """The moves of decision 0, a set of size ``n``, as one :class:`MoveBlock`
+    whose move ``i`` is ``moves[i]``."""
+    tags = [tag for _, tag in moves]
+    return MoveBlock(0, np.array([n if tag[0] == "drop" else tag[-1] for tag in tags]),
+                     np.array([n if tag[0] == "add" else tag[1] for tag in tags]), n)
 
 
 # the uniforms that draw_block reads per move, by decision kind

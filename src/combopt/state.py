@@ -240,9 +240,6 @@ def apply_move(value, tag):
     return parts
 
 
-_SET_KINDS = ("add", "drop", "exch")
-
-
 class MoveBlock:
     """Moves of decision ``d`` drawn against one state, as arrays.
 
@@ -270,22 +267,6 @@ class MoveBlock:
         if a == self.n:
             return self.d, ("drop", e)
         return self.d, ("exch", e, a)
-
-
-def move_arrays(moves: list, n: int) -> tuple | None:
-    """``(add, drop)``, the arrays of a :class:`MoveBlock`, when ``moves`` are
-    flips, or set moves, of the decision of the first, of size ``n``; None
-    otherwise.  It makes no block: a tabu step scores its moves from these."""
-    d = moves[0][0]
-    ps = [tag[1] for e, tag in moves if e == d and tag[0] == "flip"]
-    if len(ps) == len(moves):
-        return np.array(ps), None
-    tags = [tag for e, tag in moves if e == d and tag[0] in _SET_KINDS]
-    if len(tags) < len(moves):
-        return None
-    drop = [n if tag[0] == "add" else tag[1] for tag in tags]
-    add = [n if tag[0] == "drop" else tag[-1] for tag in tags]
-    return np.array(add), np.array(drop)
 
 
 def _smallest_repeat(xs: list) -> int:
